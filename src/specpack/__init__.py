@@ -17,8 +17,6 @@ from .bessel import (
     bessel_j_prime,
     bessel_j_zero,
     bessel_jprime_zero,
-    dump_zero_table,
-    load_zero_table,
     spherical_bessel_j,
     spherical_bessel_j_prime,
     spherical_jprime_zero,

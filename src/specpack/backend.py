@@ -1,30 +1,9 @@
-"""Kernel backend selection.
+"""Kernel selection: the compiled extension when it imports, else the
+pure-Python twin."""
 
-The compiled extension is preferred when importable; the pure-Python twin is
-the fallback.  ``SPECPACK_BACKEND=python`` forces the fallback and
-``SPECPACK_BACKEND=cython`` makes a missing extension an import error
-(useful for benchmarks and CI).
-"""
-
-import os
-
-from . import _kernels_py
-
-_FORCED = os.environ.get("SPECPACK_BACKEND", "").strip().lower()
-
-if _FORCED in ("python", "py"):
-    kernels = _kernels_py
-elif _FORCED in ("", "auto", "cython", "c"):
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        if _FORCED in ("cython", "c"):
-            raise ImportError(
-                "SPECPACK_BACKEND=cython but the compiled kernel is not built; "
-                "reinstall with a C compiler available"
-            )
-        kernels = _kernels_py
-else:
-    raise ValueError(f"unknown SPECPACK_BACKEND value {_FORCED!r}")
+try:
+    from . import _kernels as kernels
+except ImportError:
+    from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND

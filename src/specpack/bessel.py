@@ -195,63 +195,3 @@ def spherical_jprime_zero(idx):
     """idx.rank-th positive zero of d/dx j_{idx.order}."""
     return default_table("spherical_prime").zero(idx)
 
-
-def dump_zero_table(table, path):
-    """Write all cached zeros as `kind order rank value` lines."""
-    lines = []
-    for idx, z in table.entries().items():
-        lines.append(f"{table.kind} {idx.order} {idx.rank} {z:.15g}\n")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
-
-
-def load_zero_table(path):
-    """Read a table dumped by dump_zero_table, validating every residual."""
-    kind = None
-    by_order = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{ln}: expected 'kind order rank value'")
-            k, order, rank, value = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
-            if kind is None:
-                kind = k
-            elif k != kind:
-                raise ValueError(f"{path}:{ln}: mixed kinds {kind!r} and {k!r}")
-            if k not in KINDS:
-                raise ValueError(f"{path}:{ln}: unknown kind {k!r}")
-            residual = abs(kernels_eval(k, order, value))
-            if residual > RESIDUAL_TOL:
-                raise AccuracyError(
-                    f"{path}:{ln}: residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-                )
-            by_order.setdefault(order, []).append((rank, value))
-    if kind is None:
-        raise ValueError(f"{path}: empty zero table")
-    table = ZeroTable(kind)
-    for order, pairs in by_order.items():
-        pairs.sort()
-        off = _rank_offset(kind, order)
-        expected = 1 + off
-        zs = []
-        prev = 0.0
-        for rank, value in pairs:
-            if rank != expected:
-                raise ValueError(
-                    f"{path}: {kind} order {order}: ranks not contiguous from "
-                    f"{1 + off} (missing rank {expected})"
-                )
-            if value <= prev:
-                raise ValueError(
-                    f"{path}: {kind} order {order}: values not increasing at rank {rank}"
-                )
-            zs.append(value)
-            prev = value
-            expected += 1
-        table._zeros[order] = zs
-        table._resume[order] = zs[-1] + SCAN_STEP
-    return table

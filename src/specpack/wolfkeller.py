@@ -92,9 +92,6 @@ class Split:
     """Union of the optimal packings for indices i and j = n - i."""
 
     i: int
-    left: object
-    right: object
-    tie: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,8 @@ class ExtremalSequence:
     def leaves(self, n):
         """Connected leaves (shape, index, count) of the stored provenance."""
         counts = self.leaf_counts(n)
-        out = []
-        for idx in sorted(counts, reverse=True):
-            dec = self._provenance[idx]
-            while isinstance(dec, Split):  # unreachable; leaves are Connected
-                dec = dec.left
-            out.append((dec.shape, idx, counts[idx]))
-        return out
+        return [(self._provenance[idx].shape, idx, counts[idx])
+                for idx in sorted(counts, reverse=True)]
 
     def expression(self, n, ascii_form=False):
         """Provenance as `2*mu8+6*mu1` (ascii) or `2μ_8 + 6μ_1`.
@@ -308,7 +300,7 @@ def extremal_sequence(domain_class, K, base_values=None):
             provenance[n] = Connected(conn_shape[n], n)
         else:
             values[n] = split_v
-            provenance[n] = Split(best_i, provenance[best_i], provenance[n - best_i])
+            provenance[n] = Split(best_i)
         powers[n] = _power(values[n], N)
 
     return ExtremalSequence(

@@ -7,7 +7,6 @@ from conftest import oracle_positive_zeros, spherical_series
 
 from specpack import bessel
 from specpack.bessel import (
-    AccuracyError,
     ZeroIndex,
     ZeroRangeError,
     ZeroTable,
@@ -15,8 +14,6 @@ from specpack.bessel import (
     bessel_j_prime,
     bessel_j_zero,
     bessel_jprime_zero,
-    dump_zero_table,
-    load_zero_table,
     spherical_bessel_j,
     spherical_bessel_j_prime,
     spherical_jprime_zero,
@@ -221,43 +218,6 @@ class TestZeroTables:
         # monotonicity from p = 1 on plus a p = 0 head check
         assert all(a < b for a, b in zip(firsts[1:], firsts[2:]))
         assert firsts[0] > firsts[1]
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        table = ZeroTable("bessel_prime")
-        for order in (0, 1, 2):
-            table.positive_zero(order, 4)
-        path = tmp_path / "zeros.txt"
-        dump_zero_table(table, path)
-        loaded = load_zero_table(path)
-        assert loaded.kind == "bessel_prime"
-        assert loaded.entries() == pytest.approx(table.entries())
-        # loaded table still extends past the dumped ranks
-        assert loaded.positive_zero(1, 6) == pytest.approx(
-            table.positive_zero(1, 6), abs=1e-10
-        )
-
-    def test_order0_ranks_start_at_two_in_dump(self, tmp_path):
-        table = ZeroTable("bessel_prime")
-        table.positive_zero(0, 2)
-        path = tmp_path / "zeros.txt"
-        dump_zero_table(table, path)
-        ranks = [int(line.split()[2]) for line in path.read_text().splitlines()
-                 if line.split()[1] == "0"]
-        assert min(ranks) == 2
-
-    def test_corrupted_value_rejected(self, tmp_path):
-        path = tmp_path / "zeros.txt"
-        path.write_text("bessel 0 1 2.5\n")  # not a zero of J_0
-        with pytest.raises(AccuracyError):
-            load_zero_table(path)
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "zeros.txt"
-        path.write_text("bessel 0 1\n")
-        with pytest.raises(ValueError):
-            load_zero_table(path)
 
 
 class TestBackendParity:
