@@ -1,17 +1,19 @@
-"""Pure-Python evaluation kernels.
+"""Evaluation kernels, in pure Python.
 
-Scalar Bessel J, its derivative, spherical Bessel j and its derivative, plus
-the grid-scan/bisection zero finder.  This module is the fallback twin of the
-compiled extension ``specpack._kernels``; both expose the same five callables
-and must agree to near machine precision (see tests).
+Scalar Bessel J, its derivative, spherical Bessel j and its derivative, and
+the per-zero refinement ``next_zero`` that the zero tables call once for
+each zero inside a bracket they derived from interlacing.
 
 Evaluation strategy:
   * x < 8: ascending power series (no destructive cancellation there).
   * x >= 8: backward recurrence started well above max(order, x), normalized
     with the even-order sum rule J_0 + 2*sum_k J_{2k} = 1 (cylindrical) or
     against the closed forms j_0, j_1 (spherical).  Backward recurrence keeps
-    relative accuracy even deep in the evanescent zone, which the zero scan
-    crosses for every order.
+    relative accuracy even deep in the evanescent zone.
+
+Each Newton iterate of ``next_zero`` costs one such pass, which yields the
+pair (J_{m-1}, J_m) (or (j_{p-1}, j_p)) and so f and, through the Bessel
+ODE, f'.
 """
 
 import math
@@ -23,7 +25,12 @@ KIND_BESSEL = 1
 KIND_SPHERICAL_PRIME = 2
 
 _SERIES_MAX_X = 8.0
+_STEP_TOL = 1e-12  # relative Newton step at which a zero has converged
+_MAX_STEPS = 100
+# reporting grid of the tabulated values (see _grid_value)
+_GRID_STEP = 0.05
 _BISECT_WIDTH = 1e-12
+_GUARD_ULPS = 4
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 
@@ -163,6 +170,37 @@ def spherical_j_prime(order, x):
     return ja - (order + 1.0) / x * jb
 
 
+def _pass(kind, order, x):
+    # (f, f') at x > 0 for the function the kind tabulates, from one series
+    # or Miller pass; f' from the ODE, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m
+    if kind == KIND_SPHERICAL_PRIME:
+        if order < 2:
+            s0 = math.sin(x) / x
+            s1 = (s0 - math.cos(x)) / x
+            j, d = (s0, -s1) if order == 0 else (s1, s0 - 2.0 / x * s1)
+        else:
+            below, j = _sph_miller_pair(x, order - 1, order)
+            d = below - (order + 1.0) / x * j
+        return d, -2.0 / x * d - (1.0 - order * (order + 1.0) / (x * x)) * j
+    lo = order - 1 if order else 0
+    if x < _SERIES_MAX_X:
+        a, b = _series_j(lo, x), _series_j(lo + 1, x)
+    else:
+        a, b = _miller_pair(x, lo, lo + 1)
+    if order:
+        j, d = b, a - order / x * b
+    else:
+        j, d = a, -b
+    if kind == KIND_BESSEL:
+        return j, d
+    return d, -d / x - (1.0 - order * order / (x * x)) * j
+
+
+def evaluate(kind, order, x):
+    """The function whose zeros the kind tabulates, at x > 0."""
+    return _pass(kind, order, x)[0]
+
+
 def _eval(kind, order, x):
     if kind == KIND_BESSEL_PRIME:
         return bessel_j_prime(order, x)
@@ -173,38 +211,81 @@ def _eval(kind, order, x):
     raise ValueError(f"unknown kind code {kind}")
 
 
-def next_zero(kind, order, x_from, step, x_max):
-    """Scan from x_from in increments of step until the sign changes, then
-    bisect the bracket down to width 1e-12.
+def _grid_value(kind, order, zero, x_from, sign_lo):
+    # The reported value of a zero, which keeps the tabulated values of the
+    # earlier grid-scan finder bit for bit: the midpoint at which a bisection
+    # to width _BISECT_WIDTH ends, started from the cell of the grid x_from,
+    # x_from + _GRID_STEP, ... (summed step by step) that holds the zero.  The
+    # side of the Newton zero decides each step; a point within _GUARD_ULPS
+    # of it is decided by the sign of _eval there, as the scan decided it.
+    # The grid of an order's first zero starts at max(order/2, 0.01), below
+    # the zero in every kind.  Returns the value and the grid point after the
+    # cell (nan, nan if the grid starts past the zero).
+    guard = _GUARD_ULPS * math.ulp(zero)
 
-    Returns (zero, resume) where resume is the grid point past the bracket,
-    or (nan, nan) if no sign change occurs before x_max.
+    def left(x):
+        # x lies left of the zero; None if the evaluator vanishes at x
+        if abs(x - zero) > guard:
+            return x < zero
+        f = _eval(kind, order, x)
+        return None if f == 0.0 else (f > 0.0) == (sign_lo > 0.0)
+
+    edge = zero - guard
+    lo = max(order * 0.5, 0.01) if x_from is None else x_from
+    if not lo < edge:
+        return math.nan, math.nan
+    hi = lo + _GRID_STEP
+    while hi < edge:
+        lo = hi
+        hi = lo + _GRID_STEP
+    while True:
+        side = left(hi)
+        if side is None:
+            return hi, hi + _GRID_STEP
+        if not side:
+            break
+        lo = hi
+        hi = lo + _GRID_STEP
+    resume = hi
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        side = left(mid)
+        if side is None:
+            return mid, resume
+        if side:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), resume
+
+
+def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
+    """Refine the one zero of the kind's function inside (lo, hi).
+
+    f has the sign ``sign_lo`` on (lo, zero) and the opposite sign on
+    (zero, hi).  Newton steps start at ``guess``.  The step size is tested
+    for convergence before the bracket, and a step that leaves the bracket
+    is replaced by bisection.  The zero is reported on the grid that resumes
+    at ``x_from``, the resume point returned with the order's previous zero
+    (None for its first; see ``_grid_value``).
+
+    Returns (zero, |f| at the last iterate, resume point), or three nans if
+    no step converged.
     """
-    x0 = x_from
-    f0 = _eval(kind, order, x0)
-    if f0 == 0.0:
-        x0 += 1e-9
-        f0 = _eval(kind, order, x0)
-    while x0 < x_max:
-        x1 = x0 + step
-        f1 = _eval(kind, order, x1)
-        if f1 == 0.0:
-            return x1, x1 + step
-        if (f0 < 0.0) != (f1 < 0.0):
-            lo = x0
-            hi = x1
-            flo = f0
-            while hi - lo > _BISECT_WIDTH:
-                mid = 0.5 * (lo + hi)
-                fm = _eval(kind, order, mid)
-                if fm == 0.0:
-                    return mid, x1
-                if (fm < 0.0) == (flo < 0.0):
-                    lo = mid
-                    flo = fm
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi), x1
-        x0 = x1
-        f0 = f1
-    return math.nan, math.nan
+    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        f, df = _pass(kind, order, x)
+        step = f / df if df else math.inf
+        if abs(step) <= _STEP_TOL * x:
+            zero, resume = _grid_value(kind, order, x - step, x_from, sign_lo)
+            if math.isnan(zero):
+                break
+            return zero, abs(f), resume
+        if (f > 0.0) == (sign_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return math.nan, math.nan, math.nan

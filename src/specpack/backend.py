@@ -1,9 +1,5 @@
-"""Kernel selection: the compiled extension when it imports, else the
-pure-Python twin."""
+"""The kernel module in use, and its name in ``BACKEND``."""
 
-try:
-    from . import _kernels as kernels
-except ImportError:
-    from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND

@@ -13,14 +13,27 @@ so valid ranks start at 2 and rank r maps to the (r-1)-th positive zero.
 ``spherical_prime`` at order 0 also has a trivial stationary point at x = 0;
 there the ranks simply count the strictly positive zeros starting at 1.
 
-Zeros are found by scanning the function on a uniform grid of step 0.05
-(starting at max(order/2, 0.01), below the first positive zero of every
-tabulated kind) and bisecting each sign-change bracket to width 1e-12.
-Consecutive zeros of all three kinds are separated by far more than the grid
-step over the supported range, so no zero is skipped; the interlacing tests
-double-check this.
+Completeness follows from interlacing (DLMF 10.21(i)), checked as the table
+grows.  For order m >= 1 the k-th zero lies between the k-th and (k+1)-th
+zeros of order m-1; for the two derivative kinds the trivial zero of order 0
+at x = 0 counts as the first.  Each function is positive on (0, first zero)
+(J'_0 and j'_0 negative), so the sign of f_m at every zero of order m-1 is
+fixed by its rank, and every such sign is checked: a zero missing from, or
+extra in, the order below raises AccuracyError.  The count of zeros below
+any x then follows from the order below plus the sign of f_m at x, which is
+what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a sign scan
+of step 1, below the spacing of its consecutive zeros (> pi for J_1 and j_1,
+> 2.8 for J_0 beyond x = 1).
+
+Inside its bracket each zero is refined by a safeguarded Newton iteration
+(``kernels.next_zero``), started from the zeros of orders m-1 and m-2
+extrapolated in the order.  The reported value keeps the tabulated values
+of earlier releases bit for bit: the midpoint of a bisection to width 1e-12
+from the cell of the 0.05-step grid, started at max(order/2, 0.01), that
+holds the zero (see ``_kernels_py._grid_value``).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -34,13 +47,13 @@ _KIND_CODE = {
     "spherical_prime": kernels.KIND_SPHERICAL_PRIME,
 }
 
-SCAN_STEP = 0.05
 SCAN_LIMIT = 200.0
 RESIDUAL_TOL = 1e-9
+ORDER0_STEP = 1.0  # below the spacing of consecutive order-0 zeros (> 2.8)
 
 
 class AccuracyError(RuntimeError):
-    """A computed zero fails the residual bound |f(zero)| <= 1e-9."""
+    """A zero fails its residual bound, or a sign contradicts interlacing."""
 
 
 class ZeroRangeError(RuntimeError):
@@ -66,8 +79,18 @@ def _rank_offset(kind, order):
     return 1 if (kind == "bessel_prime" and order == 0) else 0
 
 
+def _parity(crossings):
+    # sign of f after the given number of zeros (f > 0 before the first)
+    return -1.0 if crossings & 1 else 1.0
+
+
 class ZeroTable:
     """Lazily grown cache of positive zeros for one kind.
+
+    Per order the table keeps the zeros found so far and its reach: the x
+    below which every zero of the order is counted, with f(reach).  A count
+    below x rests on the order below (its zeros below x plus the sign of f
+    at x), so growing one order grows every lower order to the same x.
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -78,34 +101,39 @@ class ZeroTable:
             raise ValueError(f"unknown zero kind {kind!r}")
         self.kind = kind
         self._code = _KIND_CODE[kind]
-        self._zeros = {}
-        self._resume = {}
+        self._zeros = {}  # order -> positive zeros found, ascending
+        self._count = {}  # order -> positive zeros counted below the reach
+        self._reach = {}  # order -> (x, f(x)); f is None when nothing is below x
+        self._scan = []  # order 0: (lo, hi, guess) of each counted zero
+        self._resume = {}  # order -> where the reporting grid resumes
 
     def positive_zero(self, order, k):
         """The k-th strictly positive zero (k >= 1) for the given order."""
         if order < 0 or k < 1:
             raise ValueError(f"need order >= 0 and k >= 1, got ({order}, {k})")
-        zs = self._zeros.setdefault(order, [])
-        while len(zs) < k:
-            start = self._resume.get(order, max(order * 0.5, 0.01))
-            zero, resume = kernels.next_zero(
-                self._code, order, start, SCAN_STEP, SCAN_LIMIT
-            )
-            if math.isnan(zero):
+        while self._count.get(order, 0) < k:
+            reach = self._reach_x(order)
+            if reach >= SCAN_LIMIT:
                 raise ZeroRangeError(
-                    f"{self.kind} order {order}: zero #{len(zs) + 1} not found "
-                    f"below x = {SCAN_LIMIT}; requested rank is out of the "
-                    f"supported bracketing range"
+                    f"{self.kind} order {order}: zero #{self._count[order] + 1} "
+                    f"not found below x = {SCAN_LIMIT}; requested rank is out "
+                    f"of the supported bracketing range"
                 )
-            residual = abs(kernels_eval(self.kind, order, zero))
-            if residual > RESIDUAL_TOL:
-                raise AccuracyError(
-                    f"{self.kind} order {order} zero at {zero}: residual "
-                    f"{residual:.3e} exceeds {RESIDUAL_TOL}"
-                )
-            zs.append(zero)
-            self._resume[order] = resume
-        return zs[k - 1]
+            missing = k - self._count.get(order, 0)
+            self._settle(order, min(SCAN_LIMIT, max(reach, order) + (missing + 1) * math.pi))
+        self._find(order, k)
+        return self._zeros[order][k - 1]
+
+    def zeros_below(self, order, x):
+        """All strictly positive zeros of the given order below x, ascending."""
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        self._settle(order, x)
+        n = self._count.get(order, 0)
+        if n > len(self._zeros.get(order, ())):
+            self.positive_zero(order, n)
+        zs = self._zeros.get(order, [])
+        return zs[: bisect.bisect_left(zs, x)]
 
     def zero(self, idx):
         """Zero addressed by a ZeroIndex, honoring the rank convention."""
@@ -126,15 +154,124 @@ class ZeroTable:
                 out[ZeroIndex(order, i + 1 + off)] = z
         return out
 
+    def _trivial(self, order):
+        # the derivative kinds vanish at x = 0 for order 0; that zero leads
+        # the interlacing with order 1 but is not stored
+        return 1 if (order == 0 and self.kind != "bessel") else 0
 
-def kernels_eval(kind, order, x):
-    """Evaluate the function whose zeros the given kind tabulates."""
-    code = _KIND_CODE[kind]
-    if code == kernels.KIND_BESSEL_PRIME:
-        return kernels.bessel_j_prime(order, x)
-    if code == kernels.KIND_BESSEL:
-        return kernels.bessel_j(order, x)
-    return kernels.spherical_j_prime(order, x)
+    def _reach_x(self, order):
+        return self._reach.get(order, (0.0, None))[0]
+
+    def _settle(self, order, x):
+        # count every zero of orders <= order below x; find the lower orders'
+        if x > SCAN_LIMIT:
+            raise ZeroRangeError(
+                f"{self.kind} order {order}: zeros below x = {x} requested; "
+                f"the supported bracketing range ends at x = {SCAN_LIMIT}"
+            )
+        low = order
+        while low > 0 and self._reach_x(low - 1) < x:
+            low -= 1
+        for m in range(low, order + 1):
+            if m:
+                self._find(m - 1, self._count.get(m - 1, 0))
+            if self._reach_x(m) < x:
+                if m:
+                    self._count_from_below(m, x)
+                else:
+                    self._scan_order0(x)
+
+    def _check_sign(self, order, x, f, crossings):
+        if f is not None and f * _parity(crossings) < 0.0:
+            raise AccuracyError(
+                f"{self.kind} order {order}: f({x!r}) = {f:.3e} has the wrong "
+                f"sign for {crossings} zeros below it; interlacing is broken "
+                f"(a zero is missing or extra)"
+            )
+
+    def _count_from_below(self, m, x):
+        # zeros of order m-1 bracket those of order m (DLMF 10.21(i)): the
+        # i-th zero of m lies between the i-th and (i+1)-th of m-1, counting
+        # the trivial zero at 0, so f_m at the i-th zero of m-1 has sign (-1)^i
+        below = self._zeros.get(m - 1, [])
+        shift = self._trivial(m - 1)
+        low_x, low_f = self._reach[m - 1]
+        self._check_sign(m - 1, low_x, low_f, shift + len(below))
+        first = shift + bisect.bisect_left(below, self._reach_x(m))
+        n = shift + bisect.bisect_left(below, x)
+        for i in range(first, n):
+            node = below[i - shift]
+            self._check_sign(m, node, kernels.evaluate(self._code, m, node), i)
+        fx = None
+        count = 0
+        if n:
+            fx = kernels.evaluate(self._code, m, x)
+            count = n if fx * _parity(n) > 0.0 else n - 1
+        self._reach[m] = (x, fx)
+        self._count[m] = count
+
+    def _scan_order0(self, x):
+        # sign scan on the fixed grid 1, 2, 3, ...: the step is below the
+        # spacing of consecutive zeros, so each step holds at most one
+        shift = self._trivial(0)
+        a, fa = self._reach.get(0, (0.0, None))
+        count = self._count.get(0, 0)
+        while a < x:
+            b = a + ORDER0_STEP
+            fb = kernels.evaluate(self._code, 0, b)
+            if fa is not None and (fa < 0.0) != (fb < 0.0):
+                self._scan.append((a, b, a - fa * (b - a) / (fb - fa)))
+                count += 1
+            a, fa = b, fb
+        self._check_sign(0, a, fa, shift + count)
+        self._reach[0] = (a, fa)
+        self._count[0] = count
+
+    def _find(self, order, k):
+        # find the counted zeros up to rank k, one bracketed refinement each
+        zs = self._zeros.setdefault(order, [])
+        while len(zs) < k:
+            j = len(zs)
+            lo, hi, guess = self._bracket(order, j)
+            zero, residual, resume = kernels.next_zero(
+                self._code, order, lo, hi, guess, _parity(self._trivial(order) + j),
+                self._resume.get(order),
+            )
+            if math.isnan(zero):
+                raise AccuracyError(
+                    f"{self.kind} order {order} zero #{j + 1}: not refined "
+                    f"inside its bracket ({lo}, {hi})"
+                )
+            if residual > RESIDUAL_TOL:
+                raise AccuracyError(
+                    f"{self.kind} order {order} zero #{j + 1} in ({lo}, {hi}): "
+                    f"residual {residual:.3e} exceeds {RESIDUAL_TOL}"
+                )
+            zs.append(zero)
+            self._resume[order] = resume
+
+    def _node(self, order, i):
+        # i-th zero of the order, counting the trivial zero at 0; None if unknown
+        shift = self._trivial(order)
+        if i < shift:
+            return 0.0
+        zs = self._zeros.get(order, [])
+        return zs[i - shift] if i - shift < len(zs) else None
+
+    def _bracket(self, m, j):
+        # (lo, hi, first guess) of the j-th positive zero of order m: for
+        # m = 0 from the scan; for m >= 1 between the j-th and (j+1)-th zeros
+        # of m-1, and below the reach of m
+        if m == 0:
+            return self._scan[j]
+        lo = self._node(m - 1, j)
+        hi = self._node(m - 1, j + 1)
+        reach = self._reach_x(m)
+        hi = reach if hi is None else min(hi, reach)
+        prev = self._node(m - 2, j) if m >= 2 else None
+        # extrapolate in the order from m-1 and m-2
+        guess = 2.0 * lo - prev if prev is not None else 0.5 * (lo + hi)
+        return lo, hi, guess
 
 
 _TABLES = {kind: ZeroTable(kind) for kind in KINDS}

@@ -10,9 +10,9 @@ stored value; Dirichlet indexing starts at lambda_1 = first stored value.
 Completeness: every generator enumerates all modes with eigenvalue below an
 adaptive ceiling and only returns the first k once the k-th value sits
 strictly inside the ceiling, so no eigenvalue below the last returned one can
-be missing.  The disk/ball order loops terminate through the classical lower
-bound j'_{m,1} >= sqrt(m(m+2)) and the monotonicity of the first zero in the
-order, respectively.
+be missing.  The disk/ball order loops take each order's zeros below the
+ceiling from the zero table and stop at the first order >= 1 with none: by
+interlacing, the first zero grows with the order from there on.
 """
 
 import csv
@@ -255,15 +255,13 @@ def disk_spectrum(bc, k):
         xmax = math.sqrt(lam / PI)
         modes = []
         m = 0
-        while m * (m + 2) <= xmax * xmax:
-            q = 1
-            while True:
-                z = table.positive_zero(m, q)
-                if z > xmax:
-                    break
+        while True:
+            zs = table.zeros_below(m, xmax)
+            if not zs and m > 0:
+                break  # no zero of order m below xmax: none of any higher order
+            for q, z in enumerate(zs, 1):
                 label = (m, q + 1) if (neumann and m == 0) else (m, q)
                 modes.append(Mode(label, PI * z * z, 1 if m == 0 else 2))
-                q += 1
             m += 1
         return modes
 
@@ -317,16 +315,11 @@ def ball_spectrum(bc, k):
         modes = []
         p = 0
         while True:
-            z1 = table.positive_zero(p, 1)
-            if z1 > xmax:
-                break  # first zeros increase with the order
-            q = 1
-            while True:
-                z = table.positive_zero(p, q)
-                if z > xmax:
-                    break
+            zs = table.zeros_below(p, xmax)
+            if not zs and p > 0:
+                break  # no zero of order p below xmax: none of any higher order
+            for q, z in enumerate(zs, 1):
                 modes.append(Mode((p, q), (z / BALL_RADIUS) ** 2, 2 * p + 1))
-                q += 1
             p += 1
         return modes
 

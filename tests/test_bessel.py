@@ -5,8 +5,9 @@ import math
 import pytest
 from conftest import oracle_positive_zeros, spherical_series
 
-from specpack import bessel
+from specpack import _kernels_py, bessel, spectra
 from specpack.bessel import (
+    AccuracyError,
     ZeroIndex,
     ZeroRangeError,
     ZeroTable,
@@ -175,11 +176,16 @@ class TestZeroTables:
             table.positive_zero(0, 100)  # 100th zero of J_0 sits near x=313
 
     def test_residuals_of_all_cached_zeros(self):
+        evaluators = {
+            "bessel_prime": bessel_j_prime,
+            "bessel": bessel_j,
+            "spherical_prime": spherical_bessel_j_prime,
+        }
         for kind in bessel.KINDS:
             table = bessel.default_table(kind)
             table.positive_zero(3, 5)
             for idx, z in table.entries().items():
-                assert abs(bessel.kernels_eval(kind, idx.order, z)) <= 1e-9
+                assert abs(evaluators[kind](idx.order, z)) <= 1e-9
 
     def test_interlacing(self):
         # j'_{m,n} < j_{m,n} < j'_{m,n+1} for m <= 10, n <= 10
@@ -205,46 +211,93 @@ class TestZeroTables:
                 )
 
     def test_first_zero_lower_bound(self):
-        # classical bound used to terminate the disk order loop
+        # classical lower bound j'_{m,1} > sqrt(m(m+2))
         jp = bessel.default_table("bessel_prime")
         for m in range(0, 41):
             assert jp.positive_zero(m, 1) ** 2 > m * (m + 2)
 
     def test_spherical_first_zero_monotone_in_order(self):
-        # ordering assumption behind the ball order loop
+        # the first zeros grow with the order from p = 1 on
         sph = bessel.default_table("spherical_prime")
         firsts = [sph.positive_zero(p, 1) for p in range(0, 41)]
-        # p = 0 is the lone exception (4.49 > 2.08); the loop only needs
-        # monotonicity from p = 1 on plus a p = 0 head check
+        # p = 0 is the lone exception (4.49 > 2.08): its trivial zero at
+        # x = 0 leads the interlacing with p = 1
         assert all(a < b for a, b in zip(firsts[1:], firsts[2:]))
         assert firsts[0] > firsts[1]
 
 
-class TestBackendParity:
-    def test_kernels_agree(self):
-        from specpack import _kernels_py
+def _fresh_disk_table(bc, k):
+    """A fresh zero table grown by the k-mode disk spectrum, and the kernel
+    passes (series/Miller passes of the finder plus evaluator calls of the
+    reporting grid) that growing it took."""
+    kind = "bessel_prime" if bc == "neumann" else "bessel"
+    table = ZeroTable(kind)
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(bessel._TABLES, kind, table)
+        for name in ("_pass", "_eval"):
+            fn = getattr(_kernels_py, name)
+            mp.setattr(_kernels_py, name, lambda *a, fn=fn: passes.append(1) or fn(*a))
+        spectra.disk_spectrum(bc, k)
+    return table, len(passes)
 
-        try:
-            from specpack import _kernels
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        for m in (0, 1, 3, 9, 24):
-            x = 0.2
-            while x < 150.0:
-                assert _kernels.bessel_j(m, x) == pytest.approx(
-                    _kernels_py.bessel_j(m, x), rel=1e-13, abs=1e-15
-                )
-                assert _kernels.bessel_j_prime(m, x) == pytest.approx(
-                    _kernels_py.bessel_j_prime(m, x), rel=1e-13, abs=1e-15
-                )
-                if x > 0:
-                    assert _kernels.spherical_j(m, x) == pytest.approx(
-                        _kernels_py.spherical_j(m, x), rel=1e-13, abs=1e-15
-                    )
-                    assert _kernels.spherical_j_prime(m, x) == pytest.approx(
-                        _kernels_py.spherical_j_prime(m, x), rel=1e-13, abs=1e-15
-                    )
-                x *= 1.9
-        za, _ = _kernels.next_zero(0, 2, 1.0, 0.05, 200.0)
-        zb, _ = _kernels_py.next_zero(0, 2, 1.0, 0.05, 200.0)
-        assert za == pytest.approx(zb, abs=1e-12)
+
+@pytest.fixture(scope="module")
+def disk_tables_3000():
+    return {bc: _fresh_disk_table(bc, 3000) for bc in ("neumann", "dirichlet")}
+
+
+def _zeros_by_order(table):
+    out = {}
+    for idx, z in sorted(table.entries().items(), key=lambda item: (item[0].order, item[1])):
+        out.setdefault(idx.order, []).append(z)
+    return out
+
+
+class TestZeroOracle:
+    def test_disk_tables_match_scipy(self, disk_tables_3000):
+        from scipy import special as sp
+
+        # scipy's jnp_zeros(0, .) starts at 3.83, like the stored positive zeros
+        for bc, oracle in (("neumann", sp.jnp_zeros), ("dirichlet", sp.jn_zeros)):
+            table, _ = disk_tables_3000[bc]
+            checked = 0
+            for order, zs in _zeros_by_order(table).items():
+                ref = oracle(order, len(zs))
+                worst = max(abs(z - r) for z, r in zip(zs, ref))
+                assert worst <= 1e-12, (bc, order, worst)
+                checked += len(zs)
+            assert checked > 1900
+
+
+class TestFinder:
+    def test_passes_per_zero(self, disk_tables_3000):
+        for bc in ("neumann", "dirichlet"):
+            table, passes = disk_tables_3000[bc]
+            assert passes / len(table.entries()) <= 8.0
+
+    def test_zeros_below_matches_ranks(self):
+        table = ZeroTable("spherical_prime")
+        for order in (0, 1, 5):
+            zs = table.zeros_below(order, 30.0)
+            assert zs and zs[-1] < 30.0
+            assert zs == [table.positive_zero(order, k) for k in range(1, len(zs) + 1)]
+            assert table.positive_zero(order, len(zs) + 1) > 30.0
+        assert table.zeros_below(40, 30.0) == []
+
+    def test_zeros_below_need_no_zero_past_x(self):
+        table = ZeroTable("bessel")
+        zs = table.zeros_below(4, 20.0)
+        assert max(table.entries().values()) < 20.0
+        assert zs == [bessel_j_zero(ZeroIndex(4, k)) for k in range(1, len(zs) + 1)]
+
+    @pytest.mark.parametrize("recount", [False, True])
+    def test_missing_zero_of_order_below_raises(self, recount):
+        table = ZeroTable("bessel_prime")
+        table.zeros_below(3, 30.0)
+        del table._zeros[3][2]
+        if recount:
+            # as if the order below had never seen the zero
+            table._count[3] -= 1
+        with pytest.raises(AccuracyError, match="interlacing" if recount else None):
+            table.zeros_below(4, 30.0)

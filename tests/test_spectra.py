@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import oracle_positive_zeros
 
-from specpack import spectra
+from specpack import bessel, spectra
 from specpack.spectra import (
     ball_spectrum,
     box_spectrum,
@@ -53,6 +53,22 @@ class TestDiskSpectrum:
         # Dirichlet ranks are unshifted
         labels_d = [m.label for m in disk_spectrum("dirichlet", 20).modes]
         assert (0, 1) in labels_d
+
+
+class TestDiskRange:
+    def test_neumann_7000(self, monkeypatch):
+        # needs zeros up to x ~ 191 at orders past 185, below SCAN_LIMIT
+        def fresh_spectrum(k):
+            monkeypatch.setitem(bessel._TABLES, "bessel_prime", bessel.ZeroTable("bessel_prime"))
+            return disk_spectrum("neumann", k)
+
+        big = fresh_spectrum(7000)
+        assert big.nonzero_values(6500) == fresh_spectrum(6500).nonzero_values()
+        # two-term Weyl law for the unit-area disk (perimeter 2 sqrt(pi)),
+        # counting mu_0 = 0: N(lam) ~ lam / (4 pi) + 2 sqrt(pi) sqrt(lam) / (4 pi)
+        lam = big.nonzero(7000)
+        weyl = lam / (4 * PI) + 2 * math.sqrt(PI * lam) / (4 * PI)
+        assert abs(weyl / 7001 - 1.0) < 0.005
 
 
 class TestRectangleSpectrum:

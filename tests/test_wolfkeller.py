@@ -190,6 +190,17 @@ class TestCrossoverScan:
         assert disks_sequence.value(23) == pytest.approx(252.21, abs=5e-3)
         assert squares_sequence.value(23) == pytest.approx(256.61, abs=5e-3)
 
+    def test_2d_through_3000(self):
+        disks = extremal_sequence(disks_class(), 3000)
+        squares = extremal_sequence(squares_class(), 3000)
+        assert tuple(crossover_scan(disks, squares, 3000)) == (
+            22, 23, 83, 142, 143, 185, 186, 187, 188, 189, 190,
+            238, 239, 240, 241, 242, 243, 394, 395, 396, 397, 398, 471, 549, 550,
+            730, 731, 732, 733, 734, 735, 736, 1107,
+            1216, 1217, 1218, 1219, 1220, 1221, 1222, 1223, 1224, 1225,
+            1483, 1484, 1485, 1486, 1701, 2502, 2503,
+        )
+
     def test_dimension_mismatch_rejected(self, disks_sequence):
         seq3 = extremal_sequence(balls_class(), 5)
         with pytest.raises(ValueError):
