@@ -161,7 +161,7 @@ class Spectrum:
         """Same domain scaled to the given total volume."""
         if volume <= 0:
             raise ValueError("volume must be positive")
-        factor = _scale_factor(self.volume, volume, self.dimension)
+        factor = _unpower(self.volume / volume, self.dimension)
         modes = tuple(
             Mode(m.label, m.value * factor, m.multiplicity) for m in self.modes
         )
@@ -189,11 +189,18 @@ class Spectrum:
         return buf.getvalue()
 
 
-def _scale_factor(vol_from, vol_to, dimension):
-    # eigenvalue factor for rescaling a domain from vol_from to vol_to
+def _power(value, dimension):
+    # eigenvalue -> volume-like quantity: value^(N/2)
     if dimension == 2:
-        return vol_from / vol_to
-    return (vol_from / vol_to) ** (2.0 / 3.0)
+        return value
+    return value * math.sqrt(value)
+
+
+def _unpower(s, dimension):
+    # inverse of _power: s^(2/N)
+    if dimension == 2:
+        return s
+    return s ** (2.0 / 3.0)
 
 
 def _finalize(modes, k, bc, dimension, shape, n_components=1, volume=None):
@@ -234,20 +241,23 @@ def _adaptive_modes(enumerate_below, k, lam0):
     raise RuntimeError("eigenvalue ceiling failed to converge")
 
 
-def _weyl_ceiling_2d(k, area):
-    return 4.0 * PI * k / area * 1.3 + 30.0
+# Weyl's law: about volume * _power(lam, N) / _WEYL[N] eigenvalues lie below lam
+_WEYL = {2: 4.0 * PI, 3: 6.0 * PI**2}
 
 
-def _weyl_ceiling_3d(k, vol):
-    return (6.0 * PI**2 * k / vol) ** (2.0 / 3.0) * 1.3 + 30.0
+def _spectrum(shape, k, enumerate_below):
+    """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
+    starting from a padded Weyl ceiling."""
+    dim = shape.dimension
+    lam0 = _unpower(_WEYL[dim] * k / shape.volume, dim) * 1.3 + 30.0
+    return _finalize(_adaptive_modes(enumerate_below, k, lam0), k, shape.bc, dim, shape)
 
 
 def disk_spectrum(bc, k):
     """First k nonzero eigenvalues of the unit-area disk."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    shape = disk(bc)
     table = bessel.default_table("bessel_prime" if bc == "neumann" else "bessel")
     neumann = bc == "neumann"
 
@@ -265,41 +275,7 @@ def disk_spectrum(bc, k):
             m += 1
         return modes
 
-    return _finalize(
-        _adaptive_modes(below, k, _weyl_ceiling_2d(k, 1.0)), k, bc, 2, disk(bc)
-    )
-
-
-def rectangle_spectrum(a, b, bc, k):
-    """First k nonzero eigenvalues of an a-by-b rectangle."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a <= 0 or b <= 0:
-        raise ValueError("sides must be positive")
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    lo = 0 if bc == "neumann" else 1
-
-    def below(lam):
-        modes = []
-        jmax = int(a * math.sqrt(lam) / PI)
-        for j in range(lo, jmax + 1):
-            rem = lam - (PI * j / a) ** 2
-            if rem < 0:
-                continue
-            kmax = int(b * math.sqrt(rem) / PI)
-            for kk in range(lo, kmax + 1):
-                if j == 0 and kk == 0:
-                    continue
-                value = PI * PI * (j * j / (a * a) + kk * kk / (b * b))
-                if value <= lam:
-                    modes.append(Mode((j, kk), value, 1))
-        return modes
-
-    shape = rectangle(a, b, bc)
-    return _finalize(
-        _adaptive_modes(below, k, _weyl_ceiling_2d(k, a * b)), k, bc, 2, shape
-    )
+    return _spectrum(shape, k, below)
 
 
 def ball_spectrum(bc, k):
@@ -323,48 +299,45 @@ def ball_spectrum(bc, k):
             p += 1
         return modes
 
-    return _finalize(
-        _adaptive_modes(below, k, _weyl_ceiling_3d(k, 1.0)), k, bc, 3, ball()
-    )
+    return _spectrum(ball(), k, below)
+
+
+def _lattice_spectrum(shape, k):
+    """First k nonzero eigenvalues of a rectangle or box with sides s_i: the
+    modes pi^2 * sum (c_i / s_i)^2 over integers c_i >= 0 (Neumann, less the
+    constant mode) or c_i >= 1 (Dirichlet)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lo = 0 if shape.bc == "neumann" else 1
+
+    def below(lam):
+        # extend index prefixes one axis at a time, each carrying its sum of
+        # (c/s)^2 and the budget lam - pi^2 * (that sum) left for the rest
+        prefixes = [((), 0.0, lam)]
+        for s in shape.sides:
+            grown = []
+            for label, q, rem in prefixes:
+                for c in range(lo, int(s * math.sqrt(rem) / PI) + 1):
+                    left = rem - (PI * c / s) ** 2
+                    if left >= 0:
+                        grown.append((label + (c,), q + c * c / (s * s), left))
+            prefixes = grown
+        modes = [Mode(label, PI * PI * q, 1) for label, q, _ in prefixes]
+        if lo == 0:
+            del modes[0]  # the constant mode: all indices 0, first in walk order
+        return modes
+
+    return _spectrum(shape, k, below)
+
+
+def rectangle_spectrum(a, b, bc, k):
+    """First k nonzero eigenvalues of an a-by-b rectangle."""
+    return _lattice_spectrum(rectangle(a, b, bc), k)
 
 
 def box_spectrum(a1, a2, a3, bc, k):
     """First k nonzero eigenvalues of an a1-by-a2-by-a3 box."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if min(a1, a2, a3) <= 0:
-        raise ValueError("sides must be positive")
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    lo = 0 if bc == "neumann" else 1
-
-    def below(lam):
-        modes = []
-        jmax = int(a1 * math.sqrt(lam) / PI)
-        for j in range(lo, jmax + 1):
-            rem_j = lam - (PI * j / a1) ** 2
-            if rem_j < 0:
-                continue
-            kmax = int(a2 * math.sqrt(rem_j) / PI)
-            for kk in range(lo, kmax + 1):
-                rem_k = rem_j - (PI * kk / a2) ** 2
-                if rem_k < 0:
-                    continue
-                lmax = int(a3 * math.sqrt(rem_k) / PI)
-                for ll in range(lo, lmax + 1):
-                    if j == 0 and kk == 0 and ll == 0:
-                        continue
-                    value = PI * PI * (
-                        j * j / (a1 * a1) + kk * kk / (a2 * a2) + ll * ll / (a3 * a3)
-                    )
-                    if value <= lam:
-                        modes.append(Mode((j, kk, ll), value, 1))
-        return modes
-
-    shape = box(a1, a2, a3, bc)
-    return _finalize(
-        _adaptive_modes(below, k, _weyl_ceiling_3d(k, a1 * a2 * a3)), k, bc, 3, shape
-    )
+    return _lattice_spectrum(box(a1, a2, a3, bc), k)
 
 
 def spectrum_of(shape, k):
@@ -406,7 +379,7 @@ def union_spectrum(parts, k):
             raise ValueError(
                 f"part spectra must carry at least {k} eigenvalues (got {spec.count})"
             )
-        factor = _scale_factor(spec.volume, vol, dim)
+        factor = _unpower(spec.volume / vol, dim)
         total = 0
         for m in spec.modes:
             if total >= k:

@@ -22,10 +22,11 @@ equal splits the smallest left index wins.
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 from . import spectra
-from .spectra import DomainShape, spectrum_of
+from .spectra import DomainShape, _power, _unpower, spectrum_of
 
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
@@ -150,10 +151,6 @@ class ExtremalSequence:
         self._check_index(n)
         return self._split_values[n]
 
-    def split_index(self, n):
-        self._check_index(n)
-        return self._split_indices[n]
-
     def decomposition(self, n):
         self._check_index(n)
         return self._provenance[n]
@@ -166,21 +163,16 @@ class ExtremalSequence:
         """
         self._check_index(n)
         counts = {}
-
-        def walk(idx):
+        # an explicit stack: a chain of splits can be n deep
+        stack = [n]
+        while stack:
+            idx = stack.pop()
             dec = self._provenance[idx]
-            if isinstance(dec, Connected):
-                if dec.tie and tie_as_split:
-                    i = self._split_indices[idx]
-                    walk(i)
-                    walk(idx - i)
-                else:
-                    counts[idx] = counts.get(idx, 0) + 1
+            if isinstance(dec, Connected) and not (dec.tie and tie_as_split):
+                counts[idx] = counts.get(idx, 0) + 1
             else:
-                walk(dec.i)
-                walk(idx - dec.i)
-
-        walk(n)
+                i = self._split_indices[idx]  # a Split's own index, or a tie's split
+                stack += (i, idx - i)
         return counts
 
     def leaves(self, n):
@@ -228,16 +220,13 @@ def _format_terms(counts, ascii_form):
     return ("+" if ascii_form else " + ").join(parts)
 
 
-def _power(value, dimension):
-    if dimension == 2:
-        return value
-    return value * math.sqrt(value)  # value^(3/2)
-
-
-def _unpower(s, dimension):
-    if dimension == 2:
-        return s
-    return s ** (2.0 / 3.0)
+def _best_split(powers, n, pick):
+    """pick (max or min) of powers[j] + powers[n - j] over 1 <= j <= n/2, and
+    the smallest j that attains it."""
+    h = n // 2
+    sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
+    best = pick(sums)
+    return best, sums.index(best) + 1
 
 
 def extremal_sequence(domain_class, K, base_values=None):
@@ -251,6 +240,7 @@ def extremal_sequence(domain_class, K, base_values=None):
     N = domain_class.dimension
     maximize = domain_class.objective == "maximize"
     better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
+    pick = max if maximize else min
 
     if base_values is None:
         base_values = {
@@ -280,20 +270,14 @@ def extremal_sequence(domain_class, K, base_values=None):
     provenance[1] = Connected(conn_shape[1], 1)
 
     for n in range(2, K + 1):
-        best_s = None
-        best_i = None
-        for j in range(1, n // 2 + 1):
-            s = powers[j] + powers[n - j]
-            if best_s is None or better(s, best_s):
-                best_s = s
-                best_i = j
+        best_s, best_i = _best_split(powers, n, pick)
         split_v = _unpower(best_s, N)
         split_values[n] = split_v
         split_indices[n] = best_i
         cv = conn[n]
         tie = abs(cv - split_v) <= REL_TIE_TOL * max(abs(cv), abs(split_v))
         if tie:
-            values[n] = max(cv, split_v) if maximize else min(cv, split_v)
+            values[n] = pick(cv, split_v)
             provenance[n] = Connected(conn_shape[n], n, tie=True)
         elif better(cv, split_v):
             values[n] = cv
@@ -315,32 +299,28 @@ def unpack_geometry(seq, n):
     components = []
     for shape, idx, count in seq.leaves(n):
         ratio = seq.value(idx) / vn
-        vol = ratio if N == 2 else ratio * math.sqrt(ratio)
-        components.extend([PackedComponent(shape, vol, idx)] * count)
+        components.extend([PackedComponent(shape, _power(ratio, N), idx)] * count)
     components.sort(key=lambda c: (-c.volume, -c.support_index))
     return PackedDomain(tuple(components))
 
 
 def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
-    must be connected.  Strictness at relative 1e-12."""
+    must be connected.  Strictness at relative 1e-12.
+
+    Only the best split is tested: the margin test is monotone in the split
+    value, so the best split passes iff every split does."""
     if n < 2:
         return True
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
     N = seq.dimension
     maximize = seq.objective == "maximize"
+    powers = [None] + [_power(seq.value(i), N) for i in range(1, n)]
+    s, _ = _best_split(powers, n, max if maximize else min)
     cp = _power(candidate_value, N)
-    for i in range(1, n // 2 + 1):
-        s = _power(seq.value(i), N) + _power(seq.value(n - i), N)
-        margin = REL_TIE_TOL * max(abs(cp), abs(s))
-        if maximize:
-            if not cp - s > margin:
-                return False
-        else:
-            if not s - cp > margin:
-                return False
-    return True
+    margin = REL_TIE_TOL * max(abs(cp), abs(s))
+    return (cp - s if maximize else s - cp) > margin
 
 
 def crossover_scan(seq_a, seq_b, K):

@@ -1,9 +1,10 @@
 """Shared oracles for the test suite.
 
-Zero-finding oracle: a brute-force sign-change scan (default step 1e-4) over
-scipy's independent implementations of J, J', and the spherical j', refined
-by plain bisection.  The production code never sees scipy, so agreement here
-is a genuine two-route check.
+Zero-finding oracles: scipy's ``jnp_zeros``/``jn_zeros`` for J' and J, and a
+brute-force sign-change scan (default step 1e-4) over scipy's spherical j',
+refined by plain bisection (scipy has no zero routine for j').  The
+production code never sees scipy, so agreement here is a genuine two-route
+check.
 """
 
 import math
@@ -55,6 +56,17 @@ def oracle_positive_zeros(kind, order, count, step=1e-4, x_hi=None):
             f"oracle found only {len(zeros)} zeros of {kind}/{order} below {x_hi}"
         )
     return zeros
+
+
+def oracle_zeros(kind, order, count, step=1e-4):
+    """First `count` positive zeros: scipy's own routine for J' and J (for
+    order 0, jnp_zeros skips the trivial zero at 0, as positive_zero does),
+    the scan oracle for the spherical j'."""
+    if kind == "bessel_prime":
+        return list(sp.jnp_zeros(order, count))
+    if kind == "bessel":
+        return list(sp.jn_zeros(order, count))
+    return oracle_positive_zeros(kind, order, count, step)
 
 
 def spherical_series(p, x, terms=60):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import oracle_positive_zeros
+from conftest import oracle_zeros
 
 from specpack import bessel, constructions, spectra, wolfkeller
 from specpack.cli import build_table_rows, render_table_markdown
@@ -136,7 +136,7 @@ def test_criterion_05_zero_oracle_and_interlacing():
     for kind in ("bessel_prime", "bessel", "spherical_prime"):
         table = bessel.default_table(kind)
         for order in range(0, 11):
-            ref = oracle_positive_zeros(kind, order, 11, step=1e-4)
+            ref = oracle_zeros(kind, order, 11, step=1e-4)
             for pos in range(1, 11):
                 assert table.positive_zero(order, pos) == pytest.approx(
                     ref[pos - 1], abs=1e-8
@@ -151,8 +151,9 @@ def test_criterion_05_zero_oracle_and_interlacing():
         for pos in range(1, 11):
             assert jp.positive_zero(m, pos) < jz.positive_zero(m, pos + off) \
                 < jp.positive_zero(m, pos + 1)
-    print(f"\n[criterion 5] PASS: {checked} zeros agree with the 1e-4-step "
-          f"scan oracle to 1e-8; interlacing holds for all tested pairs")
+    print(f"\n[criterion 5] PASS: {checked} zeros agree to 1e-8 with scipy's "
+          f"jnp_zeros/jn_zeros (J', J) and the 1e-4-step scan oracle (j'); "
+          f"interlacing holds for all tested pairs")
 
 
 def test_criterion_06_geometry_round_trip(disks_sequence, squares_sequence):

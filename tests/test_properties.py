@@ -1,0 +1,144 @@
+"""Property tests on random positive spectra (hypothesis, derandomized).
+
+Random base spectra go into the recursion through ``base_values``; random
+part spectra go into ``union_spectrum``.  Values mix small integers, which
+make exact ties between splits and connected candidates common, with
+arbitrary floats.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specpack import spectra
+from specpack.spectra import Mode, Spectrum, _power, union_spectrum
+from specpack.wolfkeller import (
+    REL_TIE_TOL,
+    DomainClass,
+    Split,
+    connectedness_certificate,
+    extremal_sequence,
+)
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+CLASSES = {
+    (2, "maximize"): DomainClass("disks", (spectra.disk("neumann"),), "maximize"),
+    (2, "minimize"): DomainClass("dirichlet-disks", (spectra.disk("dirichlet"),), "minimize"),
+    (3, "maximize"): DomainClass("balls", (spectra.ball(),), "maximize"),
+    (3, "minimize"): DomainClass("dirichlet-cubes", (spectra.cube("dirichlet"),), "minimize"),
+}
+
+values = st.one_of(st.integers(1, 40).map(float), st.floats(1.0, 1e4))
+base_spectra = st.lists(values, min_size=1, max_size=40).map(sorted)
+classes = st.sampled_from(sorted(CLASSES))
+
+
+def run(key, base):
+    cls = CLASSES[key]
+    return extremal_sequence(cls, len(base), base_values={cls.base_shapes[0]: base})
+
+
+@PROPERTY
+@given(classes, base_spectra)
+def test_recursion_equals_exhaustive_split(key, base):
+    # best[n] = opt(conn[n], opt over every j in 1..n-1 of the j | n-j split)
+    dim, objective = key
+    pick = max if objective == "maximize" else min
+    seq = run(key, base)
+    best = [None]
+    for n in range(1, len(base) + 1):
+        sums = [best[j] ** (dim / 2) + best[n - j] ** (dim / 2) for j in range(1, n)]
+        splits = [s ** (2 / dim) for s in sums]
+        best.append(pick([base[n - 1]] + splits))
+        if dim == 2:
+            assert seq.value(n) == best[n]  # plain sums: bitwise
+            if n > 1:
+                assert seq.split_value(n) == pick(splits)
+                dec = seq.decomposition(n)
+                if isinstance(dec, Split):  # smallest left index among equal splits
+                    assert dec.i == splits.index(pick(splits)) + 1
+        else:
+            assert seq.value(n) == pytest.approx(best[n], rel=1e-12)
+
+
+def all_splits_certificate(candidate_value, seq, n):
+    # reference: the candidate must clear every split j | n-j, 1 <= j <= n/2
+    maximize = seq.objective == "maximize"
+    cp = _power(candidate_value, seq.dimension)
+    for j in range(1, n // 2 + 1):
+        s = _power(seq.value(j), seq.dimension) + _power(seq.value(n - j), seq.dimension)
+        margin = REL_TIE_TOL * max(abs(cp), abs(s))
+        if not (cp - s if maximize else s - cp) > margin:
+            return False
+    return True
+
+
+@PROPERTY
+@given(classes, base_spectra.filter(lambda b: len(b) > 1), st.data())
+def test_certificate_equals_all_splits_loop(key, base, data):
+    seq = run(key, base)
+    for _ in range(10):
+        n = data.draw(st.integers(2, len(base)))
+        # candidates at and around the decision boundary, and anywhere
+        candidate = data.draw(st.one_of(
+            st.integers(-30, 30).map(lambda d: seq.split_value(n) * (1 + d * 1e-13)),
+            st.floats(1.0, 1e5),
+        ))
+        assert connectedness_certificate(candidate, seq, n) == \
+            all_splits_certificate(candidate, seq, n)
+
+
+def random_spectrum(dim, modes):
+    modes = tuple(Mode((i,), v, mult) for i, (v, mult) in enumerate(sorted(modes)))
+    return Spectrum("neumann", dim, 1.0, 1, modes, sum(m.multiplicity for m in modes))
+
+
+part_modes = st.lists(st.tuples(values, st.integers(1, 3)), min_size=8, max_size=20)
+parts = st.lists(st.tuples(part_modes, st.floats(0.01, 4.0)), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3)), parts, st.data())
+def test_union_permutation_invariance(dim, drawn, data):
+    specs = [(random_spectrum(dim, modes), vol) for modes, vol in drawn]
+    permuted = data.draw(st.permutations(specs))
+    u1 = union_spectrum(specs, 8)
+    u2 = union_spectrum(permuted, 8)
+    assert u1.nonzero_values() == u2.nonzero_values()
+    assert u1.n_components == u2.n_components == len(specs)
+
+
+@PROPERTY
+@given(base_spectra, st.integers(-3, 3))
+def test_recursion_scales_exactly_by_powers_of_two(base, e):
+    # 2D sums are plain additions, so a power-of-two factor passes through
+    # every value exactly and leaves every decision in place
+    factor = 2.0**e
+    for objective in ("maximize", "minimize"):
+        seq = run((2, objective), base)
+        scaled = run((2, objective), [factor * v for v in base])
+        for n in range(1, len(base) + 1):
+            assert scaled.value(n) == factor * seq.value(n)
+            assert scaled.decomposition(n) == seq.decomposition(n)
+
+
+@PROPERTY
+@given(base_spectra, st.integers(-3, 3))
+def test_3d_recursion_scales_by_powers_of_four(base, e):
+    # value^(3/2) of 4^e * value is 8^e * value^(3/2) exactly; only the
+    # final 2/3 power rounds
+    factor = 4.0**e
+    seq = run((3, "maximize"), base)
+    scaled = run((3, "maximize"), [factor * v for v in base])
+    for n in range(1, len(base) + 1):
+        assert _power(factor * base[n - 1], 3) == 8.0**e * _power(base[n - 1], 3)
+        assert scaled.value(n) == pytest.approx(factor * seq.value(n), rel=1e-12)
+
+
+@PROPERTY
+@given(part_modes, st.integers(-4, 4))
+def test_rescale_by_powers_of_two(modes, e):
+    spec = random_spectrum(2, modes)
+    scaled = spec.rescaled(2.0**-e)
+    assert scaled.nonzero_values() == [2.0**e * v for v in spec.nonzero_values()]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_positive_zeros
+from conftest import oracle_positive_zeros, oracle_zeros
 
 from specpack import bessel, spectra
 from specpack.spectra import (
@@ -137,7 +137,7 @@ class TestCompleteness:
             vals = spectra.disk_spectrum(bc, 30).nonzero_values()
             brute = []
             for m in range(0, 36):
-                for z in oracle_positive_zeros(kind, m, 12, step=2e-3):
+                for z in oracle_zeros(kind, m, 12):
                     brute.extend([PI * z * z] * (1 if m == 0 else 2))
             brute.sort()
             assert vals == pytest.approx(brute[:30], abs=1e-9)

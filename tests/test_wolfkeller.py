@@ -1,5 +1,6 @@
 """Extremal recursion: values, provenance, packings, certificates, scans."""
 
+import hashlib
 import math
 
 import pytest
@@ -21,6 +22,22 @@ from specpack.wolfkeller import (
 )
 
 PI = math.pi
+
+# sha256 of extremal_sequence(cls, 3000).to_csv(): every value at full
+# precision and every provenance expression, as the loop-based split search
+# produced them
+CSV_3000_SHA256 = {
+    "disks": "02a69abe7d31c14fc8b6b6907a6e164ee7bbc5c15d081a85a34cb437623fd280",
+    "squares": "6a61cfec495f1a9ea4a7932fc8ef5f89e7192711fd47066825110358a6a290e9",
+    "balls": "7d19ff5120753b6674da3d2d00958c6f4de4aca3089ad485f4562f93898ae197",
+    "cubes": "a8fa03e2b683ba3183d4c94685fb1e4f3bfd17bd90357729bb0af993139c2ce2",
+}
+
+
+@pytest.fixture(scope="module")
+def sequences_3000():
+    classes = (disks_class(), squares_class(), balls_class(), cubes_class())
+    return {cls.name: extremal_sequence(cls, 3000) for cls in classes}
 
 
 class TestSequenceValues:
@@ -110,6 +127,15 @@ class TestSequenceValues:
             assert seq4.value(n) == pytest.approx(4.0 * seq1.value(n), rel=1e-12)
             assert type(seq4.decomposition(n)) is type(seq1.decomposition(n))
 
+    def test_deep_split_chain(self):
+        # equal base values: every best split peels off index 1, so the
+        # provenance is a chain as deep as n
+        cls = disks_class()
+        seq = extremal_sequence(cls, 2000, base_values={cls.base_shapes[0]: [1.0] * 2000})
+        assert seq.decomposition(2000) == Split(1)
+        assert seq.leaf_counts(2000) == {1: 2000}
+        assert seq.expression(2000, ascii_form=True) == "2000*mu1"
+
     def test_short_base_rejected(self):
         cls = disks_class()
         base = {cls.base_shapes[0]: [10.65]}
@@ -190,9 +216,8 @@ class TestCrossoverScan:
         assert disks_sequence.value(23) == pytest.approx(252.21, abs=5e-3)
         assert squares_sequence.value(23) == pytest.approx(256.61, abs=5e-3)
 
-    def test_2d_through_3000(self):
-        disks = extremal_sequence(disks_class(), 3000)
-        squares = extremal_sequence(squares_class(), 3000)
+    def test_2d_through_3000(self, sequences_3000):
+        disks, squares = sequences_3000["disks"], sequences_3000["squares"]
         assert tuple(crossover_scan(disks, squares, 3000)) == (
             22, 23, 83, 142, 143, 185, 186, 187, 188, 189, 190,
             238, 239, 240, 241, 242, 243, 394, 395, 396, 397, 398, 471, 549, 550,
@@ -235,6 +260,11 @@ class TestDirichletMirror:
 
 
 class TestExport:
+    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
+    def test_csv_3000_pinned(self, sequences_3000, name):
+        text = sequences_3000[name].to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == CSV_3000_SHA256[name]
+
     def test_csv_shape(self, disks_sequence):
         lines = disks_sequence.to_csv().splitlines()
         assert lines[0] == "n,value,provenance"
