@@ -11,9 +11,16 @@ Evaluation strategy:
     against the closed forms j_0, j_1 (spherical).  Backward recurrence keeps
     relative accuracy even deep in the evanescent zone.
 
-Each Newton iterate of ``next_zero`` costs one such pass, which yields the
-pair (J_{m-1}, J_m) (or (j_{p-1}, j_p)) and so f and, through the Bessel
-ODE, f'.
+Each Newton iterate of ``next_zero`` costs one such pass (``_pass``), which
+yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p and j_{p+1}; the series
+region sums one more series).  So one pass gives f and, through the Bessel
+ODE and its derivative, f' and f'', and also the same function of order
+m + 1 at the iterate.  Since every derivative of J_m and j_p is at most 1 in
+size, f'' bounds the error of the Newton step, and a step is accepted as
+soon as that bound proves the zero within a quarter ulp of it (about two
+passes per zero).  The order-(m + 1) value of a zero's last pass lets the
+zero tables check the sign of f_{m+1} at that zero without a pass of its
+own.
 """
 
 import math
@@ -25,7 +32,6 @@ KIND_BESSEL = 1
 KIND_SPHERICAL_PRIME = 2
 
 _SERIES_MAX_X = 8.0
-_STEP_TOL = 1e-12  # relative Newton step at which a zero has converged
 _MAX_STEPS = 100
 # reporting grid of the tabulated values (see _grid_value)
 _GRID_STEP = 0.05
@@ -52,26 +58,24 @@ def _series_j(m, x):
     return s
 
 
-def _miller_pair(x, ma, mb):
-    # (J_ma, J_mb) for x >= _SERIES_MAX_X, ma <= mb, via backward recurrence.
-    top = max(mb, int(x))
-    start = top + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+def _miller(x, lo, top):
+    # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X by backward recurrence,
+    # started well above max(top, x); top >= lo is the highest order needed
+    start = max(top, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
     if start & 1:
         start += 1
     jnext = 0.0  # trial J at order k+1
     jcur = 1e-30  # trial J at order k
     esum = 0.0  # sum of trial J over even orders >= 2
-    va = 0.0
-    vb = 0.0
+    cap = lo + 1
+    va = vb = vc = 0.0
     k = start
     while k > 0:
-        if k == ma:
-            va = jcur
-        if k == mb:
-            vb = jcur
         if not (k & 1):
             esum += jcur
         jprev = (2.0 * k) / x * jcur - jnext
+        if k == cap:
+            va, vb, vc = jprev, jcur, jnext
         jnext = jcur
         jcur = jprev
         if abs(jcur) > _RESCALE_AT:
@@ -80,20 +84,17 @@ def _miller_pair(x, ma, mb):
             esum *= _RESCALE_BY
             va *= _RESCALE_BY
             vb *= _RESCALE_BY
+            vc *= _RESCALE_BY
         k -= 1
-    if ma == 0:
-        va = jcur
-    if mb == 0:
-        vb = jcur
     norm = jcur + 2.0 * esum
-    return va / norm, vb / norm
+    return va / norm, vb / norm, vc / norm
 
 
 def bessel_j(order, x):
     """J_order(x) for order >= 0, x >= 0."""
     if x < _SERIES_MAX_X:
         return _series_j(order, x)
-    return _miller_pair(x, order, order)[0]
+    return _miller(x, order, order)[0]
 
 
 def bessel_j_prime(order, x):
@@ -102,28 +103,23 @@ def bessel_j_prime(order, x):
         return -bessel_j(1, x)
     if x < _SERIES_MAX_X:
         return 0.5 * (_series_j(order - 1, x) - _series_j(order + 1, x))
-    ja, jb = _miller_pair(x, order - 1, order + 1)
+    ja, _, jb = _miller(x, order - 1, order + 1)
     return 0.5 * (ja - jb)
 
 
-def _sph_miller_pair(x, pa, pb):
-    # (j_pa, j_pb) for pa <= pb, backward recurrence anchored on j_0 / j_1.
-    top = max(pb, int(x))
-    start = top + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+def _sph_miller(x, lo, top):
+    # (j_lo, j_lo+1, j_lo+2) by backward recurrence started above max(top, x),
+    # anchored on the closed forms of j_0 and j_1
+    start = max(top, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
     jnext = 0.0
     jcur = 1e-30
-    va = 0.0
-    vb = 0.0
-    anchor1 = 0.0
+    cap = lo + 1
+    va = vb = vc = 0.0
     k = start
     while k >= 1:
-        if k == pa:
-            va = jcur
-        if k == pb:
-            vb = jcur
-        if k == 1:
-            anchor1 = jcur
         jprev = (2.0 * k + 1.0) / x * jcur - jnext
+        if k == cap:
+            va, vb, vc = jprev, jcur, jnext
         jnext = jcur
         jcur = jprev
         if abs(jcur) > _RESCALE_AT:
@@ -131,22 +127,18 @@ def _sph_miller_pair(x, pa, pb):
             jnext *= _RESCALE_BY
             va *= _RESCALE_BY
             vb *= _RESCALE_BY
-            anchor1 *= _RESCALE_BY
+            vc *= _RESCALE_BY
         k -= 1
-    anchor0 = jcur  # trial j_0
-    if pa == 0:
-        va = anchor0
-    if pb == 0:
-        vb = anchor0
+    # jcur and jnext are now the trial j_0 and j_1
     sx = math.sin(x)
     cx = math.cos(x)
     s0 = sx / x
     s1 = sx / (x * x) - cx / x
     if abs(s0) >= abs(s1):
-        scale = s0 / anchor0
+        scale = s0 / jcur
     else:
-        scale = s1 / anchor1
-    return va * scale, vb * scale
+        scale = s1 / jnext
+    return va * scale, vb * scale, vc * scale
 
 
 def spherical_j(order, x):
@@ -155,7 +147,7 @@ def spherical_j(order, x):
         return math.sin(x) / x
     if order == 1:
         return math.sin(x) / (x * x) - math.cos(x) / x
-    return _sph_miller_pair(x, order, order)[1]
+    return _sph_miller(x, order, order)[0]
 
 
 def spherical_j_prime(order, x):
@@ -166,34 +158,49 @@ def spherical_j_prime(order, x):
         j0 = math.sin(x) / x
         j1 = math.sin(x) / (x * x) - math.cos(x) / x
         return j0 - 2.0 / x * j1
-    ja, jb = _sph_miller_pair(x, order - 1, order)
+    ja, jb, _ = _sph_miller(x, order - 1, order)
     return ja - (order + 1.0) / x * jb
 
 
 def _pass(kind, order, x):
-    # (f, f') at x > 0 for the function the kind tabulates, from one series
-    # or Miller pass; f' from the ODE, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m
+    # (f, f', f'', g) at x > 0 from one series or Miller pass: f is the
+    # function the kind tabulates at this order and g the same function of
+    # order + 1.  f' and f'' come from the ODE and its derivative, e.g.
+    # J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
+    # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m
     if kind == KIND_SPHERICAL_PRIME:
         if order < 2:
             s0 = math.sin(x) / x
             s1 = (s0 - math.cos(x)) / x
-            j, d = (s0, -s1) if order == 0 else (s1, s0 - 2.0 / x * s1)
+            if order == 0:
+                j, d, up = s0, -s1, s0 - 2.0 / x * s1
+            else:
+                s2 = 3.0 / x * s1 - s0
+                j, d, up = s1, s0 - 2.0 / x * s1, s1 - 3.0 / x * s2
         else:
-            below, j = _sph_miller_pair(x, order - 1, order)
+            below, j, above = _sph_miller(x, order - 1, order)
             d = below - (order + 1.0) / x * j
-        return d, -2.0 / x * d - (1.0 - order * (order + 1.0) / (x * x)) * j
+            up = j - (order + 2.0) / x * above
+        q = order * (order + 1.0) / (x * x)
+        d2 = -2.0 / x * d - (1.0 - q) * j
+        d3 = 2.0 / (x * x) * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d
+        return d, d2, d3, up
     lo = order - 1 if order else 0
     if x < _SERIES_MAX_X:
         a, b = _series_j(lo, x), _series_j(lo + 1, x)
+        c = _series_j(lo + 2, x) if order else 0.0
     else:
-        a, b = _miller_pair(x, lo, lo + 1)
+        a, b, c = _miller(x, lo, lo + 1)
     if order:
-        j, d = b, a - order / x * b
+        j, d, above = b, a - order / x * b, c
     else:
-        j, d = a, -b
+        j, d, above = a, -b, b
+    q = order * order / (x * x)
+    d2 = -d / x - (1.0 - q) * j
     if kind == KIND_BESSEL:
-        return j, d
-    return d, -d / x - (1.0 - order * order / (x * x)) * j
+        return j, d, d2, above
+    d3 = d / (x * x) - d2 / x - 2.0 * q / x * j - (1.0 - q) * d
+    return d, d2, d3, j - (order + 1.0) / x * above
 
 
 def evaluate(kind, order, x):
@@ -263,24 +270,37 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
     """Refine the one zero of the kind's function inside (lo, hi).
 
     f has the sign ``sign_lo`` on (lo, zero) and the opposite sign on
-    (zero, hi).  Newton steps start at ``guess``.  The step size is tested
-    for convergence before the bracket, and a step that leaves the bracket
-    is replaced by bisection.  The zero is reported on the grid that resumes
-    at ``x_from``, the resume point returned with the order's previous zero
-    (None for its first; see ``_grid_value``).
+    (zero, hi).  Newton steps start at ``guess``; a step that leaves the
+    bracket is replaced by bisection.  The step x - f/f' is accepted once
+    the zero is proven to lie within a quarter ulp of it.  Every derivative
+    of J_m and j_p is at most 1 in size (DLMF 10.14.1 with 10.6.7, and
+    10.54.2), so with r = |f/f'| on I = [x - 2r, x + 2r]
 
-    Returns (zero, |f| at the last iterate, resume point), or three nans if
-    no step converged.
+        |f''| <= M = |f''(x)| + 2r   and   |f'| >= d = |f'(x)| - 2r M;
+
+    if d > 0, f is monotone on I, |f(x - f/f')| <= M r^2 / 2 and the zero
+    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).  The
+    zero is reported on the grid that resumes at ``x_from``, the resume
+    point returned with the order's previous zero (None for its first; see
+    ``_grid_value``).
+
+    Returns (zero, residual, resume point, x, g): the residual bounds |f| at
+    the accepted step, x is the last iterate and g the kind's function of
+    order + 1 at x, from the same pass.  All five are nan if no step was
+    accepted.
     """
     x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
-        f, df = _pass(kind, order, x)
+        f, df, d2f, up = _pass(kind, order, x)
         step = f / df if df else math.inf
-        if abs(step) <= _STEP_TOL * x:
+        r = abs(step)
+        big = abs(d2f) + 2.0 * r
+        small = abs(df) - 2.0 * r * big
+        if small > 0.0 and big * r * r <= 2.0 * small * min(0.25 * math.ulp(x), r):
             zero, resume = _grid_value(kind, order, x - step, x_from, sign_lo)
             if math.isnan(zero):
                 break
-            return zero, abs(f), resume
+            return zero, abs(f - df * step) + 0.5 * big * r * r, resume, x, up
         if (f > 0.0) == (sign_lo > 0.0):
             lo = x
         else:
@@ -288,4 +308,4 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-    return math.nan, math.nan, math.nan
+    return (math.nan,) * 5

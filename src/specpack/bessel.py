@@ -19,18 +19,23 @@ zeros of order m-1; for the two derivative kinds the trivial zero of order 0
 at x = 0 counts as the first.  Each function is positive on (0, first zero)
 (J'_0 and j'_0 negative), so the sign of f_m at every zero of order m-1 is
 fixed by its rank, and every such sign is checked: a zero missing from, or
-extra in, the order below raises AccuracyError.  The count of zeros below
-any x then follows from the order below plus the sign of f_m at x, which is
-what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a sign scan
-of step 1, below the spacing of its consecutive zeros (> pi for J_1 and j_1,
-> 2.8 for J_0 beyond x = 1).
+extra in, the order below raises AccuracyError.  That sign comes from the
+last Newton pass of the zero of order m-1, which also gives f_m at its
+iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
+|f_m(x)| > |x - zero|, and is evaluated there otherwise.  The count of zeros
+below any x then follows from the order below plus the sign of f_m at x,
+which is what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a
+sign scan of step 1, below the spacing of its consecutive zeros (> pi for
+J_1 and j_1, > 2.8 for J_0 beyond x = 1).
 
 Inside its bracket each zero is refined by a safeguarded Newton iteration
-(``kernels.next_zero``), started from the zeros of orders m-1 and m-2
-extrapolated in the order.  The reported value keeps the tabulated values
-of earlier releases bit for bit: the midpoint of a bisection to width 1e-12
-from the cell of the 0.05-step grid, started at max(order/2, 0.01), that
-holds the zero (see ``_kernels_py._grid_value``).
+(``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
+extrapolated in the order.  Its last step is accepted once an error bound
+puts the zero within a quarter ulp of it, and the bound on |f| after that
+step is checked against ``RESIDUAL_TOL``.  The reported value keeps the
+tabulated values of earlier releases bit for bit: the midpoint of a
+bisection to width 1e-12 from the cell of the 0.05-step grid, started at
+max(order/2, 0.01), that holds the zero (see ``_kernels_py._grid_value``).
 """
 
 import bisect
@@ -106,6 +111,8 @@ class ZeroTable:
         self._reach = {}  # order -> (x, f(x)); f is None when nothing is below x
         self._scan = []  # order 0: (lo, hi, guess) of each counted zero
         self._resume = {}  # order -> where the reporting grid resumes
+        # order -> per zero (x, f of order + 1 at x) from its last Newton pass
+        self._ahead = {}
 
     def positive_zero(self, order, k):
         """The k-th strictly positive zero (k >= 1) for the given order."""
@@ -199,9 +206,15 @@ class ZeroTable:
         self._check_sign(m - 1, low_x, low_f, shift + len(below))
         first = shift + bisect.bisect_left(below, self._reach_x(m))
         n = shift + bisect.bisect_left(below, x)
+        ahead = self._ahead.get(m - 1, ())
         for i in range(first, n):
             node = below[i - shift]
-            self._check_sign(m, node, kernels.evaluate(self._code, m, node), i)
+            # f_m at the node's last Newton iterate has the sign of f_m at
+            # the node when |f_m(x)| > |x - node|, as |f_m'| <= 1
+            x_it, f = ahead[i - shift]
+            if not abs(f) > abs(x_it - node):
+                f = kernels.evaluate(self._code, m, node)
+            self._check_sign(m, node, f, i)
         fx = None
         count = 0
         if n:
@@ -233,7 +246,7 @@ class ZeroTable:
         while len(zs) < k:
             j = len(zs)
             lo, hi, guess = self._bracket(order, j)
-            zero, residual, resume = kernels.next_zero(
+            zero, residual, resume, x, f_up = kernels.next_zero(
                 self._code, order, lo, hi, guess, _parity(self._trivial(order) + j),
                 self._resume.get(order),
             )
@@ -249,6 +262,7 @@ class ZeroTable:
                 )
             zs.append(zero)
             self._resume[order] = resume
+            self._ahead.setdefault(order, []).append((x, f_up))
 
     def _node(self, order, i):
         # i-th zero of the order, counting the trivial zero at 0; None if unknown
@@ -269,8 +283,14 @@ class ZeroTable:
         reach = self._reach_x(m)
         hi = reach if hi is None else min(hi, reach)
         prev = self._node(m - 2, j) if m >= 2 else None
-        # extrapolate in the order from m-1 and m-2
-        guess = 2.0 * lo - prev if prev is not None else 0.5 * (lo + hi)
+        prev2 = self._node(m - 3, j) if m >= 3 else None
+        # extrapolate in the order from m-1, m-2 and m-3
+        if prev2 is not None:
+            guess = 3.0 * (lo - prev) + prev2
+        elif prev is not None:
+            guess = 2.0 * lo - prev
+        else:
+            guess = 0.5 * (lo + hi)
         return lo, hi, guess
 
 

@@ -13,6 +13,16 @@ strictly inside the ceiling, so no eigenvalue below the last returned one can
 be missing.  The disk/ball order loops take each order's zeros below the
 ceiling from the zero table and stop at the first order >= 1 with none: by
 interlacing, the first zero grows with the order from there on.
+
+The first ceiling inverts the two-term Weyl law (Ivrii 1980) for k modes,
+volume V and boundary measure S (perimeter or surface area), + for Neumann
+and - for Dirichlet,
+
+    N(lam) ~ V lam / 4 pi +- S sqrt(lam) / 4 pi         (2D)
+    N(lam) ~ V lam^(3/2) / 6 pi^2 +- S lam / 16 pi      (3D)
+
+pads it by 2% and adds 30.  It only sets how much is enumerated: a ceiling
+that falls short is raised by a factor 1.6 and the modes enumerated again.
 """
 
 import csv
@@ -61,6 +71,18 @@ class DomainShape:
         if self.kind in ("disk", "ball"):
             return 1.0
         return math.prod(self.sides)
+
+    @property
+    def boundary(self):
+        """Perimeter (2D) or surface area (3D)."""
+        if self.kind == "disk":
+            return 2.0 * math.sqrt(PI)  # unit area: radius 1/sqrt(pi)
+        if self.kind == "ball":
+            return 4.0 * PI * BALL_RADIUS**2
+        if self.kind == "rectangle":
+            return 2.0 * sum(self.sides)
+        a1, a2, a3 = self.sides
+        return 2.0 * (a1 * a2 + a1 * a3 + a2 * a3)
 
     def describe(self):
         if self.kind == "rectangle":
@@ -204,7 +226,7 @@ def _unpower(s, dimension):
 
 
 def _finalize(modes, k, bc, dimension, shape, n_components=1, volume=None):
-    modes = sorted(modes, key=_mode_sort_key)
+    # modes in ascending order (_mode_sort_key)
     total = 0
     kept = []
     for m in modes:
@@ -241,16 +263,36 @@ def _adaptive_modes(enumerate_below, k, lam0):
     raise RuntimeError("eigenvalue ceiling failed to converge")
 
 
-# Weyl's law: about volume * _power(lam, N) / _WEYL[N] eigenvalues lie below lam
+# two-term Weyl law (module docstring): about V * lam^(N/2) / _WEYL[N]
+# +- S * lam^((N-1)/2) / _WEYL_BOUNDARY[N] eigenvalues lie below lam
 _WEYL = {2: 4.0 * PI, 3: 6.0 * PI**2}
+_WEYL_BOUNDARY = {2: 4.0 * PI, 3: 16.0 * PI}
+
+
+def _weyl_ceiling(shape, k):
+    # the lam at which the two-term law counts k: Newton in s = sqrt(lam) on
+    # a s^N + b s^(N-1) - k, from a start above its root, where it is convex
+    dim = shape.dimension
+    a = shape.volume / _WEYL[dim]
+    b = shape.boundary / _WEYL_BOUNDARY[dim]
+    if shape.bc == "dirichlet":
+        b = -b
+    s = (k / a) ** (1.0 / dim) + abs(b) / a
+    for _ in range(100):
+        step = (a * s + b - k / s ** (dim - 1)) / (dim * a + (dim - 1) * b / s)
+        s -= step
+        if step <= 1e-12 * s:
+            break
+    return s * s
 
 
 def _spectrum(shape, k, enumerate_below):
     """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
-    starting from a padded Weyl ceiling."""
-    dim = shape.dimension
-    lam0 = _unpower(_WEYL[dim] * k / shape.volume, dim) * 1.3 + 30.0
-    return _finalize(_adaptive_modes(enumerate_below, k, lam0), k, shape.bc, dim, shape)
+    starting from a padded two-term Weyl ceiling."""
+    lam0 = _weyl_ceiling(shape, k) * 1.02 + 30.0
+    return _finalize(
+        _adaptive_modes(enumerate_below, k, lam0), k, shape.bc, shape.dimension, shape
+    )
 
 
 def disk_spectrum(bc, k):
@@ -388,6 +430,7 @@ def union_spectrum(parts, k):
             total += m.multiplicity
         n_components += spec.n_components
         total_volume += vol
+    merged.sort(key=_mode_sort_key)
     return _finalize(
         merged,
         k,

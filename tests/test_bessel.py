@@ -227,9 +227,9 @@ class TestZeroTables:
 
 
 def _fresh_disk_table(bc, k):
-    """A fresh zero table grown by the k-mode disk spectrum, and the kernel
+    """A fresh zero table grown by the k-mode disk spectrum, the kernel
     passes (series/Miller passes of the finder plus evaluator calls of the
-    reporting grid) that growing it took."""
+    reporting grid) that growing it took, and the zeros it then held."""
     kind = "bessel_prime" if bc == "neumann" else "bessel"
     table = ZeroTable(kind)
     passes = []
@@ -239,7 +239,7 @@ def _fresh_disk_table(bc, k):
             fn = getattr(_kernels_py, name)
             mp.setattr(_kernels_py, name, lambda *a, fn=fn: passes.append(1) or fn(*a))
         spectra.disk_spectrum(bc, k)
-    return table, len(passes)
+    return table, len(passes), len(table.entries())
 
 
 @pytest.fixture(scope="module")
@@ -254,13 +254,21 @@ def _zeros_by_order(table):
     return out
 
 
+# x up to which a 3000-mode disk build tabulated zeros under the one-term
+# Weyl ceiling 1.3 * 4 pi k + 30
+REACH_3000 = math.sqrt((1.3 * 4.0 * PI * 3000 + 30.0) / PI)
+
+
 class TestZeroOracle:
     def test_disk_tables_match_scipy(self, disk_tables_3000):
         from scipy import special as sp
 
         # scipy's jnp_zeros(0, .) starts at 3.83, like the stored positive zeros
         for bc, oracle in (("neumann", sp.jnp_zeros), ("dirichlet", sp.jn_zeros)):
-            table, _ = disk_tables_3000[bc]
+            table, _, _ = disk_tables_3000[bc]
+            m = 0
+            while table.zeros_below(m, REACH_3000):
+                m += 1
             checked = 0
             for order, zs in _zeros_by_order(table).items():
                 ref = oracle(order, len(zs))
@@ -273,8 +281,9 @@ class TestZeroOracle:
 class TestFinder:
     def test_passes_per_zero(self, disk_tables_3000):
         for bc in ("neumann", "dirichlet"):
-            table, passes = disk_tables_3000[bc]
-            assert passes / len(table.entries()) <= 8.0
+            _, passes, zeros = disk_tables_3000[bc]
+            assert passes / zeros <= 2.5
+            assert zeros <= 1600  # the 3000 modes use 1517 (1518) of them
 
     def test_zeros_below_matches_ranks(self):
         table = ZeroTable("spherical_prime")
@@ -290,6 +299,46 @@ class TestFinder:
         zs = table.zeros_below(4, 20.0)
         assert max(table.entries().values()) < 20.0
         assert zs == [bessel_j_zero(ZeroIndex(4, k)) for k in range(1, len(zs) + 1)]
+
+    @staticmethod
+    def _grow_counting_nodes(kind, monkeypatch, orders, x):
+        # zeros of each order below x in a fresh table, and per order m >= 1
+        # the nodes (zeros of order m-1) at which f_m was evaluated
+        calls = []
+        evaluate = _kernels_py.evaluate
+
+        def counted(kind_code, order, at):
+            calls.append((order, at))
+            return evaluate(kind_code, order, at)
+
+        monkeypatch.setattr(_kernels_py, "evaluate", counted)
+        table = ZeroTable(kind)
+        zeros = [table.zeros_below(m, x) for m in orders]
+        nodes = [[at for order, at in calls if order == m and at != x]
+                 for m in orders[1:]]
+        return zeros, nodes
+
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    @pytest.mark.parametrize("stored", [0.0, 1e-300])
+    def test_unguarded_sign_falls_back_to_evaluate(self, kind, stored, monkeypatch):
+        # each zero of order m-1 stores f_m from its last Newton pass, which
+        # spares evaluating f_m there; a value too small to fix the sign at
+        # the zero must be replaced by evaluate
+        orders = range(6)
+        ref_zeros, ref_nodes = self._grow_counting_nodes(
+            kind, monkeypatch, orders, 40.0
+        )
+        assert ref_nodes == [[]] * (len(orders) - 1)
+        next_zero = _kernels_py.next_zero
+
+        def unguarded(*args):
+            *found, f_up = next_zero(*args)
+            return (*found, math.copysign(stored, f_up))
+
+        monkeypatch.setattr(_kernels_py, "next_zero", unguarded)
+        zeros, nodes = self._grow_counting_nodes(kind, monkeypatch, orders, 40.0)
+        assert zeros == ref_zeros
+        assert nodes == ref_zeros[:-1]
 
     @pytest.mark.parametrize("recount", [False, True])
     def test_missing_zero_of_order_below_raises(self, recount):

@@ -169,6 +169,58 @@ class TestCompleteness:
         assert vals == pytest.approx(list(brute[:30]), abs=1e-9)
 
 
+CEILING_SHAPES = {
+    "disk-n": disk("neumann"),
+    "disk-d": disk("dirichlet"),
+    "ball": spectra.ball(),
+    "square-n": square("neumann"),
+    "square-d": square("dirichlet"),
+    "rect-2x0.5": rectangle(2.0, 0.5),
+    "cube": cube(),
+}
+
+
+class TestCeiling:
+    """The padded two-term Weyl ceiling covers the first k modes at once."""
+
+    @pytest.mark.parametrize("name", sorted(CEILING_SHAPES))
+    def test_no_retry(self, name, monkeypatch):
+        calls = []
+        adaptive = spectra._adaptive_modes
+
+        def counted(enumerate_below, k, lam0):
+            def below(lam):
+                calls.append(lam)
+                return enumerate_below(lam)
+
+            return adaptive(below, k, lam0)
+
+        monkeypatch.setattr(spectra, "_adaptive_modes", counted)
+        for k in (1, 2, 13, 22, 25, 100, 2950, 2975, 3000):
+            calls.clear()
+            spectrum_of(CEILING_SHAPES[name], k)
+            assert len(calls) == 1, (name, k, calls)
+
+    @pytest.mark.parametrize("name", ["disk-n", "ball", "square-d"])
+    def test_short_ceiling_is_retried(self, name, monkeypatch):
+        shape = CEILING_SHAPES[name]
+        full = spectrum_of(shape, 200)
+        monkeypatch.setattr(spectra, "_weyl_ceiling", lambda shape, k: 1.0)
+        assert spectrum_of(shape, 200) == full
+
+    def test_two_term_count(self):
+        # the ceiling inverts N(lam) = lam / (4 pi) + 2 sqrt(pi) sqrt(lam) / (4 pi)
+        # for the unit-area Neumann disk, and its - sign counterpart for Dirichlet
+        for bc, sign in (("neumann", 1.0), ("dirichlet", -1.0)):
+            lam = spectra._weyl_ceiling(disk(bc), 3000)
+            count = lam / (4 * PI) + sign * 2 * math.sqrt(PI * lam) / (4 * PI)
+            assert count == pytest.approx(3000, rel=1e-12)
+        # 3D: V lam^(3/2) / 6 pi^2 + S lam / 16 pi for the unit cube (S = 6)
+        lam = spectra._weyl_ceiling(cube(), 3000)
+        count = lam**1.5 / (6 * PI**2) + 6 * lam / (16 * PI)
+        assert count == pytest.approx(3000, rel=1e-12)
+
+
 class TestScalingLaw:
     def test_exact_common_factor(self):
         for spec in (

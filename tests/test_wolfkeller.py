@@ -204,6 +204,24 @@ class TestCertificates:
         # the best split (16+7) pi^2 fails the certificate
         assert not connectedness_certificate(23 * PI**2, squares_sequence, 22)
 
+    def test_margin_is_strict(self):
+        # a candidate cp that beats the split s = v + v by exactly the margin
+        # REL_TIE_TOL * cp in floats: with cp = 2^e * M / 2^52 that needs
+        # REL_TIE_TOL * M to round to an integer, which happens a few ulps
+        # from M = 4504 / REL_TIE_TOL, i.e. cp = 2^e * (1 + 9e-5)
+        tol = wolfkeller.REL_TIE_TOL
+        middle = round(4504 / tol)
+        for M in range(middle - 8, middle + 9):
+            cp = math.ldexp(M, 6 - 52)
+            s = cp - tol * cp
+            if cp - s == tol * cp:
+                break
+        else:
+            pytest.fail("no candidate on the margin")
+        seq = extremal_sequence(disks_class(), 1, base_values={spectra.disk(): [s / 2]})
+        assert not connectedness_certificate(cp, seq, 2)
+        assert connectedness_certificate(math.nextafter(cp, math.inf), seq, 2)
+
 
 class TestCrossoverScan:
     def test_2d_through_25(self, disks_sequence, squares_sequence):
