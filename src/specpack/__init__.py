@@ -11,7 +11,6 @@ from .backend import BACKEND
 from .bessel import (
     AccuracyError,
     ZeroIndex,
-    ZeroRangeError,
     ZeroTable,
     bessel_j,
     bessel_j_prime,

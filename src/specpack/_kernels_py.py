@@ -11,16 +11,19 @@ Evaluation strategy:
     against the closed forms j_0, j_1 (spherical).  Backward recurrence keeps
     relative accuracy even deep in the evanescent zone.
 
-Each Newton iterate of ``next_zero`` costs one such pass (``_pass``), which
-yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p and j_{p+1}; the series
-region sums one more series).  So one pass gives f and, through the Bessel
-ODE and its derivative, f' and f'', and also the same function of order
-m + 1 at the iterate.  Since every derivative of J_m and j_p is at most 1 in
-size, f'' bounds the error of the Newton step, and a step is accepted as
-soon as that bound proves the zero within a quarter ulp of it (about two
-passes per zero).  The order-(m + 1) value of a zero's last pass lets the
-zero tables check the sign of f_{m+1} at that zero without a pass of its
-own.
+One such pass (``_pass``) yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p
+and j_{p+1}), and from them one formula set gives f, the function a kind
+tabulates (J'_m = (J_{m-1} - J_{m+1})/2, J_m or j'_p), f' and f'' through
+the Bessel ODE and its derivative, and the same function of order m + 1.
+That pass is the only evaluator: it serves each Newton iterate of
+``next_zero``, the zero tables' sign checks (``evaluate``), the sign guard
+of the reporting grid and the public J, J' and j' (spherical j, which no
+finder needs, reads the same recurrence).  Since every derivative of J_m
+and j_p is at most 1 in size, f'' bounds the error of a Newton step, and a
+step is accepted as soon as that bound proves the zero within a quarter ulp
+of it (about two passes per zero).  The order-(m + 1) value of a zero's last
+pass lets the zero tables check the sign of f_{m+1} at that zero without a
+pass of its own.
 """
 
 import math
@@ -58,10 +61,10 @@ def _series_j(m, x):
     return s
 
 
-def _miller(x, lo, top):
+def _miller(x, lo):
     # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X by backward recurrence,
-    # started well above max(top, x); top >= lo is the highest order needed
-    start = max(top, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+    # started well above max(lo + 1, x)
+    start = max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
     if start & 1:
         start += 1
     jnext = 0.0  # trial J at order k+1
@@ -92,25 +95,22 @@ def _miller(x, lo, top):
 
 def bessel_j(order, x):
     """J_order(x) for order >= 0, x >= 0."""
-    if x < _SERIES_MAX_X:
-        return _series_j(order, x)
-    return _miller(x, order, order)[0]
+    if x == 0.0:
+        return 1.0 if order == 0 else 0.0
+    return _pass(KIND_BESSEL, order, x)[0]
 
 
 def bessel_j_prime(order, x):
-    """J'_order(x) via J'_0 = -J_1 and 2 J'_m = J_{m-1} - J_{m+1}."""
-    if order == 0:
-        return -bessel_j(1, x)
-    if x < _SERIES_MAX_X:
-        return 0.5 * (_series_j(order - 1, x) - _series_j(order + 1, x))
-    ja, _, jb = _miller(x, order - 1, order + 1)
-    return 0.5 * (ja - jb)
+    """J'_order(x) for order >= 0, x >= 0."""
+    if x == 0.0:
+        return 0.5 if order == 1 else 0.0
+    return _pass(KIND_BESSEL_PRIME, order, x)[0]
 
 
-def _sph_miller(x, lo, top):
-    # (j_lo, j_lo+1, j_lo+2) by backward recurrence started above max(top, x),
-    # anchored on the closed forms of j_0 and j_1
-    start = max(top, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+def _sph_miller(x, lo):
+    # (j_lo, j_lo+1, j_lo+2) by backward recurrence started above
+    # max(lo + 1, x), anchored on the closed forms of j_0 and j_1
+    start = max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
     jnext = 0.0
     jcur = 1e-30
     cap = lo + 1
@@ -147,26 +147,20 @@ def spherical_j(order, x):
         return math.sin(x) / x
     if order == 1:
         return math.sin(x) / (x * x) - math.cos(x) / x
-    return _sph_miller(x, order, order)[0]
+    return _sph_miller(x, order - 1)[1]
 
 
 def spherical_j_prime(order, x):
-    """d/dx j_order(x) via j'_p = j_{p-1} - (p+1)/x * j_p; j'_0 = -j_1."""
-    if order == 0:
-        return -(math.sin(x) / (x * x) - math.cos(x) / x)
-    if order == 1:
-        j0 = math.sin(x) / x
-        j1 = math.sin(x) / (x * x) - math.cos(x) / x
-        return j0 - 2.0 / x * j1
-    ja, jb, _ = _sph_miller(x, order - 1, order)
-    return ja - (order + 1.0) / x * jb
+    """d/dx j_order(x), x > 0."""
+    return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
 
 
 def _pass(kind, order, x):
     # (f, f', f'', g) at x > 0 from one series or Miller pass: f is the
     # function the kind tabulates at this order and g the same function of
-    # order + 1.  f' and f'' come from the ODE and its derivative, e.g.
-    # J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
+    # order + 1.  J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
+    # j'_p = j_{p-1} - (p+1)/x j_p; the higher derivatives come from the ODE
+    # and its derivative, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
     # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m
     if kind == KIND_SPHERICAL_PRIME:
         if order < 2:
@@ -178,7 +172,7 @@ def _pass(kind, order, x):
                 s2 = 3.0 / x * s1 - s0
                 j, d, up = s1, s0 - 2.0 / x * s1, s1 - 3.0 / x * s2
         else:
-            below, j, above = _sph_miller(x, order - 1, order)
+            below, j, above = _sph_miller(x, order - 1)
             d = below - (order + 1.0) / x * j
             up = j - (order + 2.0) / x * above
         q = order * (order + 1.0) / (x * x)
@@ -190,9 +184,9 @@ def _pass(kind, order, x):
         a, b = _series_j(lo, x), _series_j(lo + 1, x)
         c = _series_j(lo + 2, x) if order else 0.0
     else:
-        a, b, c = _miller(x, lo, lo + 1)
+        a, b, c = _miller(x, lo)
     if order:
-        j, d, above = b, a - order / x * b, c
+        j, d, above = b, 0.5 * (a - c), c
     else:
         j, d, above = a, -b, b
     q = order * order / (x * x)
@@ -208,33 +202,24 @@ def evaluate(kind, order, x):
     return _pass(kind, order, x)[0]
 
 
-def _eval(kind, order, x):
-    if kind == KIND_BESSEL_PRIME:
-        return bessel_j_prime(order, x)
-    if kind == KIND_BESSEL:
-        return bessel_j(order, x)
-    if kind == KIND_SPHERICAL_PRIME:
-        return spherical_j_prime(order, x)
-    raise ValueError(f"unknown kind code {kind}")
-
-
 def _grid_value(kind, order, zero, x_from, sign_lo):
     # The reported value of a zero, which keeps the tabulated values of the
     # earlier grid-scan finder bit for bit: the midpoint at which a bisection
     # to width _BISECT_WIDTH ends, started from the cell of the grid x_from,
     # x_from + _GRID_STEP, ... (summed step by step) that holds the zero.  The
     # side of the Newton zero decides each step; a point within _GUARD_ULPS
-    # of it is decided by the sign of _eval there, as the scan decided it.
-    # The grid of an order's first zero starts at max(order/2, 0.01), below
-    # the zero in every kind.  Returns the value and the grid point after the
-    # cell (nan, nan if the grid starts past the zero).
+    # of it is decided by the sign of the function there (one _pass), as the
+    # scan decided it.  The grid of an order's first zero starts at
+    # max(order/2, 0.01), below the zero in every kind.  Returns the value
+    # and the grid point after the cell (nan, nan if the grid starts past the
+    # zero).
     guard = _GUARD_ULPS * math.ulp(zero)
 
     def left(x):
         # x lies left of the zero; None if the evaluator vanishes at x
         if abs(x - zero) > guard:
             return x < zero
-        f = _eval(kind, order, x)
+        f = _pass(kind, order, x)[0]
         return None if f == 0.0 else (f > 0.0) == (sign_lo > 0.0)
 
     edge = zero - guard

@@ -25,8 +25,11 @@ iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
 |f_m(x)| > |x - zero|, and is evaluated there otherwise.  The count of zeros
 below any x then follows from the order below plus the sign of f_m at x,
 which is what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a
-sign scan of step 1, below the spacing of its consecutive zeros (> pi for
-J_1 and j_1, > 2.8 for J_0 beyond x = 1).
+sign scan of step ``ORDER0_STEP``, with no sign at x = 0: the step stays
+below J_0's first zero (2.405), so the first cell holds no zero, and below
+the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1 and
+j_1), so every later cell holds at most one.  The tables have no fixed
+range: any x can be reached, at the cost of the zeros below it.
 
 Inside its bracket each zero is refined by a safeguarded Newton iteration
 (``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
@@ -52,17 +55,16 @@ _KIND_CODE = {
     "spherical_prime": kernels.KIND_SPHERICAL_PRIME,
 }
 
-SCAN_LIMIT = 200.0
 RESIDUAL_TOL = 1e-9
-ORDER0_STEP = 1.0  # below the spacing of consecutive order-0 zeros (> 2.8)
+# Step of the order-0 sign scan.  The scan has no sign at x = 0, so its first
+# cell (0, step] must hold no zero: the step stays below J_0's first zero
+# (2.405).  Each later cell must hold at most one zero: the step stays below
+# the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1, j_1).
+ORDER0_STEP = 1.0
 
 
 class AccuracyError(RuntimeError):
     """A zero fails its residual bound, or a sign contradicts interlacing."""
-
-
-class ZeroRangeError(RuntimeError):
-    """A requested zero lies beyond the supported bracketing range."""
 
 
 @dataclass(frozen=True)
@@ -115,26 +117,26 @@ class ZeroTable:
         self._ahead = {}
 
     def positive_zero(self, order, k):
-        """The k-th strictly positive zero (k >= 1) for the given order."""
+        """The k-th strictly positive zero (k >= 1) for the given order.
+
+        Each order is bracketed by the order below, so the first query of a
+        high order grows every lower order to about the same x: on a fresh
+        table ``ZeroTable("bessel_prime").positive_zero(100, 1)`` finds 1455
+        zeros.  Queries in ascending order, as the spectra make them, pay
+        for each zero once.
+        """
         if order < 0 or k < 1:
             raise ValueError(f"need order >= 0 and k >= 1, got ({order}, {k})")
         while self._count.get(order, 0) < k:
-            reach = self._reach_x(order)
-            if reach >= SCAN_LIMIT:
-                raise ZeroRangeError(
-                    f"{self.kind} order {order}: zero #{self._count[order] + 1} "
-                    f"not found below x = {SCAN_LIMIT}; requested rank is out "
-                    f"of the supported bracketing range"
-                )
             missing = k - self._count.get(order, 0)
-            self._settle(order, min(SCAN_LIMIT, max(reach, order) + (missing + 1) * math.pi))
+            self._settle(order, max(self._reach_x(order), order) + (missing + 1) * math.pi)
         self._find(order, k)
         return self._zeros[order][k - 1]
 
     def zeros_below(self, order, x):
         """All strictly positive zeros of the given order below x, ascending."""
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        if order < 0 or not math.isfinite(x):
+            raise ValueError(f"need order >= 0 and a finite x, got ({order}, {x})")
         self._settle(order, x)
         n = self._count.get(order, 0)
         if n > len(self._zeros.get(order, ())):
@@ -171,11 +173,6 @@ class ZeroTable:
 
     def _settle(self, order, x):
         # count every zero of orders <= order below x; find the lower orders'
-        if x > SCAN_LIMIT:
-            raise ZeroRangeError(
-                f"{self.kind} order {order}: zeros below x = {x} requested; "
-                f"the supported bracketing range ends at x = {SCAN_LIMIT}"
-            )
         low = order
         while low > 0 and self._reach_x(low - 1) < x:
             low -= 1
@@ -224,8 +221,8 @@ class ZeroTable:
         self._count[m] = count
 
     def _scan_order0(self, x):
-        # sign scan on the fixed grid 1, 2, 3, ...: the step is below the
-        # spacing of consecutive zeros, so each step holds at most one
+        # sign scan on the fixed grid of step ORDER0_STEP: no zero lies in
+        # the first cell, and at most one in each later cell
         shift = self._trivial(0)
         a, fa = self._reach.get(0, (0.0, None))
         count = self._count.get(0, 0)

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from . import constructions, spectra, wolfkeller
-from .bessel import AccuracyError, ZeroRangeError
+from .bessel import AccuracyError
 from .svgfig import packing_svg
 
 PI = math.pi
@@ -312,7 +312,7 @@ def main(argv=None):
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError, OSError, ZeroRangeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

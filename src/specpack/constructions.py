@@ -173,10 +173,7 @@ def mu2_range_domain(target, branch=None):
 def verified_mu2(domain, k=3):
     """(mu_1, mu_2, mu_3) of the packed domain via the union spectrum."""
     parts = [(spectrum_of(c.shape, k), c.volume) for c in domain.components]
-    if len(parts) == 1:
-        spec = parts[0][0].rescaled(parts[0][1])
-    else:
-        spec = union_spectrum(parts, k)
+    spec = union_spectrum(parts, k)
     return spec.eigenvalue(1), spec.eigenvalue(2), spec.eigenvalue(3)
 
 

@@ -9,7 +9,6 @@ from specpack import _kernels_py, bessel, spectra
 from specpack.bessel import (
     AccuracyError,
     ZeroIndex,
-    ZeroRangeError,
     ZeroTable,
     bessel_j,
     bessel_j_prime,
@@ -73,6 +72,18 @@ class TestBesselJPrime:
                 assert abs(bessel_j_prime(m, x) - fd) <= 1e-6
                 x += 1.7
 
+    def test_against_scipy_grid(self):
+        from scipy import special as sp
+
+        # the grid of TestBesselJ: series (x < 8) and Miller region
+        for m in (0, 1, 2, 5, 8, 13, 21, 34):
+            x = 0.05
+            while x < 200.0:
+                assert bessel_j_prime(m, x) == pytest.approx(
+                    sp.jvp(m, x), rel=1e-10, abs=1e-13
+                )
+                x *= 1.37
+
 
 class TestSphericalBessel:
     def test_closed_form_j0(self):
@@ -104,6 +115,18 @@ class TestSphericalBessel:
                 assert spherical_bessel_j(p, x) == pytest.approx(
                     ref, rel=1e-10, abs=1e-13
                 )
+
+    def test_derivative_against_scipy_grid(self):
+        from scipy import special as sp
+
+        for p in (0, 1, 2, 5, 8, 13, 21, 34):
+            x = 0.05
+            while x < 200.0:
+                ref = sp.spherical_jn(p, x, derivative=True)
+                assert spherical_bessel_j_prime(p, x) == pytest.approx(
+                    ref, rel=1e-10, abs=1e-13
+                )
+                x *= 1.37
 
     def test_derivative_vanishes_at_tabulated_zero(self):
         assert abs(spherical_bessel_j_prime(1, 2.0816)) < 1e-3
@@ -170,10 +193,14 @@ class TestZeroTables:
         with pytest.raises(ValueError):
             ZeroIndex(0, 0)
 
-    def test_range_exhaustion_reported(self):
-        table = ZeroTable("bessel")
-        with pytest.raises(ZeroRangeError):
-            table.positive_zero(0, 100)  # 100th zero of J_0 sits near x=313
+    def test_no_fixed_range(self):
+        from scipy import special as sp
+
+        # the 100th zero of J_0 sits near x = 313
+        zero = ZeroTable("bessel").positive_zero(0, 100)
+        assert zero == pytest.approx(sp.jn_zeros(0, 100)[-1], rel=1e-12)
+        with pytest.raises(ValueError):
+            ZeroTable("bessel").zeros_below(0, math.inf)
 
     def test_residuals_of_all_cached_zeros(self):
         evaluators = {
@@ -228,16 +255,16 @@ class TestZeroTables:
 
 def _fresh_disk_table(bc, k):
     """A fresh zero table grown by the k-mode disk spectrum, the kernel
-    passes (series/Miller passes of the finder plus evaluator calls of the
-    reporting grid) that growing it took, and the zeros it then held."""
+    passes (series/Miller passes of the finder, of its sign checks and of
+    the reporting grid's guard) that growing it took, and the zeros it then
+    held."""
     kind = "bessel_prime" if bc == "neumann" else "bessel"
     table = ZeroTable(kind)
     passes = []
+    fn = _kernels_py._pass
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(bessel._TABLES, kind, table)
-        for name in ("_pass", "_eval"):
-            fn = getattr(_kernels_py, name)
-            mp.setattr(_kernels_py, name, lambda *a, fn=fn: passes.append(1) or fn(*a))
+        mp.setattr(_kernels_py, "_pass", lambda *a: passes.append(1) or fn(*a))
         spectra.disk_spectrum(bc, k)
     return table, len(passes), len(table.entries())
 
@@ -339,6 +366,18 @@ class TestFinder:
         zeros, nodes = self._grow_counting_nodes(kind, monkeypatch, orders, 40.0)
         assert zeros == ref_zeros
         assert nodes == ref_zeros[:-1]
+
+    def test_order0_step_past_first_zero_of_j0_raises(self, monkeypatch):
+        # the order-0 scan has no sign at x = 0, so a step of 3 puts J_0's
+        # first zero (2.405) into the unchecked cell (0, 3]; the derivative
+        # kinds have no zero there and keep their zeros
+        refs = {kind: ZeroTable(kind).zeros_below(0, 60.0)
+                for kind in ("bessel_prime", "spherical_prime")}
+        monkeypatch.setattr(bessel, "ORDER0_STEP", 3.0)
+        with pytest.raises(AccuracyError, match="interlacing"):
+            ZeroTable("bessel").zeros_below(0, 60.0)
+        for kind, ref in refs.items():
+            assert ZeroTable(kind).zeros_below(0, 60.0) == ref
 
     @pytest.mark.parametrize("recount", [False, True])
     def test_missing_zero_of_order_below_raises(self, recount):

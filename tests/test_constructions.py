@@ -15,6 +15,7 @@ from specpack.constructions import (
     mu2_range_domain,
     verified_mu2,
 )
+from specpack.wolfkeller import disks_class, extremal_sequence, unpack_geometry
 
 PI = math.pi
 
@@ -100,6 +101,15 @@ class TestRangeDomain:
                 if c.support_index is None:
                     first = spectra.spectrum_of(c.shape, 1).nonzero(1) / c.volume
                     assert first > t
+
+    def test_single_component_is_its_own_spectrum(self):
+        # one unit disk: the union spectrum of a single part rescales it
+        seq = extremal_sequence(disks_class(), 1)
+        domain = unpack_geometry(seq, 1)
+        assert len(domain.components) == 1
+        assert verified_mu2(domain) == tuple(
+            spectra.disk_spectrum("neumann", 3).nonzero_values()
+        )
 
     def test_branch_override_validation(self):
         with pytest.raises(ConstructionError):

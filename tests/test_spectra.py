@@ -56,19 +56,27 @@ class TestDiskSpectrum:
 
 
 class TestDiskRange:
-    def test_neumann_7000(self, monkeypatch):
-        # needs zeros up to x ~ 191 at orders past 185, below SCAN_LIMIT
+    @staticmethod
+    def _check_neumann(k, monkeypatch):
         def fresh_spectrum(k):
             monkeypatch.setitem(bessel._TABLES, "bessel_prime", bessel.ZeroTable("bessel_prime"))
             return disk_spectrum("neumann", k)
 
-        big = fresh_spectrum(7000)
-        assert big.nonzero_values(6500) == fresh_spectrum(6500).nonzero_values()
+        big = fresh_spectrum(k)
+        assert big.nonzero_values(k - 500) == fresh_spectrum(k - 500).nonzero_values()
         # two-term Weyl law for the unit-area disk (perimeter 2 sqrt(pi)),
         # counting mu_0 = 0: N(lam) ~ lam / (4 pi) + 2 sqrt(pi) sqrt(lam) / (4 pi)
-        lam = big.nonzero(7000)
+        lam = big.nonzero(k)
         weyl = lam / (4 * PI) + 2 * math.sqrt(PI * lam) / (4 * PI)
-        assert abs(weyl / 7001 - 1.0) < 0.005
+        assert abs(weyl / (k + 1) - 1.0) < 0.005
+
+    def test_neumann_7000(self, monkeypatch):
+        # tabulates zeros up to x ~ 168, at orders up to 163
+        self._check_neumann(7000, monkeypatch)
+
+    def test_neumann_10000(self, monkeypatch):
+        # tabulates zeros up to x ~ 202, at orders up to 196
+        self._check_neumann(10000, monkeypatch)
 
 
 class TestRectangleSpectrum:
