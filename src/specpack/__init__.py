@@ -21,7 +21,6 @@ from .bessel import (
     spherical_jprime_zero,
 )
 from .constructions import (
-    RangeTarget,
     kroger_bound,
     mu1_max,
     mu2_max,

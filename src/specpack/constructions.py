@@ -11,13 +11,12 @@ second eigenvalue, attained by two equal disks).  Four constructions cover it:
                                plus the area-completing disk
   * pi j'^2 < t <= 2 pi j'^2:  two disks, the larger of area pi j'^2 / t
 
-In each rectangle branch the slack eps keeps the filler disk's first nonzero
-eigenvalue strictly above t; the default eps is halved until that check
-passes (it is verified, not assumed).
+In each rectangle construction the slack eps = min(t/100, 0.01) keeps the
+filler disk's first nonzero eigenvalue strictly above t; eps is halved until
+that check passes (it is verified, not assumed).
 """
 
 import math
-from dataclasses import dataclass
 
 from .bessel import ZeroIndex, bessel_j_zero, bessel_jprime_zero
 from .spectra import disk, rectangle, spectrum_of, union_spectrum
@@ -41,95 +40,6 @@ def mu2_max():
     return 2.0 * mu1_max()
 
 
-@dataclass(frozen=True)
-class RangeTarget:
-    """Target second eigenvalue t with the construction slack epsilon."""
-
-    t: float
-    epsilon: float
-
-    def __post_init__(self):
-        top = mu2_max()
-        if not 0.0 <= self.t <= top * (1.0 + 1e-12):
-            raise ConstructionError(
-                f"t must lie in [0, {top:.6f}], got {self.t}"
-            )
-        if self.t > 0 and self.epsilon <= 0:
-            raise ConstructionError("epsilon must be positive")
-        if 0 < self.t <= PI * PI and self.epsilon >= self.t:
-            raise ConstructionError(
-                "epsilon must stay below t in the low rectangle branch"
-            )
-
-
-def default_epsilon(t):
-    return min(t / 100.0, 0.01)
-
-
-BRANCHES = ("three_disks", "rect_low", "rect_high", "two_disks")
-
-
-def _branch_for(t):
-    if t == 0.0:
-        return "three_disks"
-    if t <= PI * PI:
-        return "rect_low"
-    if t <= mu1_max():
-        return "rect_high"
-    return "two_disks"
-
-
-def _components(target, branch):
-    t = target.t
-    eps = target.epsilon
-    if branch == "three_disks":
-        third = 1.0 / 3.0
-        return [
-            PackedComponent(disk(), third, None),
-            PackedComponent(disk(), third, None),
-            PackedComponent(disk(), third, None),
-        ]
-    if branch == "two_disks":
-        big = mu1_max() / t
-        if not big <= 1.0 + 1e-12:
-            raise ConstructionError(
-                f"two-disk branch needs t >= {mu1_max():.6f}, got {t}"
-            )
-        small = 1.0 - big
-        comps = [PackedComponent(disk(), min(big, 1.0), 1)]
-        if small > 1e-15:
-            comps.append(PackedComponent(disk(), small, None))
-        return comps
-    if branch == "rect_low":
-        a = (t - eps) / (PI * math.sqrt(t))
-        b = PI / math.sqrt(t)
-        if a <= 0:
-            raise ConstructionError("low branch needs epsilon < t")
-        if a > b:
-            raise ConstructionError(
-                f"low rectangle branch invalid for t = {t} (needs t - eps <= pi^2)"
-            )
-        rect = rectangle(a, b)
-        return [
-            PackedComponent(rect, a * b, 1),
-            PackedComponent(disk(), eps / t, None),
-        ]
-    if branch == "rect_high":
-        b = PI / math.sqrt(t)
-        if b - eps <= 0:
-            raise ConstructionError("high branch needs epsilon < pi/sqrt(t)")
-        if b > 1.0 + 1e-12:
-            raise ConstructionError(
-                f"high rectangle branch invalid for t = {t} (needs t >= pi^2)"
-            )
-        rect = rectangle(b, b - eps)
-        return [
-            PackedComponent(rect, b * (b - eps), 1),
-            PackedComponent(disk(), 1.0 - b * (b - eps), None),
-        ]
-    raise ConstructionError(f"unknown branch {branch!r}")
-
-
 def _filler_ok(components, t):
     # every non-supporting component must keep its first nonzero eigenvalue
     # strictly above t
@@ -142,38 +52,52 @@ def _filler_ok(components, t):
     return True
 
 
-def mu2_range_domain(target, branch=None):
-    """Unit-area disjoint union whose second nonzero Neumann eigenvalue is
-    target.t (verify with verified_mu2).
+def mu2_range_domain(t):
+    """Unit-area disjoint union whose second nonzero Neumann eigenvalue is t
+    (verify with verified_mu2).
 
-    ``target`` may be a RangeTarget or a plain float (default epsilon).
-    ``branch`` overrides the branch choice, e.g. to exercise both sides of a
-    branch boundary.
+    t selects the construction (see the module docstring).  The rectangle
+    constructions start from the slack eps = min(t/100, 0.01) and halve it
+    until the filler disk's first nonzero eigenvalue lies above t.
     """
-    if not isinstance(target, RangeTarget):
-        t = float(target)
-        target = RangeTarget(t, default_epsilon(t) if t > 0 else 1.0)
-    branch = branch or _branch_for(target.t)
-    if branch not in BRANCHES:
-        raise ConstructionError(f"unknown branch {branch!r}")
-    if target.t == 0.0 or branch in ("three_disks", "two_disks"):
-        comps = _components(target, branch)
+    t = float(t)
+    top = mu2_max()
+    if not 0.0 <= t <= top * (1.0 + 1e-12):
+        raise ConstructionError(f"t must lie in [0, {top:.6f}], got {t}")
+    if t == 0.0:
+        return PackedDomain((PackedComponent(disk(), 1.0 / 3.0, None),) * 3)
+    if t > mu1_max():
+        big = mu1_max() / t
+        small = 1.0 - big
+        comps = [PackedComponent(disk(), big, 1)]
+        if small > 1e-15:
+            comps.append(PackedComponent(disk(), small, None))
         return PackedDomain(tuple(comps))
+    eps = min(t / 100.0, 0.01)
+    if eps <= 0:  # t/100 underflows for the smallest subnormal t
+        raise ConstructionError("epsilon must be positive")
+    b = PI / math.sqrt(t)
     for _ in range(50):
-        comps = _components(target, branch)
-        if _filler_ok(comps, target.t):
-            return PackedDomain(tuple(comps))
-        target = RangeTarget(target.t, target.epsilon / 2.0)
+        if t <= PI * PI:
+            a = (t - eps) / (PI * math.sqrt(t))
+            comps = (PackedComponent(rectangle(a, b), a * b, 1),
+                     PackedComponent(disk(), eps / t, None))
+        else:
+            comps = (PackedComponent(rectangle(b, b - eps), b * (b - eps), 1),
+                     PackedComponent(disk(), 1.0 - b * (b - eps), None))
+        if _filler_ok(comps, t):
+            return PackedDomain(comps)
+        eps /= 2.0
     raise ConstructionError(
-        f"no epsilon kept the filler eigenvalue above t = {target.t} "
+        f"no epsilon kept the filler eigenvalue above t = {t} "
         f"after 50 halvings"
     )
 
 
-def verified_mu2(domain, k=3):
+def verified_mu2(domain):
     """(mu_1, mu_2, mu_3) of the packed domain via the union spectrum."""
-    parts = [(spectrum_of(c.shape, k), c.volume) for c in domain.components]
-    spec = union_spectrum(parts, k)
+    parts = [(spectrum_of(c.shape, 3), c.volume) for c in domain.components]
+    spec = union_spectrum(parts, 3)
     return spec.eigenvalue(1), spec.eigenvalue(2), spec.eigenvalue(3)
 
 

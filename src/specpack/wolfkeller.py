@@ -34,56 +34,46 @@ REL_SCAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DomainClass:
-    """Base shapes (same dimension and boundary condition) plus objective."""
+    """Scaled disjoint unions of one unit-volume base shape, with the
+    objective: maximize (Neumann) or minimize (Dirichlet)."""
 
     name: str
-    base_shapes: tuple
+    shape: DomainShape
     objective: str  # "maximize" | "minimize"
 
     def __post_init__(self):
         if self.objective not in ("maximize", "minimize"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not self.base_shapes:
-            raise ValueError("a domain class needs at least one base shape")
-        dims = {s.dimension for s in self.base_shapes}
-        bcs = {s.bc for s in self.base_shapes}
-        if len(dims) != 1 or len(bcs) != 1:
-            raise ValueError("base shapes must share dimension and boundary condition")
 
     @property
     def dimension(self):
-        return self.base_shapes[0].dimension
-
-    @property
-    def bc(self):
-        return self.base_shapes[0].bc
+        return self.shape.dimension
 
 
 def disks_class():
-    return DomainClass("disks", (spectra.disk("neumann"),), "maximize")
+    return DomainClass("disks", spectra.disk("neumann"), "maximize")
 
 
 def squares_class():
-    return DomainClass("squares", (spectra.square("neumann"),), "maximize")
+    return DomainClass("squares", spectra.square("neumann"), "maximize")
 
 
 def balls_class():
-    return DomainClass("balls", (spectra.ball(),), "maximize")
+    return DomainClass("balls", spectra.ball(), "maximize")
 
 
 def cubes_class():
-    return DomainClass("cubes", (spectra.cube("neumann"),), "maximize")
+    return DomainClass("cubes", spectra.cube("neumann"), "maximize")
 
 
 def dirichlet_disks_class():
-    return DomainClass("dirichlet-disks", (spectra.disk("dirichlet"),), "minimize")
+    return DomainClass("dirichlet-disks", spectra.disk("dirichlet"), "minimize")
 
 
 @dataclass(frozen=True)
 class Connected:
-    """Leaf: the index-th nonzero eigenvalue of one base shape."""
+    """Leaf: the index-th nonzero eigenvalue of the class's base shape."""
 
-    shape: DomainShape
     index: int
     tie: bool = False
 
@@ -178,8 +168,8 @@ class ExtremalSequence:
     def leaves(self, n):
         """Connected leaves (shape, index, count) of the stored provenance."""
         counts = self.leaf_counts(n)
-        return [(self._provenance[idx].shape, idx, counts[idx])
-                for idx in sorted(counts, reverse=True)]
+        shape = self.domain_class.shape
+        return [(shape, idx, counts[idx]) for idx in sorted(counts, reverse=True)]
 
     def expression(self, n, ascii_form=False):
         """Provenance as `2*mu8+6*mu1` (ascii) or `2μ_8 + 6μ_1`.
@@ -232,32 +222,21 @@ def _best_split(powers, n, pick):
 def extremal_sequence(domain_class, K, base_values=None):
     """Run the recursion up to index K.
 
-    ``base_values`` overrides the connected candidates (mapping shape ->
-    ascending nonzero eigenvalues); by default they come from spectrum_of.
+    ``base_values`` overrides the connected candidates (the ascending nonzero
+    eigenvalues of the base shape); by default they come from spectrum_of.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     N = domain_class.dimension
     maximize = domain_class.objective == "maximize"
-    better = (lambda a, b: a > b) if maximize else (lambda a, b: a < b)
     pick = max if maximize else min
 
     if base_values is None:
-        base_values = {
-            shape: spectrum_of(shape, K).nonzero_values()
-            for shape in domain_class.base_shapes
-        }
-    conn = [None] * (K + 1)
-    conn_shape = [None] * (K + 1)
-    for shape in domain_class.base_shapes:
-        vals = base_values[shape]
-        if len(vals) < K:
-            raise ValueError(f"base spectrum for {shape.kind} shorter than K={K}")
-        for n in range(1, K + 1):
-            v = vals[n - 1]
-            if conn[n] is None or better(v, conn[n]):
-                conn[n] = v
-                conn_shape[n] = shape
+        base_values = spectrum_of(domain_class.shape, K).nonzero_values()
+    if len(base_values) < K:
+        raise ValueError(
+            f"base spectrum for {domain_class.shape.kind} shorter than K={K}")
+    conn = [None, *base_values[:K]]
 
     values = [math.nan] * (K + 1)
     powers = [math.nan] * (K + 1)
@@ -267,7 +246,7 @@ def extremal_sequence(domain_class, K, base_values=None):
 
     values[1] = conn[1]
     powers[1] = _power(conn[1], N)
-    provenance[1] = Connected(conn_shape[1], 1)
+    provenance[1] = Connected(1)
 
     for n in range(2, K + 1):
         best_s, best_i = _best_split(powers, n, pick)
@@ -278,10 +257,10 @@ def extremal_sequence(domain_class, K, base_values=None):
         tie = abs(cv - split_v) <= REL_TIE_TOL * max(abs(cv), abs(split_v))
         if tie:
             values[n] = pick(cv, split_v)
-            provenance[n] = Connected(conn_shape[n], n, tie=True)
-        elif better(cv, split_v):
+            provenance[n] = Connected(n, tie=True)
+        elif (cv > split_v) if maximize else (cv < split_v):
             values[n] = cv
-            provenance[n] = Connected(conn_shape[n], n)
+            provenance[n] = Connected(n)
         else:
             values[n] = split_v
             provenance[n] = Split(best_i)
@@ -349,12 +328,10 @@ class DirichletCheck:
     disks_exceed_square: bool
 
 
-def dirichlet_min_check(K=13):
+def dirichlet_min_check():
     """Compare lambda_13 of the unit square against the minimizing sequence
     over disjoint unions of disks."""
-    if K < 13:
-        raise ValueError("K must be >= 13")
     square_13 = spectra.rectangle_spectrum(1.0, 1.0, "dirichlet", 13).nonzero(13)
-    seq = extremal_sequence(dirichlet_disks_class(), K)
+    seq = extremal_sequence(dirichlet_disks_class(), 13)
     disks_13 = seq.value(13)
     return DirichletCheck(square_13, disks_13, disks_13 > square_13), seq

@@ -209,7 +209,7 @@ def test_criterion_08_kroger_bound():
 
 
 def test_criterion_09_dirichlet_cross_check():
-    check, seq = wolfkeller.dirichlet_min_check(13)
+    check, seq = wolfkeller.dirichlet_min_check()
     assert check.square_value == pytest.approx(20 * PI**2, rel=1e-12)
     assert check.square_value == pytest.approx(197.39, abs=0.01)
     assert check.disks_value > check.square_value

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output, exit codes, determinism, golden table."""
 
+import hashlib
+import math
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,36 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "table_k25.md"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+# sha256 of `construct --t T --svg F` stdout (F written as "c.svg") followed
+# by the SVG bytes, on both sides of each branch boundary and at the ends
+CONSTRUCT_SHA256 = {
+    "zero": "ccdab4cce72f152bb91f3d61c1d2486e2d5b9b5971c3e4f62a4196b123f45d49",
+    "five": "7f024992939afc2f72e9c02c7670db0c8c80e9e8dab83055af0e58eb7f41cd48",
+    "pi2": "1dcf3354b452da7b1feb3f4217b6cea1c1f89e435f4eda8a11973cb84ebdb132",
+    "above_pi2": "31a49b69c83f6cd1b6b1670e9ec93306838e4c88e630ede0bedcd93d505bcca6",
+    "mu1max": "50df8936d90c002be2636371ada7a24ad638c78f670bdd7c64580af3bee8334f",
+    "above_mu1max": "43bb1c532f64675893d26805f4997e4bcf8dd3ab909c417b7c56627c53d426ca",
+    "readme": "b88f2e33b00c2d14776cba1dc1b38f3228b37e231f2a7242e1492d5bc79b2bf5",
+    "mu2max": "e3f91cfcc4da2cb17bb16542ec476f84378bdbc71a09138f337c6938e32e3c16",
+}
+
+
+def construct_target(name):
+    from specpack.constructions import mu1_max, mu2_max
+
+    pi2 = math.pi**2
+    return {
+        "zero": 0.0,
+        "five": 5.0,
+        "pi2": pi2,
+        "above_pi2": math.nextafter(pi2, math.inf),
+        "mu1max": mu1_max(),
+        "above_mu1max": math.nextafter(mu1_max(), math.inf),
+        "readme": 21.2997325173,
+        "mu2max": mu2_max(),
+    }[name]
 
 
 def run_cli(*args):
@@ -169,6 +201,17 @@ class TestConstruct:
         cp = run_cli("construct", "--t", "50")
         assert cp.returncode == 1
         assert "[0," in cp.stderr
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCT_SHA256))
+    def test_output_pinned(self, tmp_path, capsys, name):
+        from specpack import cli
+
+        svg = tmp_path / "c.svg"
+        t = construct_target(name)
+        assert cli.main(["construct", "--t", repr(t), "--svg", str(svg)]) == 0
+        out = capsys.readouterr().out.replace(str(svg), "c.svg")
+        digest = hashlib.sha256(out.encode() + svg.read_bytes()).hexdigest()
+        assert digest == CONSTRUCT_SHA256[name]
 
 
 class TestExitCodes:

@@ -8,7 +8,6 @@ import pytest
 from specpack import constructions, spectra
 from specpack.constructions import (
     ConstructionError,
-    RangeTarget,
     kroger_bound,
     mu1_max,
     mu2_max,
@@ -38,15 +37,15 @@ class TestRangeDomain:
 
     def test_low_branch_example(self):
         t = PI**2
-        target = RangeTarget(t, t / 100)
-        domain = mu2_range_domain(target, branch="rect_low")
+        domain = mu2_range_domain(t)  # default slack eps = min(t/100, 0.01)
         rect = domain.components[0].shape
         b = PI / math.sqrt(t)
-        a = (t - t / 100) / (PI * math.sqrt(t))
+        a = (t - 0.01) / (PI * math.sqrt(t))
         assert rect.sides == pytest.approx((a, b))
         mu1, mu2, _ = verified_mu2(domain)
         assert mu1 == 0.0
         assert mu2 == pytest.approx(t, abs=1e-9)
+        assert domain.components[1].volume == 0.01 / t
         # area identity a*b + eps/t = 1 is exact by construction
         assert domain.total_volume == pytest.approx(1.0, abs=1e-15)
 
@@ -72,27 +71,27 @@ class TestRangeDomain:
                 assert mu3 >= mu2 - 1e-12
 
     def test_branch_boundaries_both_sides(self):
-        for t, branches in (
-            (PI**2, ("rect_low", "rect_high")),
-            (mu1_max(), ("rect_high", "two_disks")),
+        # the boundary itself belongs to the lower construction
+        for boundary, kinds_at, kinds_above in (
+            (PI**2, ["rectangle", "disk"], ["rectangle", "disk"]),
+            (mu1_max(), ["rectangle", "disk"], ["disk"]),
         ):
-            for branch in branches:
-                domain = mu2_range_domain(t, branch=branch)
+            above = math.nextafter(boundary, math.inf)
+            for t, kinds in ((boundary, kinds_at), (above, kinds_above)):
+                domain = mu2_range_domain(t)
+                assert [c.shape.kind for c in domain.components] == kinds
                 assert domain.total_volume == pytest.approx(1.0, abs=1e-12)
                 _, mu2, _ = verified_mu2(domain)
                 assert mu2 == pytest.approx(t, abs=1e-9)
+        # just above pi^2 the rectangle is the high one: a unit side first
+        rect = mu2_range_domain(math.nextafter(PI**2, math.inf)).components[0].shape
+        assert rect.sides[0] > rect.sides[1]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConstructionError):
             mu2_range_domain(-0.5)
         with pytest.raises(ConstructionError):
             mu2_range_domain(mu2_max() * 1.01)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ConstructionError):
-            RangeTarget(5.0, 6.0)  # epsilon >= t in the low branch
-        with pytest.raises(ConstructionError):
-            RangeTarget(5.0, 0.0)
 
     def test_filler_eigenvalue_strictly_above_target(self):
         for t in (2.0, 9.0, 10.4):
@@ -110,12 +109,6 @@ class TestRangeDomain:
         assert verified_mu2(domain) == tuple(
             spectra.disk_spectrum("neumann", 3).nonzero_values()
         )
-
-    def test_branch_override_validation(self):
-        with pytest.raises(ConstructionError):
-            mu2_range_domain(5.0, branch="pentagon")
-        with pytest.raises(ConstructionError):
-            mu2_range_domain(5.0, branch="two_disks")  # needs t >= pi j'^2
 
 
 class TestKrogerBound:

@@ -23,10 +23,10 @@ from specpack.wolfkeller import (
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 CLASSES = {
-    (2, "maximize"): DomainClass("disks", (spectra.disk("neumann"),), "maximize"),
-    (2, "minimize"): DomainClass("dirichlet-disks", (spectra.disk("dirichlet"),), "minimize"),
-    (3, "maximize"): DomainClass("balls", (spectra.ball(),), "maximize"),
-    (3, "minimize"): DomainClass("dirichlet-cubes", (spectra.cube("dirichlet"),), "minimize"),
+    (2, "maximize"): DomainClass("disks", spectra.disk("neumann"), "maximize"),
+    (2, "minimize"): DomainClass("dirichlet-disks", spectra.disk("dirichlet"), "minimize"),
+    (3, "maximize"): DomainClass("balls", spectra.ball(), "maximize"),
+    (3, "minimize"): DomainClass("dirichlet-cubes", spectra.cube("dirichlet"), "minimize"),
 }
 
 values = st.one_of(st.integers(1, 40).map(float), st.floats(1.0, 1e4))
@@ -35,8 +35,7 @@ classes = st.sampled_from(sorted(CLASSES))
 
 
 def run(key, base):
-    cls = CLASSES[key]
-    return extremal_sequence(cls, len(base), base_values={cls.base_shapes[0]: base})
+    return extremal_sequence(CLASSES[key], len(base), base_values=base)
 
 
 @PROPERTY
