@@ -229,6 +229,10 @@ def cmd_scan(args):
 def cmd_construct(args):
     domain = constructions.mu2_range_domain(args.t)
     mu1, mu2, mu3 = constructions.verified_mu2(domain)
+    if not abs(mu2 - args.t) <= 1e-9 * args.t:
+        # below t ~ 5.5e-308 the lattice walk's s * s overflows, so the long
+        # side's modes come out as 0
+        raise AccuracyError(f"verified mu_2 = {mu2!r} does not match t = {args.t!r}")
     print(f"target t = {args.t!r}")
     for c in domain.components:
         role = "supporting" if c.support_index is not None else "filler"
@@ -244,10 +248,10 @@ def cmd_construct(args):
 
 
 _SHAPES = {
-    "disk": lambda bc: spectra.disk(bc),
-    "square": lambda bc: spectra.square(bc),
-    "ball": lambda bc: spectra.ball() if bc == "neumann" else None,
-    "cube": lambda bc: spectra.cube(bc),
+    "disk": spectra.disk,
+    "square": spectra.square,
+    "ball": spectra.ball,
+    "cube": spectra.cube,
 }
 
 
@@ -255,8 +259,6 @@ def cmd_spectrum(args):
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     shape = _SHAPES[args.shape](args.bc)
-    if shape is None:
-        raise ValueError("the ball spectrum is Neumann-only")
     spec = spectra.spectrum_of(shape, args.count)
     sys.stdout.write(spec.to_csv())
     return 0

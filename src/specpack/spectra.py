@@ -10,9 +10,10 @@ stored value; Dirichlet indexing starts at lambda_1 = first stored value.
 Completeness: every generator enumerates all modes with eigenvalue below an
 adaptive ceiling and only returns the first k once the k-th value sits
 strictly inside the ceiling, so no eigenvalue below the last returned one can
-be missing.  The disk/ball order loops take each order's zeros below the
-ceiling from the zero table and stop at the first order >= 1 with none: by
-interlacing, the first zero grows with the order from there on.
+be missing.  One order walk serves the disk and the ball: it takes each
+order's zeros below the ceiling's reach in x from the zero table and stops
+at the first order >= 1 with none: by interlacing, the first zero grows with
+the order from there on.  One lattice walk serves rectangles and boxes.
 
 The first ceiling inverts the two-term Weyl law (Ivrii 1980) for k modes,
 volume V and boundary measure S (perimeter or surface area), + for Neumann
@@ -21,8 +22,10 @@ and - for Dirichlet,
     N(lam) ~ V lam / 4 pi +- S sqrt(lam) / 4 pi         (2D)
     N(lam) ~ V lam^(3/2) / 6 pi^2 +- S lam / 16 pi      (3D)
 
-pads it by 2% and adds 30.  It only sets how much is enumerated: a ceiling
-that falls short is raised by a factor 1.6 and the modes enumerated again.
+pads it by 2% and adds the same law's ceiling for 4 modes, a pad that scales
+with the shape (so a long thin rectangle does not list every mode below a
+fixed lam).  It only sets how much is enumerated: a ceiling that falls short
+is raised by a factor 1.6 and the modes enumerated again.
 """
 
 import csv
@@ -50,6 +53,8 @@ class DomainShape:
     def __post_init__(self):
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
+        if self.kind == "ball" and self.bc != "neumann":
+            raise ValueError("the ball spectrum is Neumann-only")
         if self.kind in ("disk", "ball"):
             if self.sides:
                 raise ValueError(f"{self.kind} takes no side lengths")
@@ -104,8 +109,8 @@ def square(bc="neumann"):
     return rectangle(1.0, 1.0, bc)
 
 
-def ball():
-    return DomainShape("ball", "neumann")
+def ball(bc="neumann"):
+    return DomainShape("ball", bc)
 
 
 def box(a1, a2, a3, bc="neumann"):
@@ -225,40 +230,25 @@ def _unpower(s, dimension):
     return s ** (2.0 / 3.0)
 
 
-def _finalize(modes, k, bc, dimension, shape, n_components=1, volume=None):
-    # modes in ascending order (_mode_sort_key)
+def _prefix(modes, k):
+    """The shortest prefix of ascending modes that holds k eigenvalues, or
+    None if all of them hold fewer."""
     total = 0
-    kept = []
-    for m in modes:
-        if total >= k:
-            break
-        kept.append(m)
+    for i, m in enumerate(modes):
         total += m.multiplicity
-    return Spectrum(
-        bc=bc,
-        dimension=dimension,
-        volume=shape.volume if volume is None else volume,
-        n_components=n_components,
-        modes=tuple(kept),
-        count=k,
-        shape=shape,
-    )
+        if total >= k:
+            return modes[:i + 1]
+    return None
 
 
 def _adaptive_modes(enumerate_below, k, lam0):
-    """All modes below an adaptive ceiling, guaranteed to cover the first k."""
+    """The first k modes, from an adaptive ceiling that is raised until the
+    k-th lies strictly below it."""
     lam = lam0
     for _ in range(200):
-        modes = sorted(enumerate_below(lam), key=_mode_sort_key)
-        total = 0
-        kth = None
-        for m in modes:
-            total += m.multiplicity
-            if total >= k:
-                kth = m.value
-                break
-        if kth is not None and kth <= lam * (1.0 - 1e-9):
-            return modes
+        head = _prefix(sorted(enumerate_below(lam), key=_mode_sort_key), k)
+        if head is not None and head[-1].value <= lam * (1.0 - 1e-9):
+            return head
         lam *= 1.6
     raise RuntimeError("eigenvalue ceiling failed to converge")
 
@@ -278,6 +268,11 @@ def _weyl_ceiling(shape, k):
     if shape.bc == "dirichlet":
         b = -b
     s = (k / a) ** (1.0 / dim) + abs(b) / a
+    if b > 0:
+        # b s^(N-1) alone reaches k here, so this s is above the root too; on
+        # a long thin shape the first start lies orders of magnitude above
+        # the root, and Newton from there rounds s to 0
+        s = min(s, (k / b) ** (1.0 / (dim - 1)))
     for _ in range(100):
         step = (a * s + b - k / s ** (dim - 1)) / (dim * a + (dim - 1) * b / s)
         s -= step
@@ -289,67 +284,62 @@ def _weyl_ceiling(shape, k):
 def _spectrum(shape, k, enumerate_below):
     """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
     starting from a padded two-term Weyl ceiling."""
-    lam0 = _weyl_ceiling(shape, k) * 1.02 + 30.0
-    return _finalize(
-        _adaptive_modes(enumerate_below, k, lam0), k, shape.bc, shape.dimension, shape
-    )
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
+    modes = _adaptive_modes(enumerate_below, k, lam0)
+    return Spectrum(shape.bc, shape.dimension, shape.volume, 1, tuple(modes), k, shape)
+
+
+def _order_walk(kind, reach, mode):
+    """enumerate_below for a Bessel spectrum: mode(order, rank, zero) for
+    every zero of the kind's table below reach(lam), order by order."""
+    table = bessel.default_table(kind)
+
+    def below(lam):
+        xmax = reach(lam)
+        modes = []
+        order = 0
+        while True:
+            zs = table.zeros_below(order, xmax)
+            if not zs and order > 0:
+                break  # no zero of this order below xmax: none of any higher order
+            modes.extend(mode(order, q, z) for q, z in enumerate(zs, 1))
+            order += 1
+        return modes
+
+    return below
 
 
 def disk_spectrum(bc, k):
     """First k nonzero eigenvalues of the unit-area disk."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     shape = disk(bc)
-    table = bessel.default_table("bessel_prime" if bc == "neumann" else "bessel")
     neumann = bc == "neumann"
 
-    def below(lam):
-        xmax = math.sqrt(lam / PI)
-        modes = []
-        m = 0
-        while True:
-            zs = table.zeros_below(m, xmax)
-            if not zs and m > 0:
-                break  # no zero of order m below xmax: none of any higher order
-            for q, z in enumerate(zs, 1):
-                label = (m, q + 1) if (neumann and m == 0) else (m, q)
-                modes.append(Mode(label, PI * z * z, 1 if m == 0 else 2))
-            m += 1
-        return modes
+    def mode(m, q, z):
+        label = (m, q + 1) if (neumann and m == 0) else (m, q)
+        return Mode(label, PI * z * z, 1 if m == 0 else 2)
 
-    return _spectrum(shape, k, below)
+    walk = _order_walk("bessel_prime" if neumann else "bessel",
+                       lambda lam: math.sqrt(lam / PI), mode)
+    return _spectrum(shape, k, walk)
 
 
 def ball_spectrum(bc, k):
     """First k nonzero Neumann eigenvalues of the unit-volume ball."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if bc != "neumann":
-        raise ValueError("only the Neumann ball spectrum is supported")
-    table = bessel.default_table("spherical_prime")
-
-    def below(lam):
-        xmax = math.sqrt(lam) * BALL_RADIUS
-        modes = []
-        p = 0
-        while True:
-            zs = table.zeros_below(p, xmax)
-            if not zs and p > 0:
-                break  # no zero of order p below xmax: none of any higher order
-            for q, z in enumerate(zs, 1):
-                modes.append(Mode((p, q), (z / BALL_RADIUS) ** 2, 2 * p + 1))
-            p += 1
-        return modes
-
-    return _spectrum(ball(), k, below)
+    shape = ball(bc)
+    walk = _order_walk(
+        "spherical_prime",
+        lambda lam: math.sqrt(lam) * BALL_RADIUS,
+        lambda p, q, z: Mode((p, q), (z / BALL_RADIUS) ** 2, 2 * p + 1),
+    )
+    return _spectrum(shape, k, walk)
 
 
 def _lattice_spectrum(shape, k):
     """First k nonzero eigenvalues of a rectangle or box with sides s_i: the
     modes pi^2 * sum (c_i / s_i)^2 over integers c_i >= 0 (Neumann, less the
     constant mode) or c_i >= 1 (Dirichlet)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     lo = 0 if shape.bc == "neumann" else 1
 
     def below(lam):
@@ -408,11 +398,7 @@ def union_spectrum(parts, k):
     bc = parts[0][0].bc
     dim = parts[0][0].dimension
     merged = []
-    n_components = 0
-    total_volume = 0.0
     for spec, vol in parts:
-        if vol <= 0:
-            raise ValueError("part volumes must be positive")
         if spec.bc != bc:
             raise ValueError("cannot mix boundary conditions in a union")
         if spec.dimension != dim:
@@ -421,22 +407,13 @@ def union_spectrum(parts, k):
             raise ValueError(
                 f"part spectra must carry at least {k} eigenvalues (got {spec.count})"
             )
-        factor = _unpower(spec.volume / vol, dim)
-        total = 0
-        for m in spec.modes:
-            if total >= k:
-                break
-            merged.append(Mode(m.label, m.value * factor, m.multiplicity))
-            total += m.multiplicity
-        n_components += spec.n_components
-        total_volume += vol
+        merged += _prefix(spec.rescaled(vol).modes, k)
     merged.sort(key=_mode_sort_key)
-    return _finalize(
-        merged,
-        k,
-        bc,
-        dim,
-        None,
-        n_components=n_components,
-        volume=total_volume,
+    return Spectrum(
+        bc=bc,
+        dimension=dim,
+        volume=sum(vol for _, vol in parts),
+        n_components=sum(spec.n_components for spec, _ in parts),
+        modes=tuple(_prefix(merged, k)),
+        count=k,
     )

@@ -165,12 +165,6 @@ class ExtremalSequence:
                 stack += (i, idx - i)
         return counts
 
-    def leaves(self, n):
-        """Connected leaves (shape, index, count) of the stored provenance."""
-        counts = self.leaf_counts(n)
-        shape = self.domain_class.shape
-        return [(shape, idx, counts[idx]) for idx in sorted(counts, reverse=True)]
-
     def expression(self, n, ascii_form=False):
         """Provenance as `2*mu8+6*mu1` (ascii) or `2μ_8 + 6μ_1`.
 
@@ -275,8 +269,9 @@ def unpack_geometry(seq, n):
     """Unroll the provenance at n into scaled components of total volume 1."""
     N = seq.dimension
     vn = seq.value(n)
+    shape = seq.domain_class.shape
     components = []
-    for shape, idx, count in seq.leaves(n):
+    for idx, count in seq.leaf_counts(n).items():
         ratio = seq.value(idx) / vn
         components.extend([PackedComponent(shape, _power(ratio, N), idx)] * count)
     components.sort(key=lambda c: (-c.volume, -c.support_index))

@@ -28,6 +28,18 @@ CONSTRUCT_SHA256 = {
 }
 
 
+# sha256 of `spectrum --shape S --bc B --count 200` stdout
+SPECTRUM_SHA256 = {
+    ("disk", "neumann"): "1725584272dfa2d05e5419ed6d6e041d40bba4041df62ae9bc39e665a3ad9652",
+    ("disk", "dirichlet"): "f720580d76e2a010ece0eab74f73f127594ea8917616e6edc8191a127262948c",
+    ("square", "neumann"): "2aab567b3942a3c6df9fb0cdc0b94309e6621e23e83c20c67be0b50d6ecab45f",
+    ("square", "dirichlet"): "53b7b3a358fb6465082c6dd39f96d196584c8fc9e9d23eaf21e5ef8295a23d54",
+    ("ball", "neumann"): "5ff255ebc9900ce2570e6c141037cac205c27a811c9910675c3a5bfba9c7213d",
+    ("cube", "neumann"): "4f029446c8003ebccb48adb6a43297f067082d9c93b7ed9f521c5b1f8f828a07",
+    ("cube", "dirichlet"): "ded9cbf01afdcc47db0ccd377300391c60c4941067a98eaeacee917c84c366ea",
+}
+
+
 def construct_target(name):
     from specpack.constructions import mu1_max, mu2_max
 
@@ -214,6 +226,25 @@ class TestConstruct:
         assert digest == CONSTRUCT_SHA256[name]
 
 
+    @pytest.mark.parametrize("t", [1e-20, 1e-50, 1e-300, 2.3e-308, 1e-310, 5e-324])
+    def test_tiny_targets_verify_or_fail(self, capsys, t):
+        # near the float floor the long side's modes underflow, so a run may
+        # fail (exit 1 or 3) but must never print a mu_2 other than t
+        from specpack import cli
+
+        code = cli.main(["construct", "--t", repr(t)])
+        out, err = capsys.readouterr()
+        if t >= 1e-300:
+            assert code == 0, err
+        if t == 5e-324:
+            assert code == 1
+        if code == 0:
+            mu2 = float(out.split("mu_2 = ")[1].split(",")[0])
+            assert mu2 == pytest.approx(t, rel=1e-9)
+        else:
+            assert code in (1, 3) and out == "" and err.startswith(("error:", "accuracy failure:"))
+
+
 class TestExitCodes:
     def test_accuracy_failure_maps_to_3(self, monkeypatch):
         from specpack import cli
@@ -270,6 +301,16 @@ class TestSpectrumCommand:
         cp = run_cli("spectrum", "--shape", "ball", "--bc", "dirichlet",
                      "--count", "3")
         assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == "error: the ball spectrum is Neumann-only\n"
+
+    @pytest.mark.parametrize("shape,bc", sorted(SPECTRUM_SHA256))
+    def test_output_pinned(self, capsys, shape, bc):
+        from specpack import cli
+
+        assert cli.main(["spectrum", "--shape", shape, "--bc", bc, "--count", "200"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SPECTRUM_SHA256[shape, bc]
 
     def test_unknown_command(self):
         assert run_cli("tabulate").returncode == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specpack import constructions, spectra
+from specpack import spectra
 from specpack.constructions import (
     ConstructionError,
     kroger_bound,

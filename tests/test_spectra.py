@@ -216,6 +216,24 @@ class TestCeiling:
         monkeypatch.setattr(spectra, "_weyl_ceiling", lambda shape, k: 1.0)
         assert spectrum_of(shape, 200) == full
 
+    def test_long_rectangle_enumerates_few_modes(self, monkeypatch):
+        # the 3.2e-11 x 3.1e10 rectangle of `construct --t 1e-20`: a fixed
+        # additive pad on the ceiling would list ~5e10 modes along its long side
+        counts = []
+        adaptive = spectra._adaptive_modes
+
+        def counted(enumerate_below, k, lam0):
+            def below(lam):
+                modes = enumerate_below(lam)
+                counts.append(len(modes))
+                return modes
+
+            return adaptive(below, k, lam0)
+
+        monkeypatch.setattr(spectra, "_adaptive_modes", counted)
+        spectrum_of(rectangle(0.99e-10 / PI, PI * 1e10), 3)
+        assert len(counts) == 1 and counts[0] <= 40, counts
+
     def test_two_term_count(self):
         # the ceiling inverts N(lam) = lam / (4 pi) + 2 sqrt(pi) sqrt(lam) / (4 pi)
         # for the unit-area Neumann disk, and its - sign counterpart for Dirichlet
@@ -227,6 +245,14 @@ class TestCeiling:
         lam = spectra._weyl_ceiling(cube(), 3000)
         count = lam**1.5 / (6 * PI**2) + 6 * lam / (16 * PI)
         assert count == pytest.approx(3000, rel=1e-12)
+        # rectangles (0.99/pi) sqrt(t) x pi/sqrt(t) of `construct --t t`: the
+        # boundary term dominates, so (k/a)^(1/2) + b/a lies orders of
+        # magnitude above the root
+        for t in (1e-20, 1e-50, 1e-300):
+            a, b = 0.99 * math.sqrt(t) / PI, PI / math.sqrt(t)
+            lam = spectra._weyl_ceiling(rectangle(a, b), 3)
+            count = a * b * lam / (4 * PI) + 2 * (a + b) * math.sqrt(lam) / (4 * PI)
+            assert count == pytest.approx(3, rel=1e-12)
 
 
 class TestScalingLaw:
@@ -335,6 +361,10 @@ class TestShapeValidation:
             spectra.DomainShape("disk", "neumann", (1.0,))
         with pytest.raises(ValueError):
             spectra.DomainShape("pentagon")
+        with pytest.raises(ValueError, match="the ball spectrum is Neumann-only"):
+            spectra.DomainShape("ball", "dirichlet")
+        with pytest.raises(ValueError, match="the ball spectrum is Neumann-only"):
+            spectra.ball("dirichlet")
 
     def test_dimensions_and_volumes(self):
         assert disk().dimension == 2
