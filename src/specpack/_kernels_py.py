@@ -2,7 +2,10 @@
 
 Scalar Bessel J, its derivative, spherical Bessel j and its derivative, and
 the per-zero refinement ``next_zero`` that the zero tables call once for
-each zero inside a bracket they derived from interlacing.
+each zero inside a bracket they derived from interlacing.  The four
+evaluators are the public ones (``specpack.bessel_j`` and the rest are these
+functions), so they check their input here: order >= 0 and a finite x,
+x >= 0 for J and J', x > 0 for j and j'.  The internal passes skip that.
 
 Evaluation strategy:
   * x < 8: ascending power series (no destructive cancellation there).
@@ -93,15 +96,26 @@ def _miller(x, lo):
     return va / norm, vb / norm, vc / norm
 
 
+def _check(order, x, closed):
+    # the public evaluators' input: order >= 0 and a finite x, >= 0 if closed
+    # and > 0 otherwise
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
+        raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
+
+
 def bessel_j(order, x):
-    """J_order(x) for order >= 0, x >= 0."""
+    """Bessel function of the first kind J_order(x)."""
+    _check(order, x, True)
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
     return _pass(KIND_BESSEL, order, x)[0]
 
 
 def bessel_j_prime(order, x):
-    """J'_order(x) for order >= 0, x >= 0."""
+    """Derivative J'_order(x)."""
+    _check(order, x, True)
     if x == 0.0:
         return 0.5 if order == 1 else 0.0
     return _pass(KIND_BESSEL_PRIME, order, x)[0]
@@ -142,7 +156,8 @@ def _sph_miller(x, lo):
 
 
 def spherical_j(order, x):
-    """Spherical Bessel j_order(x), x > 0."""
+    """Spherical Bessel function j_order(x), x > 0."""
+    _check(order, x, False)
     if order == 0:
         return math.sin(x) / x
     if order == 1:
@@ -151,7 +166,8 @@ def spherical_j(order, x):
 
 
 def spherical_j_prime(order, x):
-    """d/dx j_order(x), x > 0."""
+    """Derivative d/dx j_order(x), x > 0."""
+    _check(order, x, False)
     return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
 
 

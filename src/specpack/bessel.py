@@ -1,5 +1,9 @@
 """Bessel functions and cached tables of their positive zeros.
 
+The evaluators J_m, J'_m, j_p and j'_p (``bessel_j``, ``bessel_j_prime``,
+``spherical_bessel_j``, ``spherical_bessel_j_prime``) are the kernels' own,
+which check their input; this module only names them.
+
 Three kinds of zeros are tabulated:
 
   * ``bessel_prime``     -- zeros of J'_m (Neumann disk modes)
@@ -25,11 +29,12 @@ iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
 |f_m(x)| > |x - zero|, and is evaluated there otherwise.  The count of zeros
 below any x then follows from the order below plus the sign of f_m at x,
 which is what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a
-sign scan of step ``ORDER0_STEP``, with no sign at x = 0: the step stays
-below J_0's first zero (2.405), so the first cell holds no zero, and below
-the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1 and
-j_1), so every later cell holds at most one.  The tables have no fixed
-range: any x can be reached, at the cost of the zeros below it.
+sign scan in cells of ``ORDER0_STEP`` = 2.4, with no sign at x = 0 and the
+last cell ending at x: the step stays below J_0's first zero (2.405), so the
+first cell holds no zero, and below the spacing of consecutive order-0 zeros
+(> 3.1 for J_0, > pi for J_1 and j_1), so every later cell holds at most
+one.  The tables have no fixed range: any x can be reached, at the cost of
+the zeros below it.
 
 Inside its bracket each zero is refined by a safeguarded Newton iteration
 (``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
@@ -60,7 +65,8 @@ RESIDUAL_TOL = 1e-9
 # cell (0, step] must hold no zero: the step stays below J_0's first zero
 # (2.405).  Each later cell must hold at most one zero: the step stays below
 # the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1, j_1).
-ORDER0_STEP = 1.0
+# A scan's last cell ends at the x asked for, so it counts no zero past x.
+ORDER0_STEP = 2.4
 
 
 class AccuracyError(RuntimeError):
@@ -221,13 +227,13 @@ class ZeroTable:
         self._count[m] = count
 
     def _scan_order0(self, x):
-        # sign scan on the fixed grid of step ORDER0_STEP: no zero lies in
-        # the first cell, and at most one in each later cell
+        # sign scan in cells of at most ORDER0_STEP, the last one ending at
+        # x: no zero lies in the first cell, and at most one in each later one
         shift = self._trivial(0)
         a, fa = self._reach.get(0, (0.0, None))
         count = self._count.get(0, 0)
         while a < x:
-            b = a + ORDER0_STEP
+            b = min(a + ORDER0_STEP, x)
             fb = kernels.evaluate(self._code, 0, b)
             if fa is not None and (fa < 0.0) != (fb < 0.0):
                 self._scan.append((a, b, a - fa * (b - a) / (fb - fa)))
@@ -291,48 +297,17 @@ class ZeroTable:
         return lo, hi, guess
 
 
+bessel_j = kernels.bessel_j
+bessel_j_prime = kernels.bessel_j_prime
+spherical_bessel_j = kernels.spherical_j
+spherical_bessel_j_prime = kernels.spherical_j_prime
+
 _TABLES = {kind: ZeroTable(kind) for kind in KINDS}
 
 
 def default_table(kind):
     """Process-wide shared table for the given kind."""
     return _TABLES[kind]
-
-
-def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not math.isfinite(x) or x < 0:
-        raise ValueError("x must be finite and >= 0")
-    return kernels.bessel_j(order, x)
-
-
-def bessel_j_prime(order, x):
-    """Derivative J'_order(x)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not math.isfinite(x) or x < 0:
-        raise ValueError("x must be finite and >= 0")
-    return kernels.bessel_j_prime(order, x)
-
-
-def spherical_bessel_j(order, x):
-    """Spherical Bessel function j_order(x), x > 0."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not (x > 0) or not math.isfinite(x):
-        raise ValueError("x must be finite and > 0")
-    return kernels.spherical_j(order, x)
-
-
-def spherical_bessel_j_prime(order, x):
-    """Derivative d/dx j_order(x), x > 0."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not (x > 0) or not math.isfinite(x):
-        raise ValueError("x must be finite and > 0")
-    return kernels.spherical_j_prime(order, x)
 
 
 def bessel_jprime_zero(idx):

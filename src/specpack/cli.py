@@ -230,8 +230,8 @@ def cmd_construct(args):
     domain = constructions.mu2_range_domain(args.t)
     mu1, mu2, mu3 = constructions.verified_mu2(domain)
     if not abs(mu2 - args.t) <= 1e-9 * args.t:
-        # below t ~ 5.5e-308 the lattice walk's s * s overflows, so the long
-        # side's modes come out as 0
+        # below t ~ 1e-314 mu_2 lies deep among the subnormal floats, whose
+        # few significant bits cannot hold it to a relative 1e-9
         raise AccuracyError(f"verified mu_2 = {mu2!r} does not match t = {args.t!r}")
     print(f"target t = {args.t!r}")
     for c in domain.components:

@@ -31,7 +31,7 @@ is raised by a factor 1.6 and the modes enumerated again.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import bessel
@@ -146,7 +146,6 @@ class Spectrum:
     n_components: int
     modes: tuple
     count: int
-    shape: DomainShape = None
 
     @cached_property
     def expanded(self):
@@ -192,15 +191,7 @@ class Spectrum:
         modes = tuple(
             Mode(m.label, m.value * factor, m.multiplicity) for m in self.modes
         )
-        return Spectrum(
-            bc=self.bc,
-            dimension=self.dimension,
-            volume=volume,
-            n_components=self.n_components,
-            modes=modes,
-            count=self.count,
-            shape=self.shape,
-        )
+        return replace(self, volume=volume, modes=modes)
 
     def to_csv(self):
         """CSV export: index,value,multiplicity,label (10 significant digits)."""
@@ -288,7 +279,7 @@ def _spectrum(shape, k, enumerate_below):
         raise ValueError("k must be >= 1")
     lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
     modes = _adaptive_modes(enumerate_below, k, lam0)
-    return Spectrum(shape.bc, shape.dimension, shape.volume, 1, tuple(modes), k, shape)
+    return Spectrum(shape.bc, shape.dimension, shape.volume, 1, tuple(modes), k)
 
 
 def _order_walk(kind, reach, mode):
@@ -352,7 +343,7 @@ def _lattice_spectrum(shape, k):
                 for c in range(lo, int(s * math.sqrt(rem) / PI) + 1):
                     left = rem - (PI * c / s) ** 2
                     if left >= 0:
-                        grown.append((label + (c,), q + c * c / (s * s), left))
+                        grown.append((label + (c,), q + (c / s) ** 2, left))
             prefixes = grown
         modes = [Mode(label, PI * PI * q, 1) for label, q, _ in prefixes]
         if lo == 0:

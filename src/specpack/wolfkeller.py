@@ -14,9 +14,14 @@ The recursion also yields the optimal packing: a split at n into (i, n-i)
 gives the two sides volumes (best[i]/best[n])^(N/2) and
 (best[n-i]/best[n])^(N/2), which telescope down to the Connected leaves.
 
-Tie convention: when the connected candidate equals the best split (relative
-1e-12), the stored provenance is Connected with the tie flag set; among
-equal splits the smallest left index wins.
+Every decision the layer makes goes through one margin rule, ``_beats``: new
+beats old when it is better under the objective by more than a relative
+tolerance of max(|new|, |old|).  At each n the connected candidate is kept
+if it beats the best split by REL_TIE_TOL, the split is kept if it beats the
+candidate, and otherwise the two tie: the stored provenance is Connected
+with the tie flag set.  Among equal splits the smallest left index wins.
+The same rule at REL_TIE_TOL decides ``connectedness_certificate`` and at
+REL_SCAN_TOL decides ``crossover_scan``.
 """
 
 import csv
@@ -31,6 +36,15 @@ from .spectra import DomainShape, _power, _unpower, spectrum_of
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
 
+# the better of two values under each objective
+_PICK = {"maximize": max, "minimize": min}
+
+
+def _beats(pick, new, old, tol):
+    """True iff new is better than old under pick (max or min) by more than
+    tol relative to max(|new|, |old|)."""
+    return pick(new, old) != old and abs(new - old) > tol * max(abs(new), abs(old))
+
 
 @dataclass(frozen=True)
 class DomainClass:
@@ -42,12 +56,17 @@ class DomainClass:
     objective: str  # "maximize" | "minimize"
 
     def __post_init__(self):
-        if self.objective not in ("maximize", "minimize"):
+        if self.objective not in _PICK:
             raise ValueError(f"unknown objective {self.objective!r}")
 
     @property
     def dimension(self):
         return self.shape.dimension
+
+    @property
+    def pick(self):
+        """max or min: the better of two values under the objective."""
+        return _PICK[self.objective]
 
 
 def disks_class():
@@ -173,15 +192,11 @@ class ExtremalSequence:
         reads as the union, e.g. `5μ_1` rather than `μ_4 + μ_1`); a tie at n
         itself renders both sides, e.g. `9μ_1 = μ_9`.
         """
-        self._check_index(n)
+        text = _format_terms(self.leaf_counts(n, tie_as_split=True), ascii_form)
         dec = self._provenance[n]
-        if isinstance(dec, Connected) and not dec.tie:
-            return _format_terms({n: 1}, ascii_form)
         if isinstance(dec, Connected) and dec.tie:
-            split = _format_terms(self.leaf_counts(n, tie_as_split=True), ascii_form)
-            conn = _format_terms({n: 1}, ascii_form)
-            return f"{split}={conn}" if ascii_form else f"{split} = {conn}"
-        return _format_terms(self.leaf_counts(n, tie_as_split=True), ascii_form)
+            text += ("=" if ascii_form else " = ") + _format_terms({n: 1}, ascii_form)
+        return text
 
     def to_csv(self):
         """CSV export: n,value,provenance (full precision)."""
@@ -222,8 +237,7 @@ def extremal_sequence(domain_class, K, base_values=None):
     if K < 1:
         raise ValueError("K must be >= 1")
     N = domain_class.dimension
-    maximize = domain_class.objective == "maximize"
-    pick = max if maximize else min
+    pick = domain_class.pick
 
     if base_values is None:
         base_values = spectrum_of(domain_class.shape, K).nonzero_values()
@@ -248,16 +262,15 @@ def extremal_sequence(domain_class, K, base_values=None):
         split_values[n] = split_v
         split_indices[n] = best_i
         cv = conn[n]
-        tie = abs(cv - split_v) <= REL_TIE_TOL * max(abs(cv), abs(split_v))
-        if tie:
-            values[n] = pick(cv, split_v)
-            provenance[n] = Connected(n, tie=True)
-        elif (cv > split_v) if maximize else (cv < split_v):
+        if _beats(pick, cv, split_v, REL_TIE_TOL):
             values[n] = cv
             provenance[n] = Connected(n)
-        else:
+        elif _beats(pick, split_v, cv, REL_TIE_TOL):
             values[n] = split_v
             provenance[n] = Split(best_i)
+        else:
+            values[n] = pick(cv, split_v)
+            provenance[n] = Connected(n, tie=True)
         powers[n] = _power(values[n], N)
 
     return ExtremalSequence(
@@ -280,7 +293,7 @@ def unpack_geometry(seq, n):
 
 def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
-    must be connected.  Strictness at relative 1e-12.
+    must be connected: ``_beats`` at REL_TIE_TOL, on the powered values.
 
     Only the best split is tested: the margin test is monotone in the split
     value, so the best split passes iff every split does."""
@@ -289,31 +302,23 @@ def connectedness_certificate(candidate_value, seq, n):
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
     N = seq.dimension
-    maximize = seq.objective == "maximize"
+    pick = seq.domain_class.pick
     powers = [None] + [_power(seq.value(i), N) for i in range(1, n)]
-    s, _ = _best_split(powers, n, max if maximize else min)
-    cp = _power(candidate_value, N)
-    margin = REL_TIE_TOL * max(abs(cp), abs(s))
-    return (cp - s if maximize else s - cp) > margin
+    s, _ = _best_split(powers, n, pick)
+    return _beats(pick, _power(candidate_value, N), s, REL_TIE_TOL)
 
 
 def crossover_scan(seq_a, seq_b, K):
-    """Indices n <= K where seq_b strictly beats seq_a (relative 1e-9)."""
+    """Indices n <= K where seq_b beats seq_a: ``_beats`` at REL_SCAN_TOL."""
     if seq_a.dimension != seq_b.dimension:
         raise ValueError("sequences must share dimension")
     if seq_a.objective != seq_b.objective:
         raise ValueError("sequences must share objective")
     if seq_a.K < K or seq_b.K < K:
         raise ValueError(f"both sequences must reach K={K}")
-    maximize = seq_a.objective == "maximize"
-    out = []
-    for n in range(1, K + 1):
-        va = seq_a.value(n)
-        vb = seq_b.value(n)
-        gap = (vb - va) if maximize else (va - vb)
-        if gap > REL_SCAN_TOL * max(abs(va), abs(vb)):
-            out.append(n)
-    return out
+    pick = seq_a.domain_class.pick
+    return [n for n in range(1, K + 1)
+            if _beats(pick, seq_b.value(n), seq_a.value(n), REL_SCAN_TOL)]
 
 
 @dataclass(frozen=True)

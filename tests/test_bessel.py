@@ -5,7 +5,8 @@ import math
 import pytest
 from conftest import oracle_positive_zeros, spherical_series
 
-from specpack import _kernels_py, bessel, spectra
+import specpack
+from specpack import _kernels_py, backend, bessel, spectra
 from specpack.bessel import (
     AccuracyError,
     ZeroIndex,
@@ -138,6 +139,51 @@ class TestSphericalBessel:
             spherical_bessel_j(0, 0.0)
         with pytest.raises(ValueError):
             spherical_bessel_j_prime(2, -1.0)
+
+
+EVALUATORS = {
+    "bessel_j": "bessel_j",
+    "bessel_j_prime": "bessel_j_prime",
+    "spherical_bessel_j": "spherical_j",
+    "spherical_bessel_j_prime": "spherical_j_prime",
+}
+
+
+class TestPublicEvaluators:
+    """The four public evaluators are the kernels' own, input checks included."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_public_name_is_the_kernel(self, name):
+        kernel = getattr(backend.kernels, EVALUATORS[name])
+        assert getattr(specpack, name) is kernel
+        assert getattr(bessel, name) is kernel
+
+    @pytest.mark.parametrize("name,order,x,message", [
+        *[(name, -1, 1.0, "order must be >= 0") for name in sorted(EVALUATORS)],
+        *[(name, 0, x, "x must be finite and >= 0")
+          for name in ("bessel_j", "bessel_j_prime") for x in (-1.0, math.inf, math.nan)],
+        *[(name, 0, x, "x must be finite and > 0")
+          for name in ("spherical_bessel_j", "spherical_bessel_j_prime")
+          for x in (-1.0, 0.0, math.inf, math.nan)],
+    ])
+    def test_error_messages(self, name, order, x, message):
+        with pytest.raises(ValueError) as exc:
+            getattr(specpack, name)(order, x)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name,order,x,ref", [
+        # the lgamma start of _series_j (order > 120, x < 8)
+        ("bessel_j", 150, 5.0, lambda sp: sp.jv(150, 5.0)),
+        # the rescale branch of _miller (x >= 8, far below the order)
+        ("bessel_j", 200, 9.0, lambda sp: sp.jv(200, 9.0)),
+        ("bessel_j_prime", 200, 9.0, lambda sp: sp.jvp(200, 9.0)),
+        # the rescale branch of _sph_miller
+        ("spherical_bessel_j", 200, 9.0, lambda sp: sp.spherical_jn(200, 9.0)),
+    ])
+    def test_deep_evanescent_against_scipy(self, name, order, x, ref):
+        from scipy import special as sp
+
+        assert getattr(specpack, name)(order, x) == pytest.approx(ref(sp), rel=1e-12, abs=0)
 
 
 class TestZeroTables:

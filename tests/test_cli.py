@@ -228,13 +228,14 @@ class TestConstruct:
 
     @pytest.mark.parametrize("t", [1e-20, 1e-50, 1e-300, 2.3e-308, 1e-310, 5e-324])
     def test_tiny_targets_verify_or_fail(self, capsys, t):
-        # near the float floor the long side's modes underflow, so a run may
-        # fail (exit 1 or 3) but must never print a mu_2 other than t
+        # deep among the subnormal floats mu_2 loses its digits, so a run may
+        # fail (exit 1 or 3) but must never print a mu_2 other than t; down
+        # to t ~ 1e-314 it builds the domain
         from specpack import cli
 
         code = cli.main(["construct", "--t", repr(t)])
         out, err = capsys.readouterr()
-        if t >= 1e-300:
+        if t >= 1e-314:
             assert code == 0, err
         if t == 5e-324:
             assert code == 1
@@ -314,3 +315,18 @@ class TestSpectrumCommand:
 
     def test_unknown_command(self):
         assert run_cli("tabulate").returncode == 1
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["certify", "--n", "0"], "--n"),
+    (["figure", "--n", "0", "--class", "disks", "--out", "x.svg"], "--n"),
+    (["scan", "--dim", "2", "--max-n", "0"], "--max-n"),
+    (["spectrum", "--shape", "disk", "--count", "0"], "--count"),
+])
+def test_count_below_one_is_input_error(capsys, argv, option):
+    from specpack import cli
+
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} must be >= 1\n"

@@ -34,6 +34,26 @@ CSV_3000_SHA256 = {
 }
 
 
+def _margin_pair(tol):
+    """(big, small) with big - small == tol * big exactly in floats: the two
+    values sit exactly on the margin of the decision rule."""
+    for d in range(-8, 9):
+        big = math.ldexp(4504 * 10**12 + d, -46)  # about 64.0057
+        small = big - tol * big
+        if big - small == tol * big:
+            return big, small
+    pytest.fail(f"no pair on the margin {tol}")
+
+
+def _better_worse(cls, tol):
+    # the margin pair ordered by the class's objective, and the direction in
+    # which a value gets better
+    big, small = _margin_pair(tol)
+    if cls().objective == "maximize":
+        return big, small, math.inf
+    return small, big, -math.inf
+
+
 @pytest.fixture(scope="module")
 def sequences_3000():
     classes = (disks_class(), squares_class(), balls_class(), cubes_class())
@@ -136,6 +156,21 @@ class TestSequenceValues:
         assert seq.leaf_counts(2000) == {1: 2000}
         assert seq.expression(2000, ascii_form=True) == "2000*mu1"
 
+    @pytest.mark.parametrize("cls", [disks_class, dirichlet_disks_class])
+    def test_tie_margin_is_inclusive(self, cls):
+        # at exactly REL_TIE_TOL the connected candidate and the split tie;
+        # one ulp further the better side wins
+        better, worse, up = _better_worse(cls, wolfkeller.REL_TIE_TOL)
+
+        def decide(split, connected):
+            seq = extremal_sequence(cls(), 2, base_values=[split / 2, connected])
+            return seq.decomposition(2)
+
+        assert decide(worse, better) == Connected(2, tie=True)
+        assert decide(worse, math.nextafter(better, up)) == Connected(2)
+        assert decide(better, worse) == Connected(2, tie=True)
+        assert decide(better, math.nextafter(worse, -up)) == Split(1)
+
     def test_short_base_rejected(self):
         cls = disks_class()
         with pytest.raises(ValueError):
@@ -221,6 +256,15 @@ class TestCertificates:
         assert not connectedness_certificate(cp, seq, 2)
         assert connectedness_certificate(math.nextafter(cp, math.inf), seq, 2)
 
+    def test_margin_is_strict_when_minimizing(self):
+        better, worse, up = _better_worse(dirichlet_disks_class, wolfkeller.REL_TIE_TOL)
+        seq = extremal_sequence(dirichlet_disks_class(), 1, base_values=[worse / 2])
+        assert not connectedness_certificate(better, seq, 2)
+        assert connectedness_certificate(math.nextafter(better, up), seq, 2)
+
+    def test_n1_is_always_connected(self, disks_sequence):
+        assert connectedness_certificate(disks_sequence.value(1), disks_sequence, 1)
+
 
 class TestCrossoverScan:
     def test_2d_through_25(self, disks_sequence, squares_sequence):
@@ -251,6 +295,24 @@ class TestCrossoverScan:
     def test_length_guard(self, disks_sequence, squares_sequence):
         with pytest.raises(ValueError):
             crossover_scan(disks_sequence, squares_sequence, 1000)
+
+    def test_objective_mismatch_rejected(self, disks_sequence):
+        seq = extremal_sequence(dirichlet_disks_class(), 5)
+        with pytest.raises(ValueError, match="objective"):
+            crossover_scan(disks_sequence, seq, 5)
+
+    @pytest.mark.parametrize("cls", [disks_class, dirichlet_disks_class])
+    def test_margin_is_strict(self, cls):
+        # b beats a only by more than REL_SCAN_TOL relative
+        better, worse, up = _better_worse(cls, wolfkeller.REL_SCAN_TOL)
+
+        def scan(a, b):
+            return crossover_scan(extremal_sequence(cls(), 1, base_values=[a]),
+                                  extremal_sequence(cls(), 1, base_values=[b]), 1)
+
+        assert scan(worse, better) == []
+        assert scan(worse, math.nextafter(better, up)) == [1]
+        assert scan(better, worse) == []
 
 
 class TestDirichletMirror:
