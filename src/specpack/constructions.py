@@ -12,13 +12,13 @@ second eigenvalue, attained by two equal disks).  Four constructions cover it:
   * pi j'^2 < t <= 2 pi j'^2:  two disks, the larger of area pi j'^2 / t
 
 In each rectangle construction the slack eps = min(t/100, 0.01) keeps the
-filler disk's first nonzero eigenvalue strictly above t; eps is halved until
-that check passes (it is verified, not assumed).
+filler disk's first nonzero eigenvalue strictly above t.  That is verified,
+not assumed: a filler at or below t raises AccuracyError.
 """
 
 import math
 
-from .bessel import ZeroIndex, bessel_j_zero, bessel_jprime_zero
+from .bessel import AccuracyError, ZeroIndex, bessel_j_zero, bessel_jprime_zero
 from .spectra import disk, rectangle, spectrum_of, union_spectrum
 from .wolfkeller import PackedComponent, PackedDomain
 
@@ -40,25 +40,14 @@ def mu2_max():
     return 2.0 * mu1_max()
 
 
-def _filler_ok(components, t):
-    # every non-supporting component must keep its first nonzero eigenvalue
-    # strictly above t
-    for c in components:
-        if c.support_index is not None:
-            continue
-        first = spectrum_of(c.shape, 1).nonzero(1) / c.volume
-        if not first > t * (1.0 + 1e-12):
-            return False
-    return True
-
-
 def mu2_range_domain(t):
     """Unit-area disjoint union whose second nonzero Neumann eigenvalue is t
     (verify with verified_mu2).
 
     t selects the construction (see the module docstring).  The rectangle
-    constructions start from the slack eps = min(t/100, 0.01) and halve it
-    until the filler disk's first nonzero eigenvalue lies above t.
+    constructions use the slack eps = min(t/100, 0.01), and raise
+    AccuracyError unless the filler disk's first nonzero eigenvalue lies
+    above t.
     """
     t = float(t)
     top = mu2_max()
@@ -77,21 +66,17 @@ def mu2_range_domain(t):
     if eps <= 0:  # t/100 underflows for the smallest subnormal t
         raise ConstructionError("epsilon must be positive")
     b = PI / math.sqrt(t)
-    for _ in range(50):
-        if t <= PI * PI:
-            a = (t - eps) / (PI * math.sqrt(t))
-            comps = (PackedComponent(rectangle(a, b), a * b, 1),
-                     PackedComponent(disk(), eps / t, None))
-        else:
-            comps = (PackedComponent(rectangle(b, b - eps), b * (b - eps), 1),
-                     PackedComponent(disk(), 1.0 - b * (b - eps), None))
-        if _filler_ok(comps, t):
-            return PackedDomain(comps)
-        eps /= 2.0
-    raise ConstructionError(
-        f"no epsilon kept the filler eigenvalue above t = {t} "
-        f"after 50 halvings"
-    )
+    if t <= PI * PI:
+        a = (t - eps) / (PI * math.sqrt(t))
+        support = PackedComponent(rectangle(a, b), a * b, 1)
+        filler = PackedComponent(disk(), eps / t, None)
+    else:
+        support = PackedComponent(rectangle(b, b - eps), b * (b - eps), 1)
+        filler = PackedComponent(disk(), 1.0 - b * (b - eps), None)
+    first = spectrum_of(filler.shape, 1).nonzero(1) / filler.volume
+    if not first > t * (1.0 + 1e-12):
+        raise AccuracyError(f"filler eigenvalue {first!r} is not above t = {t!r}")
+    return PackedDomain((support, filler))
 
 
 def verified_mu2(domain):

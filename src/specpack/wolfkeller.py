@@ -22,10 +22,15 @@ candidate, and otherwise the two tie: the stored provenance is Connected
 with the tie flag set.  Among equal splits the smallest left index wins.
 The same rule at REL_TIE_TOL decides ``connectedness_certificate`` and at
 REL_SCAN_TOL decides ``crossover_scan``.
+
+The split search behind the recursion and the certificate, ``_best_split``,
+returns exactly what a scan over every j would, but skips the blocks of j
+that a superadditivity bound on the stored powers rules out.
 """
 
 import csv
 import io
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,8 +41,18 @@ from .spectra import DomainShape, _power, _unpower, spectrum_of
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
 
+# the split search sums powers in blocks of SPLIT_BLOCK consecutive left
+# indices, and skips a block whose bound, widened by SPLIT_SLACK, cannot
+# reach the best sum found first (see _best_split)
+SPLIT_BLOCK = 16
+SPLIT_SLACK = 1e-12
+
 # the better of two values under each objective
 _PICK = {"maximize": max, "minimize": min}
+
+# per pick: when a block's top reaches the threshold, and the side of the
+# threshold the slack widens toward
+_REACHES = {max: (operator.ge, -1.0), min: (operator.le, 1.0)}
 
 
 def _beats(pick, new, old, tol):
@@ -219,13 +234,60 @@ def _format_terms(counts, ascii_form):
     return ("+" if ascii_form else " + ").join(parts)
 
 
+def _block_best(powers, n, pick, a, b):
+    """pick of powers[j] + powers[n - j] over a <= j <= b, and the smallest j
+    that attains it."""
+    sums = list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
+    best = pick(sums)
+    return best, a + sums.index(best)
+
+
 def _best_split(powers, n, pick):
     """pick (max or min) of powers[j] + powers[n - j] over 1 <= j <= n/2, and
-    the smallest j that attains it."""
+    the smallest j that attains it: the exhaustive result, from a search that
+    sums only the blocks of j a bound cannot rule out.
+
+    The bound.  A stored power dominates every split sum at its own index
+    (powers[m] >= powers[i] + powers[m - i] when maximizing, <= when
+    minimizing), so with c = powers[1], the split (1, i) at i + 1 gives
+    powers[i + 1] >= powers[i] + c.  Hence g(j) = powers[j] - c*j is
+    monotone, and every sum in a block a <= j <= b is at most (when
+    minimizing: at least) powers[b] + powers[n - a] - (b - a)*c.  The best
+    sum of the whole block with the best top is the seed.  Then, in
+    ascending order, every whole block whose top, widened by SPLIT_SLACK
+    relative to |seed| + SPLIT_BLOCK*|c|, reaches seed + (SPLIT_BLOCK - 1)*c
+    is summed, and the last partial block always is.
+
+    Why the slack is safe.  The premise holds up to the recursion's defect
+    (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
+    which the tests keep below SPLIT_SLACK/1000 relative.  One bound chains
+    at most 2*(SPLIT_BLOCK - 1) steps, each off by that defect plus one
+    rounding, on positive powers (extremal_sequence admits no others) that
+    stay within |seed| + SPLIT_BLOCK*|c| wherever a top is near the
+    threshold.  So a bound is off by under a tenth of the slack, and no
+    block that can hold the best sum, the seed's own included, is skipped.
+    """
     h = n // 2
-    sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
-    best = pick(sums)
-    return best, sums.index(best) + 1
+    full = h - h % SPLIT_BLOCK  # j <= full lie in whole blocks
+    starts = range(1, full + 1, SPLIT_BLOCK)
+    if full:
+        tops = list(map(operator.add, powers[SPLIT_BLOCK:full + 1:SPLIT_BLOCK],
+                        powers[n - 1:n - 1 - full:-SPLIT_BLOCK]))
+        a = starts[tops.index(pick(tops))]
+        seed, _ = _block_best(powers, n, pick, a, a + SPLIT_BLOCK - 1)
+        c = powers[1]
+        reaches, sign = _REACHES[pick]
+        slack = SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
+        threshold = seed + (SPLIT_BLOCK - 1) * c + sign * slack
+        starts = itertools.compress(starts, map(reaches, tops, itertools.repeat(threshold)))
+    if full < h:
+        starts = itertools.chain(starts, (full + 1,))
+    best = None
+    for a in starts:  # ascending, so the first block to attain best has the smallest j
+        s, j = _block_best(powers, n, pick, a, min(a + SPLIT_BLOCK - 1, h))
+        if best is None or pick(s, best) != best:
+            best, best_j = s, j
+    return best, best_j
 
 
 def extremal_sequence(domain_class, K, base_values=None):
@@ -245,6 +307,10 @@ def extremal_sequence(domain_class, K, base_values=None):
         raise ValueError(
             f"base spectrum for {domain_class.shape.kind} shorter than K={K}")
     conn = [None, *base_values[:K]]
+    # the split search (see _best_split) needs positive powers, and every
+    # power, split sum and bound it forms is at most 2*K times the largest
+    if not (all(v > 0.0 for v in conn[1:]) and 4 * K * _power(max(conn[1:]), N) < math.inf):
+        raise ValueError("base values must be positive, with 4*K times their largest power finite")
 
     values = [math.nan] * (K + 1)
     powers = [math.nan] * (K + 1)

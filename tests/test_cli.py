@@ -226,7 +226,7 @@ class TestConstruct:
         assert digest == CONSTRUCT_SHA256[name]
 
 
-    @pytest.mark.parametrize("t", [1e-20, 1e-50, 1e-300, 2.3e-308, 1e-310, 5e-324])
+    @pytest.mark.parametrize("t", [1e-20, 1e-50, 1e-300, 2.3e-308, 1e-310, 1e-320, 5e-324])
     def test_tiny_targets_verify_or_fail(self, capsys, t):
         # deep among the subnormal floats mu_2 loses its digits, so a run may
         # fail (exit 1 or 3) but must never print a mu_2 other than t; down
@@ -237,6 +237,8 @@ class TestConstruct:
         out, err = capsys.readouterr()
         if t >= 1e-314:
             assert code == 0, err
+        if t == 1e-320:
+            assert code == 3 and err.startswith("accuracy failure:")
         if t == 5e-324:
             assert code == 1
         if code == 0:

@@ -101,6 +101,20 @@ class TestRangeDomain:
                     first = spectra.spectrum_of(c.shape, 1).nonzero(1) / c.volume
                     assert first > t
 
+    def test_low_filler_eigenvalue_raises(self, monkeypatch):
+        # the filler check is verified, not assumed: a filler whose first
+        # eigenvalue is not above t fails loudly
+        from specpack import constructions
+        from specpack.bessel import AccuracyError
+
+        class ZeroSpectrum:
+            def nonzero(self, k):
+                return 0.0
+
+        monkeypatch.setattr(constructions, "spectrum_of", lambda shape, k: ZeroSpectrum())
+        with pytest.raises(AccuracyError, match="filler eigenvalue"):
+            mu2_range_domain(5.0)
+
     def test_single_component_is_its_own_spectrum(self):
         # one unit disk: the union spectrum of a single part rescales it
         seq = extremal_sequence(disks_class(), 1)

@@ -6,6 +6,8 @@ make exact ties between splits and connected candidates common, with
 arbitrary floats.
 """
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from specpack.wolfkeller import (
     REL_TIE_TOL,
     DomainClass,
     Split,
+    _best_split,
     connectedness_certificate,
     extremal_sequence,
 )
@@ -59,6 +62,30 @@ def test_recursion_equals_exhaustive_split(key, base):
                     assert dec.i == splits.index(pick(splits)) + 1
         else:
             assert seq.value(n) == pytest.approx(best[n], rel=1e-12)
+
+
+# long enough for many whole blocks of the split search and a partial one;
+# all-equal values make every split sum at n tie exactly
+wide_spectra = st.one_of(
+    st.tuples(st.floats(1e-3, 1e6), st.integers(1, 120)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=120).map(sorted),
+    st.lists(values, min_size=1, max_size=120).map(sorted),
+)
+
+
+@PROPERTY
+@given(classes, wide_spectra)
+def test_best_split_equals_exhaustive(key, base):
+    # the bounded search against a sum over every j, bit for bit, at every n
+    dim, objective = key
+    pick = max if objective == "maximize" else min
+    seq = run(key, base)
+    powers = [None] + [_power(seq.value(n), dim) for n in range(1, len(base) + 1)]
+    for n in range(2, len(base) + 1):
+        h = n // 2
+        sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
+        best = pick(sums)
+        assert _best_split(powers, n, pick) == (best, sums.index(best) + 1)
 
 
 def all_splits_certificate(candidate_value, seq, n):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 
 import pytest
 
@@ -58,6 +59,24 @@ def _better_worse(cls, tol):
 def sequences_3000():
     classes = (disks_class(), squares_class(), balls_class(), cubes_class())
     return {cls.name: extremal_sequence(cls, 3000) for cls in classes}
+
+
+@pytest.fixture(scope="module")
+def dirichlet_3000():
+    return extremal_sequence(dirichlet_disks_class(), 3000)
+
+
+def _powers(seq):
+    # the powers the recursion stores: _power of every value, recomputed
+    return [None] + [spectra._power(seq.value(n), seq.dimension) for n in range(1, seq.K + 1)]
+
+
+def _exhaustive_split(powers, n, pick):
+    # reference: every split sum at n, and the smallest j attaining the best
+    h = n // 2
+    sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
+    best = pick(sums)
+    return best, sums.index(best) + 1
 
 
 class TestSequenceValues:
@@ -175,6 +194,66 @@ class TestSequenceValues:
         cls = disks_class()
         with pytest.raises(ValueError):
             extremal_sequence(cls, 5, base_values=[10.65])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e308])
+    def test_nonpositive_or_overflowing_base_rejected(self, bad):
+        # sums of powers near the float maximum overflow to inf
+        with pytest.raises(ValueError, match="must be positive"):
+            extremal_sequence(disks_class(), 3, base_values=[10.65, bad, 30.0])
+
+    def test_3d_power_overflow_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            extremal_sequence(balls_class(), 40, base_values=[1e250] * 40)
+
+
+class TestSplitSearch:
+    """The bounded split search returns the exhaustive (value, smallest j)."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
+    def test_equals_exhaustive_through_3000(self, sequences_3000, name):
+        seq = sequences_3000[name]
+        powers, pick = _powers(seq), seq.domain_class.pick
+        for n in range(2, seq.K + 1):
+            assert wolfkeller._best_split(powers, n, pick) == _exhaustive_split(powers, n, pick)
+
+    def test_superadditivity_defect_below_slack(self, sequences_3000, dirichlet_3000):
+        # the bound's premise: a stored power dominates every split sum at its
+        # own index, up to a defect far inside the search's slack
+        for seq in (*sequences_3000.values(), dirichlet_3000):
+            powers, pick = _powers(seq), seq.domain_class.pick
+            sign = 1.0 if seq.objective == "maximize" else -1.0
+            worst = max(
+                sign * (_exhaustive_split(powers, m, pick)[0] - powers[m]) / powers[m]
+                for m in range(2, seq.K + 1)
+            )
+            assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+
+    @pytest.mark.parametrize("n", [20, 31, 2000, 2015, 2016, 2999])
+    def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000,
+                                              dirichlet_3000, n):
+        # h < 16 sums one partial block; larger n sums the last partial block
+        # (if any) and skips most whole blocks under either objective
+        summed = []
+        block_best = wolfkeller._block_best
+
+        def recording(powers, n, pick, a, b):
+            summed.append((a, b))
+            return block_best(powers, n, pick, a, b)
+
+        monkeypatch.setattr(wolfkeller, "_block_best", recording)
+        h = n // 2
+        full = h - h % wolfkeller.SPLIT_BLOCK
+        for seq in (sequences_3000["disks"], dirichlet_3000):
+            powers, pick = _powers(seq), seq.domain_class.pick
+            summed.clear()
+            assert wolfkeller._best_split(powers, n, pick) == _exhaustive_split(powers, n, pick)
+            if h < wolfkeller.SPLIT_BLOCK:
+                assert summed == [(1, h)]
+                continue
+            assert ((full + 1, h) in summed) == (full < h)
+            # whole blocks summed (the seed's twice): fewer than half of them
+            whole = {a for a, b in summed if b - a == wolfkeller.SPLIT_BLOCK - 1}
+            assert len(whole) < full // wolfkeller.SPLIT_BLOCK / 2
 
 
 class TestGeometry:
