@@ -5,7 +5,8 @@ the per-zero refinement ``next_zero`` that the zero tables call once for
 each zero inside a bracket they derived from interlacing.  The four
 evaluators are the public ones (``specpack.bessel_j`` and the rest are these
 functions), so they check their input here: order >= 0 and a finite x,
-x >= 0 for J and J', x > 0 for j and j'.  The internal passes skip that.
+x >= 0 for J and J', x > 0 for j and j', and no more than ``MAX_RECURRENCE``
+steps of backward recurrence.  The internal passes skip that.
 
 Evaluation strategy:
   * x < 8: ascending power series (no destructive cancellation there).
@@ -45,6 +46,8 @@ _BISECT_WIDTH = 1e-12
 _GUARD_ULPS = 4
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
+# the most steps of backward recurrence a public evaluator takes (about 0.4 s)
+MAX_RECURRENCE = 10**6
 
 
 def _series_j(m, x):
@@ -64,10 +67,16 @@ def _series_j(m, x):
     return s
 
 
+def _recurrence_start(x, lo):
+    # the order well above max(lo + 1, x) at which a backward recurrence for
+    # orders lo .. lo + 2 starts; it takes that many steps
+    return max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+
+
 def _miller(x, lo):
     # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X by backward recurrence,
     # started well above max(lo + 1, x)
-    start = max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+    start = _recurrence_start(x, lo)
     if start & 1:
         start += 1
     jnext = 0.0  # trial J at order k+1
@@ -96,26 +105,40 @@ def _miller(x, lo):
     return va / norm, vb / norm, vc / norm
 
 
-def _check(order, x, closed):
+def _check(order, x, closed, recurs):
     # the public evaluators' input: order >= 0 and a finite x, >= 0 if closed
-    # and > 0 otherwise
+    # and > 0 otherwise; and if the pass recurs backward, a recurrence of at
+    # most MAX_RECURRENCE steps
     if order < 0:
         raise ValueError("order must be >= 0")
     if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
         raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
+    if recurs and _recurrence_start(x, max(order - 1, 0)) > MAX_RECURRENCE:
+        raise ValueError(
+            f"order and x too large: the backward recurrence would take more "
+            f"than {MAX_RECURRENCE} steps"
+        )
 
 
 def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x)."""
-    _check(order, x, True)
+    """Bessel function of the first kind J_order(x).
+
+    For x >= 8 the backward recurrence takes about max(order, x) steps; input
+    that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    """
+    _check(order, x, True, x >= _SERIES_MAX_X)
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
     return _pass(KIND_BESSEL, order, x)[0]
 
 
 def bessel_j_prime(order, x):
-    """Derivative J'_order(x)."""
-    _check(order, x, True)
+    """Derivative J'_order(x).
+
+    For x >= 8 the backward recurrence takes about max(order, x) steps; input
+    that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    """
+    _check(order, x, True, x >= _SERIES_MAX_X)
     if x == 0.0:
         return 0.5 if order == 1 else 0.0
     return _pass(KIND_BESSEL_PRIME, order, x)[0]
@@ -124,7 +147,7 @@ def bessel_j_prime(order, x):
 def _sph_miller(x, lo):
     # (j_lo, j_lo+1, j_lo+2) by backward recurrence started above
     # max(lo + 1, x), anchored on the closed forms of j_0 and j_1
-    start = max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
+    start = _recurrence_start(x, lo)
     jnext = 0.0
     jcur = 1e-30
     cap = lo + 1
@@ -156,8 +179,12 @@ def _sph_miller(x, lo):
 
 
 def spherical_j(order, x):
-    """Spherical Bessel function j_order(x), x > 0."""
-    _check(order, x, False)
+    """Spherical Bessel function j_order(x), x > 0.
+
+    For order >= 2 the backward recurrence takes about max(order, x) steps;
+    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    """
+    _check(order, x, False, order >= 2)
     if order == 0:
         return math.sin(x) / x
     if order == 1:
@@ -166,8 +193,12 @@ def spherical_j(order, x):
 
 
 def spherical_j_prime(order, x):
-    """Derivative d/dx j_order(x), x > 0."""
-    _check(order, x, False)
+    """Derivative d/dx j_order(x), x > 0.
+
+    For order >= 2 the backward recurrence takes about max(order, x) steps;
+    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    """
+    _check(order, x, False, order >= 2)
     return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
 
 

@@ -22,11 +22,11 @@ grows.  For order m >= 1 the k-th zero lies between the k-th and (k+1)-th
 zeros of order m-1; for the two derivative kinds the trivial zero of order 0
 at x = 0 counts as the first.  Each function is positive on (0, first zero)
 (J'_0 and j'_0 negative), so the sign of f_m at every zero of order m-1 is
-fixed by its rank, and every such sign is checked: a zero missing from, or
-extra in, the order below raises AccuracyError.  That sign comes from the
-last Newton pass of the zero of order m-1, which also gives f_m at its
+fixed by its rank.  Each such sign is checked when its zero of order m-1 is
+found, from the Newton pass that found it, which also gives f_m at the last
 iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
-|f_m(x)| > |x - zero|, and is evaluated there otherwise.  The count of zeros
+|f_m(x)| > |x - zero|, and is evaluated there otherwise.  A zero missing
+from, or extra in, the order below raises AccuracyError.  The count of zeros
 below any x then follows from the order below plus the sign of f_m at x,
 which is what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a
 sign scan in cells of ``ORDER0_STEP`` = 2.4, with no sign at x = 0 and the
@@ -87,8 +87,9 @@ class ZeroIndex:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
-def _rank_offset(kind, order):
-    # bessel_prime order 0: rank 1 is the trivial x=0 stationary point.
+def rank_offset(kind, order):
+    """Rank of the k-th positive zero less k: 1 for ``bessel_prime`` order 0,
+    whose rank 1 is the trivial zero at x = 0 (see above), else 0."""
     return 1 if (kind == "bessel_prime" and order == 0) else 0
 
 
@@ -104,6 +105,8 @@ class ZeroTable:
     below which every zero of the order is counted, with f(reach).  A count
     below x rests on the order below (its zeros below x plus the sign of f
     at x), so growing one order grows every lower order to the same x.
+    Each zero is checked when it is found: its residual, and the sign that
+    interlacing fixes for the function of the next order there.
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -119,8 +122,6 @@ class ZeroTable:
         self._reach = {}  # order -> (x, f(x)); f is None when nothing is below x
         self._scan = []  # order 0: (lo, hi, guess) of each counted zero
         self._resume = {}  # order -> where the reporting grid resumes
-        # order -> per zero (x, f of order + 1 at x) from its last Newton pass
-        self._ahead = {}
 
     def positive_zero(self, order, k):
         """The k-th strictly positive zero (k >= 1) for the given order.
@@ -152,7 +153,7 @@ class ZeroTable:
 
     def zero(self, idx):
         """Zero addressed by a ZeroIndex, honoring the rank convention."""
-        off = _rank_offset(self.kind, idx.order)
+        off = rank_offset(self.kind, idx.order)
         if idx.rank - off < 1:
             raise ValueError(
                 f"{self.kind} order 0 rank 1 denotes the trivial stationary "
@@ -164,7 +165,7 @@ class ZeroTable:
         """Snapshot of all cached zeros keyed by ZeroIndex."""
         out = {}
         for order, zs in sorted(self._zeros.items()):
-            off = _rank_offset(self.kind, order)
+            off = rank_offset(self.kind, order)
             for i, z in enumerate(zs):
                 out[ZeroIndex(order, i + 1 + off)] = z
         return out
@@ -200,24 +201,15 @@ class ZeroTable:
             )
 
     def _count_from_below(self, m, x):
-        # zeros of order m-1 bracket those of order m (DLMF 10.21(i)): the
-        # i-th zero of m lies between the i-th and (i+1)-th of m-1, counting
-        # the trivial zero at 0, so f_m at the i-th zero of m-1 has sign (-1)^i
+        # zeros of order m-1 bracket those of order m (DLMF 10.21(i)), one
+        # each, as ``_find`` checked the sign of f_m at every one of them; so
+        # with the n zeros of m-1 below x, the trivial one counted, n zeros of
+        # m lie below x if f_m(x) has the sign (-1)^n, and n - 1 otherwise
         below = self._zeros.get(m - 1, [])
         shift = self._trivial(m - 1)
         low_x, low_f = self._reach[m - 1]
         self._check_sign(m - 1, low_x, low_f, shift + len(below))
-        first = shift + bisect.bisect_left(below, self._reach_x(m))
         n = shift + bisect.bisect_left(below, x)
-        ahead = self._ahead.get(m - 1, ())
-        for i in range(first, n):
-            node = below[i - shift]
-            # f_m at the node's last Newton iterate has the sign of f_m at
-            # the node when |f_m(x)| > |x - node|, as |f_m'| <= 1
-            x_it, f = ahead[i - shift]
-            if not abs(f) > abs(x_it - node):
-                f = kernels.evaluate(self._code, m, node)
-            self._check_sign(m, node, f, i)
         fx = None
         count = 0
         if n:
@@ -248,10 +240,10 @@ class ZeroTable:
         zs = self._zeros.setdefault(order, [])
         while len(zs) < k:
             j = len(zs)
+            i = self._trivial(order) + j  # its place, counting the trivial zero
             lo, hi, guess = self._bracket(order, j)
             zero, residual, resume, x, f_up = kernels.next_zero(
-                self._code, order, lo, hi, guess, _parity(self._trivial(order) + j),
-                self._resume.get(order),
+                self._code, order, lo, hi, guess, _parity(i), self._resume.get(order),
             )
             if math.isnan(zero):
                 raise AccuracyError(
@@ -263,9 +255,14 @@ class ZeroTable:
                     f"{self.kind} order {order} zero #{j + 1} in ({lo}, {hi}): "
                     f"residual {residual:.3e} exceeds {RESIDUAL_TOL}"
                 )
+            # interlacing puts i zeros of order + 1 below this one, so f of
+            # order + 1 has the sign (-1)^i here; f_up, at the last iterate x,
+            # has it too when |f_up| > |x - zero|, as slopes are at most 1
+            if not abs(f_up) > abs(x - zero):
+                f_up = kernels.evaluate(self._code, order + 1, zero)
+            self._check_sign(order + 1, zero, f_up, i)
             zs.append(zero)
             self._resume[order] = resume
-            self._ahead.setdefault(order, []).append((x, f_up))
 
     def _node(self, order, i):
         # i-th zero of the order, counting the trivial zero at 0; None if unknown

@@ -91,7 +91,7 @@ def kroger_bound(m, diameter):
     Neumann eigenvalue of a bounded convex planar domain."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if diameter <= 0:
-        raise ValueError("diameter must be positive")
+    if not 0 < diameter < math.inf:
+        raise ValueError("diameter must be positive and finite")
     j01 = bessel_j_zero(ZeroIndex(0, 1))
     return (2.0 * j01 + (m - 1) * PI) ** 2 / (diameter * diameter)

@@ -1,5 +1,6 @@
-"""Complete Neumann/Dirichlet spectra of unit-volume canonical domains and
-of scaled disjoint unions.
+"""Complete Neumann/Dirichlet spectra of canonical domains and of scaled
+disjoint unions.  The disk and the ball have unit volume; a rectangle or box
+keeps its own sides, so its volume is their product.
 
 All spectra list nonzero eigenvalues only; the zero modes of a Neumann
 spectrum are implicit in ``n_components`` (one constant mode per connected
@@ -59,10 +60,10 @@ class DomainShape:
             if self.sides:
                 raise ValueError(f"{self.kind} takes no side lengths")
         elif self.kind == "rectangle":
-            if len(self.sides) != 2 or any(s <= 0 for s in self.sides):
+            if len(self.sides) != 2 or not all(0 < s < math.inf for s in self.sides):
                 raise ValueError("rectangle needs two positive sides")
         elif self.kind == "box":
-            if len(self.sides) != 3 or any(s <= 0 for s in self.sides):
+            if len(self.sides) != 3 or not all(0 < s < math.inf for s in self.sides):
                 raise ValueError("box needs three positive sides")
         else:
             raise ValueError(f"unknown shape kind {self.kind!r}")
@@ -185,8 +186,8 @@ class Spectrum:
 
     def rescaled(self, volume):
         """Same domain scaled to the given total volume."""
-        if volume <= 0:
-            raise ValueError("volume must be positive")
+        if not 0 < volume < math.inf:
+            raise ValueError("volume must be positive and finite")
         factor = _unpower(self.volume / volume, self.dimension)
         modes = tuple(
             Mode(m.label, m.value * factor, m.multiplicity) for m in self.modes
@@ -284,7 +285,8 @@ def _spectrum(shape, k, enumerate_below):
 
 def _order_walk(kind, reach, mode):
     """enumerate_below for a Bessel spectrum: mode(order, rank, zero) for
-    every zero of the kind's table below reach(lam), order by order."""
+    every zero of the kind's table below reach(lam), order by order, ranked
+    by the table's rank convention."""
     table = bessel.default_table(kind)
 
     def below(lam):
@@ -295,7 +297,8 @@ def _order_walk(kind, reach, mode):
             zs = table.zeros_below(order, xmax)
             if not zs and order > 0:
                 break  # no zero of this order below xmax: none of any higher order
-            modes.extend(mode(order, q, z) for q, z in enumerate(zs, 1))
+            first = 1 + bessel.rank_offset(kind, order)
+            modes.extend(mode(order, q, z) for q, z in enumerate(zs, first))
             order += 1
         return modes
 
@@ -305,14 +308,11 @@ def _order_walk(kind, reach, mode):
 def disk_spectrum(bc, k):
     """First k nonzero eigenvalues of the unit-area disk."""
     shape = disk(bc)
-    neumann = bc == "neumann"
-
-    def mode(m, q, z):
-        label = (m, q + 1) if (neumann and m == 0) else (m, q)
-        return Mode(label, PI * z * z, 1 if m == 0 else 2)
-
-    walk = _order_walk("bessel_prime" if neumann else "bessel",
-                       lambda lam: math.sqrt(lam / PI), mode)
+    walk = _order_walk(
+        "bessel_prime" if bc == "neumann" else "bessel",
+        lambda lam: math.sqrt(lam / PI),
+        lambda m, q, z: Mode((m, q), PI * z * z, 1 if m == 0 else 2),
+    )
     return _spectrum(shape, k, walk)
 
 
@@ -364,7 +364,8 @@ def box_spectrum(a1, a2, a3, bc, k):
 
 
 def spectrum_of(shape, k):
-    """Unit-volume spectrum of a canonical shape."""
+    """Spectrum of a canonical shape at its own volume (``shape.volume``):
+    1 for the disk and the ball, the product of the sides otherwise."""
     if shape.kind == "disk":
         return disk_spectrum(shape.bc, k)
     if shape.kind == "rectangle":

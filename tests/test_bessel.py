@@ -186,7 +186,37 @@ class TestPublicEvaluators:
         assert getattr(specpack, name)(order, x) == pytest.approx(ref(sp), rel=1e-12, abs=0)
 
 
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_recurrence_bound(self, name):
+        # x = 1e300 would take about 1e300 steps of backward recurrence
+        with pytest.raises(ValueError, match="backward recurrence would take more than"):
+            getattr(specpack, name)(2, 1e300)
+
+    def test_recurrence_bound_edge(self):
+        # J_m(9) recurs from order m + 40: exactly MAX_RECURRENCE steps run,
+        # one more is refused
+        assert _kernels_py._recurrence_start(9.0, 999_959) == _kernels_py.MAX_RECURRENCE
+        assert bessel_j(999_960, 9.0) == 0.0
+        with pytest.raises(ValueError, match="backward recurrence"):
+            bessel_j(999_961, 9.0)
+
+    def test_series_has_no_recurrence_bound(self):
+        # below x = 8 J and J' come from the power series at any order; j and
+        # j' of order 0 and 1 from closed forms at any x
+        assert bessel_j(10**7, 5.0) == 0.0
+        assert bessel_j_prime(10**7, 5.0) == 0.0
+        assert spherical_bessel_j(0, 1e300) == math.sin(1e300) / 1e300
+
+
 class TestZeroTables:
+    def test_bad_kind_and_address_rejected(self):
+        with pytest.raises(ValueError, match="unknown zero kind 'hankel'"):
+            ZeroTable("hankel")
+        table = ZeroTable("bessel")
+        for order, k in ((-1, 1), (0, 0)):
+            with pytest.raises(ValueError, match="need order >= 0 and k >= 1"):
+                table.positive_zero(order, k)
+
     def test_jprime_first_zero(self):
         assert bessel_jprime_zero(ZeroIndex(1, 1)) == pytest.approx(
             1.8411838, abs=1e-6
@@ -424,6 +454,36 @@ class TestFinder:
             ZeroTable("bessel").zeros_below(0, 60.0)
         for kind, ref in refs.items():
             assert ZeroTable(kind).zeros_below(0, 60.0) == ref
+
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    def test_wrong_sign_at_found_zero_raises(self, kind, monkeypatch):
+        # f of order 3 at the third zero of order 2 gets the wrong sign from
+        # that zero's Newton pass, large enough to be trusted: the check runs
+        # as the zero is found, though order 3 is never counted
+        next_zero = _kernels_py.next_zero
+        orders = []
+
+        def flipped(code, order, *args):
+            *found, f_up = next_zero(code, order, *args)
+            orders.append(order)
+            if order == 2 and orders.count(2) == 3:
+                f_up = -math.copysign(1.0, f_up)
+            return (*found, f_up)
+
+        monkeypatch.setattr(_kernels_py, "next_zero", flipped)
+        with pytest.raises(AccuracyError, match="order 3: .* interlacing is broken"):
+            ZeroTable(kind).zeros_below(2, 40.0)
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        next_zero = _kernels_py.next_zero
+
+        def loose(*args):
+            zero, _, *rest = next_zero(*args)
+            return (zero, 2 * bessel.RESIDUAL_TOL, *rest)
+
+        monkeypatch.setattr(_kernels_py, "next_zero", loose)
+        with pytest.raises(AccuracyError, match="residual 2.000e-09 exceeds 1e-09"):
+            ZeroTable("bessel").positive_zero(0, 1)
 
     @pytest.mark.parametrize("recount", [False, True])
     def test_missing_zero_of_order_below_raises(self, recount):

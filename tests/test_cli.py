@@ -167,6 +167,14 @@ class TestFigure:
         run_cli("figure", "--n", "9", "--class", "disks", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_3d_shapes_refused(self):
+        from specpack import spectra, svgfig
+        from specpack.wolfkeller import PackedComponent, PackedDomain
+
+        domain = PackedDomain((PackedComponent(spectra.ball(), 1.0, 1),))
+        with pytest.raises(ValueError, match="cannot draw 3D shape 'ball'"):
+            svgfig.packing_svg(domain, "")
+
 
 class TestScan:
     def test_2d_83(self):

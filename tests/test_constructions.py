@@ -159,3 +159,6 @@ class TestKrogerBound:
             kroger_bound(0, 1.0)
         with pytest.raises(ValueError):
             kroger_bound(1, 0.0)
+        for diameter in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="diameter must be positive and finite"):
+                kroger_bound(3, diameter)

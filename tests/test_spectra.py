@@ -216,6 +216,10 @@ class TestCeiling:
         monkeypatch.setattr(spectra, "_weyl_ceiling", lambda shape, k: 1.0)
         assert spectrum_of(shape, 200) == full
 
+    def test_ceiling_that_never_covers_raises(self):
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            spectra._adaptive_modes(lambda lam: [], 1, 1.0)
+
     def test_long_rectangle_enumerates_few_modes(self, monkeypatch):
         # the 3.2e-11 x 3.1e10 rectangle of `construct --t 1e-20`: a fixed
         # additive pad on the ceiling would list ~5e10 modes along its long side
@@ -323,6 +327,15 @@ class TestUnionSpectrum:
                 3,
             )
 
+    def test_bad_count_or_parts_rejected(self):
+        d = disk_spectrum("neumann", 3)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            union_spectrum([(d, 1.0)], 0)
+        with pytest.raises(ValueError, match="parts must be nonempty"):
+            union_spectrum([], 3)
+        with pytest.raises(ValueError, match="volume must be positive and finite"):
+            union_spectrum([(d, 0.5), (d, math.nan)], 3)
+
     def test_dirichlet_union_indexing(self):
         d = disk_spectrum("dirichlet", 4)
         u = union_spectrum([(d, 0.5), (d, 0.5)], 4)
@@ -333,6 +346,29 @@ class TestUnionSpectrum:
         d = disk_spectrum("neumann", 3)
         with pytest.raises(ValueError):
             union_spectrum([(d, 0.5), (d, 0.5)], 10)
+
+
+class TestSpectrumChecks:
+    def test_bad_indices_rejected(self):
+        neumann = disk_spectrum("neumann", 3)
+        held = len(neumann.expanded)
+        with pytest.raises(IndexError, match=f"holds {held} nonzero eigenvalues, asked for {held + 1}"):
+            neumann.nonzero_values(held + 1)
+        with pytest.raises(IndexError, match="nonzero eigenvalue index starts at 1"):
+            neumann.nonzero(0)
+        with pytest.raises(IndexError, match="mu index starts at 0"):
+            neumann.eigenvalue(-1)
+        with pytest.raises(IndexError, match="lambda index starts at 1"):
+            disk_spectrum("dirichlet", 3).eigenvalue(0)
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0, math.nan, math.inf])
+    def test_rescaled_needs_positive_finite_volume(self, volume):
+        with pytest.raises(ValueError, match="volume must be positive and finite"):
+            disk_spectrum("neumann", 3).rescaled(volume)
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            disk_spectrum("neumann", 0)
 
 
 class TestCsvExport:
@@ -357,6 +393,15 @@ class TestShapeValidation:
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
             rectangle(0.0, 1.0)
+        for side in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rectangle needs two positive sides"):
+                rectangle(1.0, side)
+            with pytest.raises(ValueError, match="box needs three positive sides"):
+                spectra.box(1.0, side, 1.0)
+        with pytest.raises(ValueError, match="box needs three positive sides"):
+            spectra.DomainShape("box", "neumann", (1.0, 1.0))
+        with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
+            disk("robin")
         with pytest.raises(ValueError):
             spectra.DomainShape("disk", "neumann", (1.0,))
         with pytest.raises(ValueError):
@@ -371,3 +416,4 @@ class TestShapeValidation:
         assert cube().dimension == 3
         assert rectangle(2.0, 0.5).volume == pytest.approx(1.0)
         assert square().describe() == "rectangle 1x1"
+        assert spectra.box(2, 0.5, 1.5).describe() == "box 2x0.5x1.5"

@@ -190,6 +190,18 @@ class TestSequenceValues:
         assert decide(better, worse) == Connected(2, tie=True)
         assert decide(better, math.nextafter(worse, -up)) == Split(1)
 
+    def test_indices_outside_range_rejected(self, disks_sequence):
+        K = disks_sequence.K
+        for read in ("value", "connected_value", "split_value", "decomposition",
+                     "leaf_counts"):
+            for n in (0, K + 1):
+                with pytest.raises(IndexError, match=f"index {n} outside computed range 1..{K}"):
+                    getattr(disks_sequence, read)(n)
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            extremal_sequence(disks_class(), 0)
+
     def test_short_base_rejected(self):
         cls = disks_class()
         with pytest.raises(ValueError):
@@ -340,6 +352,11 @@ class TestCertificates:
         seq = extremal_sequence(dirichlet_disks_class(), 1, base_values=[worse / 2])
         assert not connectedness_certificate(better, seq, 2)
         assert connectedness_certificate(math.nextafter(better, up), seq, 2)
+
+    def test_incomplete_sequence_rejected(self, disks_sequence):
+        n = disks_sequence.K + 2
+        with pytest.raises(IndexError, match=f"sequence must be complete to {n - 1}"):
+            connectedness_certificate(1.0, disks_sequence, n)
 
     def test_n1_is_always_connected(self, disks_sequence):
         assert connectedness_certificate(disks_sequence.value(1), disks_sequence, 1)
