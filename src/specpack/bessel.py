@@ -48,7 +48,7 @@ max(order/2, 0.01), that holds the zero (see ``_kernels_py._grid_value``).
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .backend import kernels
 
@@ -73,18 +73,17 @@ class AccuracyError(RuntimeError):
     """A zero fails its residual bound, or a sign contradicts interlacing."""
 
 
-@dataclass(frozen=True)
-class ZeroIndex:
+class ZeroIndex(namedtuple("ZeroIndex", "order rank")):
     """(order, rank) address of a tabulated zero."""
 
-    order: int
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+    def __new__(cls, order, rank):
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        return super().__new__(cls, order, rank)
 
 
 def rank_offset(kind, order):
@@ -107,6 +106,13 @@ class ZeroTable:
     at x), so growing one order grows every lower order to the same x.
     Each zero is checked when it is found: its residual, and the sign that
     interlacing fixes for the function of the next order there.
+
+    A pass at x runs a backward recurrence of about max(order, x) steps, and
+    the order-0 scan makes x/2.4 of them, so growing a table to x costs
+    about x^2: ``zeros_below(0, 1000)`` takes about 0.3 s and
+    ``zeros_below(0, 2000)`` about 1 s.  A query whose passes would take
+    more than ``MAX_RECURRENCE`` (10^6) steps raises ValueError, as the
+    public evaluators do.
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -179,6 +185,11 @@ class ZeroTable:
         return self._reach.get(order, (0.0, None))[0]
 
     def _settle(self, order, x):
+        if kernels._recurrence_start(x, order) > kernels.MAX_RECURRENCE:
+            raise ValueError(
+                f"order and x too large: the backward recurrence would take "
+                f"more than {kernels.MAX_RECURRENCE} steps"
+            )
         # count every zero of orders <= order below x; find the lower orders'
         low = order
         while low > 0 and self._reach_x(low - 1) < x:

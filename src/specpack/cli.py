@@ -17,7 +17,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import constructions, spectra, wolfkeller
 from .bessel import AccuracyError
@@ -34,20 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(namedtuple("TableRow", [
+    "n",
+    "disk_label",
+    "disk_value",
+    "disks_split_value",  # None at n = 1
+    "disks_expr",
+    "disks_class_value",
+    "square_label",
+    "squares_split_pi2",  # best split value / pi^2; None at n = 1
+    "squares_expr",
+    "squares_class_value",
+])):
     """One row of the ten-column extremal table."""
 
-    n: int
-    disk_label: tuple
-    disk_value: float
-    disks_split_value: float  # None at n = 1
-    disks_expr: str
-    disks_class_value: float
-    square_label: tuple
-    squares_split_pi2: float  # best split value / pi^2; None at n = 1
-    squares_expr: str
-    squares_class_value: float
+    __slots__ = ()
 
 
 def build_table_rows(K):

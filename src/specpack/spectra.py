@@ -32,7 +32,7 @@ is raised by a factor 1.6 and the modes enumerated again.
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 
 from . import bessel
@@ -43,30 +43,28 @@ BALL_RADIUS = (3.0 / (4.0 * PI)) ** (1.0 / 3.0)  # unit-volume ball
 BOUNDARY_CONDITIONS = ("neumann", "dirichlet")
 
 
-@dataclass(frozen=True)
-class DomainShape:
+class DomainShape(namedtuple("DomainShape", "kind bc sides")):
     """A canonical domain: disk, rectangle(a, b), ball, or box(a1, a2, a3)."""
 
-    kind: str
-    bc: str = "neumann"
-    sides: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bc not in BOUNDARY_CONDITIONS:
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.kind == "ball" and self.bc != "neumann":
+    def __new__(cls, kind, bc="neumann", sides=()):
+        if bc not in BOUNDARY_CONDITIONS:
+            raise ValueError(f"unknown boundary condition {bc!r}")
+        if kind == "ball" and bc != "neumann":
             raise ValueError("the ball spectrum is Neumann-only")
-        if self.kind in ("disk", "ball"):
-            if self.sides:
-                raise ValueError(f"{self.kind} takes no side lengths")
-        elif self.kind == "rectangle":
-            if len(self.sides) != 2 or not all(0 < s < math.inf for s in self.sides):
+        if kind in ("disk", "ball"):
+            if sides:
+                raise ValueError(f"{kind} takes no side lengths")
+        elif kind == "rectangle":
+            if len(sides) != 2 or not all(0 < s < math.inf for s in sides):
                 raise ValueError("rectangle needs two positive sides")
-        elif self.kind == "box":
-            if len(self.sides) != 3 or not all(0 < s < math.inf for s in self.sides):
+        elif kind == "box":
+            if len(sides) != 3 or not all(0 < s < math.inf for s in sides):
                 raise ValueError("box needs three positive sides")
         else:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
+            raise ValueError(f"unknown shape kind {kind!r}")
+        return super().__new__(cls, kind, bc, sides)
 
     @property
     def dimension(self):
@@ -122,13 +120,10 @@ def cube(bc="neumann"):
     return box(1.0, 1.0, 1.0, bc)
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(namedtuple("Mode", "label value multiplicity", defaults=(1,))):
     """One eigenvalue with its quantum-number label and multiplicity."""
 
-    label: tuple
-    value: float
-    multiplicity: int = 1
+    __slots__ = ()
 
 
 def _mode_sort_key(mode):
@@ -137,16 +132,12 @@ def _mode_sort_key(mode):
     return (mode.value, tuple(-c for c in mode.label))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(
+    namedtuple("Spectrum", "bc dimension volume n_components modes count")
+):
     """Ascending nonzero eigenvalues of a domain (or disjoint union)."""
 
-    bc: str
-    dimension: int
-    volume: float
-    n_components: int
-    modes: tuple
-    count: int
+    # no __slots__: ``expanded`` is cached in the instance __dict__
 
     @cached_property
     def expanded(self):
@@ -192,7 +183,7 @@ class Spectrum:
         modes = tuple(
             Mode(m.label, m.value * factor, m.multiplicity) for m in self.modes
         )
-        return replace(self, volume=volume, modes=modes)
+        return self._replace(volume=volume, modes=modes)
 
     def to_csv(self):
         """CSV export: index,value,multiplicity,label (10 significant digits)."""

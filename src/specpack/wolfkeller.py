@@ -33,10 +33,10 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import spectra
-from .spectra import DomainShape, _power, _unpower, spectrum_of
+from .spectra import _power, _unpower, spectrum_of
 
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
@@ -61,18 +61,16 @@ def _beats(pick, new, old, tol):
     return pick(new, old) != old and abs(new - old) > tol * max(abs(new), abs(old))
 
 
-@dataclass(frozen=True)
-class DomainClass:
-    """Scaled disjoint unions of one unit-volume base shape, with the
-    objective: maximize (Neumann) or minimize (Dirichlet)."""
+class DomainClass(namedtuple("DomainClass", "name shape objective")):
+    """Scaled disjoint unions of one unit-volume base shape (a DomainShape),
+    with the objective: "maximize" (Neumann) or "minimize" (Dirichlet)."""
 
-    name: str
-    shape: DomainShape
-    objective: str  # "maximize" | "minimize"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.objective not in _PICK:
-            raise ValueError(f"unknown objective {self.objective!r}")
+    def __new__(cls, name, shape, objective):
+        if objective not in _PICK:
+            raise ValueError(f"unknown objective {objective!r}")
+        return super().__new__(cls, name, shape, objective)
 
     @property
     def dimension(self):
@@ -104,33 +102,31 @@ def dirichlet_disks_class():
     return DomainClass("dirichlet-disks", spectra.disk("dirichlet"), "minimize")
 
 
-@dataclass(frozen=True)
-class Connected:
+class Connected(namedtuple("Connected", "index tie", defaults=(False,))):
     """Leaf: the index-th nonzero eigenvalue of the class's base shape."""
 
-    index: int
-    tie: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(namedtuple("Split", "i")):
     """Union of the optimal packings for indices i and j = n - i."""
 
-    i: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PackedComponent:
-    shape: DomainShape
-    volume: float
-    support_index: int = None  # eigenvalue index this component realizes
+class PackedComponent(
+    namedtuple("PackedComponent", "shape volume support_index", defaults=(None,))
+):
+    """A DomainShape scaled to the volume; support_index is the eigenvalue
+    index this component realizes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PackedDomain:
+class PackedDomain(namedtuple("PackedDomain", "components")):
     """Scaled canonical components with volumes summing to the total."""
 
-    components: tuple
+    __slots__ = ()
 
     @property
     def total_volume(self):
@@ -387,11 +383,10 @@ def crossover_scan(seq_a, seq_b, K):
             if _beats(pick, seq_b.value(n), seq_a.value(n), REL_SCAN_TOL)]
 
 
-@dataclass(frozen=True)
-class DirichletCheck:
-    square_value: float
-    disks_value: float
-    disks_exceed_square: bool
+class DirichletCheck(
+    namedtuple("DirichletCheck", "square_value disks_value disks_exceed_square")
+):
+    __slots__ = ()
 
 
 def dirichlet_min_check():

@@ -264,9 +264,9 @@ class TestZeroTables:
         )
 
     def test_zero_index_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
             ZeroIndex(-1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
             ZeroIndex(0, 0)
 
     def test_no_fixed_range(self):
@@ -277,6 +277,21 @@ class TestZeroTables:
         assert zero == pytest.approx(sp.jn_zeros(0, 100)[-1], rel=1e-12)
         with pytest.raises(ValueError):
             ZeroTable("bessel").zeros_below(0, math.inf)
+
+    @pytest.mark.parametrize("query", [
+        lambda: ZeroTable("bessel").zeros_below(0, 1e300),
+        lambda: ZeroTable("bessel_prime").positive_zero(0, 10**9),
+    ], ids=["zeros_below", "positive_zero"])
+    def test_recurrence_bound(self, query, monkeypatch):
+        # both would need passes of far more than MAX_RECURRENCE steps, and
+        # about x^2 work in all; they are refused before any pass
+        def no_pass(*args):
+            raise AssertionError("a kernel pass ran")
+
+        monkeypatch.setattr(bessel.kernels, "evaluate", no_pass)
+        monkeypatch.setattr(bessel.kernels, "next_zero", no_pass)
+        with pytest.raises(ValueError, match="backward recurrence would take more than"):
+            query()
 
     def test_residuals_of_all_cached_zeros(self):
         evaluators = {

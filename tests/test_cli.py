@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "table_k25.md"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 # sha256 of `construct --t T --svg F` stdout (F written as "c.svg") followed
@@ -340,3 +342,20 @@ def test_count_below_one_is_input_error(capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {option} must be >= 1\n"
+
+
+def test_import_set():
+    # every command pays for this import; -S keeps site .pth files from
+    # preloading (and so hiding) any of the modules
+    code = (
+        "import specpack, specpack.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    cp = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"

@@ -452,7 +452,7 @@ class TestExport:
         assert lines[9].endswith(",9*mu1=mu9")
 
     def test_class_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown objective 'extremize'$"):
             wolfkeller.DomainClass("bad", spectra.disk(), "extremize")
 
 
