@@ -6,7 +6,8 @@ each zero inside a bracket they derived from interlacing.  The four
 evaluators are the public ones (``specpack.bessel_j`` and the rest are these
 functions), so they check their input here: order >= 0 and a finite x,
 x >= 0 for J and J', x > 0 for j and j', and no more than ``MAX_RECURRENCE``
-steps of backward recurrence.  The internal passes skip that.
+steps of backward recurrence (``check_recurrence``, which the zero tables
+apply to each query too).  The internal passes skip these checks.
 
 Evaluation strategy:
   * x < 8: ascending power series (no destructive cancellation there).
@@ -105,6 +106,16 @@ def _miller(x, lo):
     return va / norm, vb / norm, vc / norm
 
 
+def check_recurrence(x, lo):
+    """Refuse a backward recurrence for orders lo .. lo + 2 at x that would
+    take more than ``MAX_RECURRENCE`` steps (ValueError)."""
+    if _recurrence_start(x, lo) > MAX_RECURRENCE:
+        raise ValueError(
+            f"order and x too large: the backward recurrence would take more "
+            f"than {MAX_RECURRENCE} steps"
+        )
+
+
 def _check(order, x, closed, recurs):
     # the public evaluators' input: order >= 0 and a finite x, >= 0 if closed
     # and > 0 otherwise; and if the pass recurs backward, a recurrence of at
@@ -113,11 +124,8 @@ def _check(order, x, closed, recurs):
         raise ValueError("order must be >= 0")
     if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
         raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
-    if recurs and _recurrence_start(x, max(order - 1, 0)) > MAX_RECURRENCE:
-        raise ValueError(
-            f"order and x too large: the backward recurrence would take more "
-            f"than {MAX_RECURRENCE} steps"
-        )
+    if recurs:
+        check_recurrence(x, max(order - 1, 0))
 
 
 def bessel_j(order, x):

@@ -67,6 +67,10 @@ RESIDUAL_TOL = 1e-9
 # the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1, j_1).
 # A scan's last cell ends at the x asked for, so it counts no zero past x.
 ORDER0_STEP = 2.4
+# The most recurrence steps, by the estimate in ``ZeroTable._settle``, that a
+# query may take to grow a fresh table: about 2 minutes at the 1.2e-7 s a
+# step measured on one core of a 2-core Xeon.
+MAX_QUERY_STEPS = 10**9
 
 
 class AccuracyError(RuntimeError):
@@ -110,9 +114,11 @@ class ZeroTable:
     A pass at x runs a backward recurrence of about max(order, x) steps, and
     the order-0 scan makes x/2.4 of them, so growing a table to x costs
     about x^2: ``zeros_below(0, 1000)`` takes about 0.3 s and
-    ``zeros_below(0, 2000)`` about 1 s.  A query whose passes would take
-    more than ``MAX_RECURRENCE`` (10^6) steps raises ValueError, as the
-    public evaluators do.
+    ``zeros_below(0, 2000)`` about 1 s.  A query is refused with ValueError
+    before any pass when one pass would take more than the kernels'
+    ``MAX_RECURRENCE`` (10^6) steps (``kernels.check_recurrence``, as in the
+    public evaluators), or when its whole work from an empty table could
+    take more than ``MAX_QUERY_STEPS`` (10^9 steps, about 2 minutes).
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -185,10 +191,19 @@ class ZeroTable:
         return self._reach.get(order, (0.0, None))[0]
 
     def _settle(self, order, x):
-        if kernels._recurrence_start(x, order) > kernels.MAX_RECURRENCE:
+        # refuse, before any pass, a query whose passes would recur too far,
+        # or whose whole work could, by an estimate from an empty table: each
+        # of the orders 0 .. order takes at most x/ORDER0_STEP + 2 sign
+        # passes, and about 2.4 passes (5 allowed) for each of its about x/pi
+        # zeros, none longer than the top order's
+        kernels.check_recurrence(x, order)
+        steps = (order + 1) * (x / ORDER0_STEP + 5.0 * x / math.pi + 2.0)
+        steps *= kernels._recurrence_start(x, order)
+        if steps > MAX_QUERY_STEPS:
             raise ValueError(
-                f"order and x too large: the backward recurrence would take "
-                f"more than {kernels.MAX_RECURRENCE} steps"
+                f"query too large: growing orders 0 .. {order} to x = {x:g} "
+                f"could take {steps:.1e} recurrence steps, more than "
+                f"{MAX_QUERY_STEPS:.0e}"
             )
         # count every zero of orders <= order below x; find the lower orders'
         low = order

@@ -13,8 +13,6 @@ contradiction, 3 internal accuracy failure.
 """
 
 import argparse
-import csv
-import io
 import math
 import sys
 from collections import namedtuple
@@ -57,9 +55,9 @@ def build_table_rows(K):
     disks_seq = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
     squares_seq = wolfkeller.extremal_sequence(wolfkeller.squares_class(), K)
     rows = []
-    for n in range(1, K + 1):
-        d_val, d_label = disk_spec.expanded[n - 1]
-        s_val, s_label = square_spec.expanded[n - 1]
+    for n, (d_val, d_label), (s_val, s_label) in zip(
+        range(1, K + 1), disk_spec.expanded, square_spec.expanded
+    ):
         d_split = disks_seq.split_value(n)
         s_split = squares_seq.split_value(n)
         rows.append(
@@ -122,9 +120,7 @@ def render_table_markdown(rows):
 
 
 def render_table_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return spectra.csv_text(
         [
             "n",
             "disk_mode",
@@ -136,10 +132,8 @@ def render_table_csv(rows):
             "squares_best_union_over_pi2",
             "squares_extremal_expr",
             "squares_extremal",
-        ]
-    )
-    for r in rows:
-        writer.writerow(
+        ],
+        (
             [
                 r.n,
                 _disk_mode_cell(r.disk_label),
@@ -152,8 +146,9 @@ def render_table_csv(rows):
                 r.squares_expr.replace("μ_", "mu").replace(" ", ""),
                 repr(r.squares_class_value),
             ]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+    )
 
 
 def cmd_table(args):

@@ -33,7 +33,6 @@ import csv
 import io
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from . import bessel
 
@@ -137,11 +136,12 @@ class Spectrum(
 ):
     """Ascending nonzero eigenvalues of a domain (or disjoint union)."""
 
-    # no __slots__: ``expanded`` is cached in the instance __dict__
+    __slots__ = ()
 
-    @cached_property
+    @property
     def expanded(self):
-        """(value, label) per eigenvalue, multiplicities written out."""
+        """(value, label) per eigenvalue, multiplicities written out: a new
+        list, built from ``modes``, on each read."""
         out = []
         for m in self.modes:
             out.extend([(m.value, m.label)] * m.multiplicity)
@@ -150,12 +150,13 @@ class Spectrum(
     def nonzero_values(self, k=None):
         """The first k (default: count) nonzero eigenvalues."""
         k = self.count if k is None else k
-        if k > len(self.expanded):
+        expanded = self.expanded
+        if k > len(expanded):
             raise IndexError(
-                f"spectrum holds {len(self.expanded)} nonzero eigenvalues, "
+                f"spectrum holds {len(expanded)} nonzero eigenvalues, "
                 f"asked for {k}"
             )
-        return [v for v, _ in self.expanded[:k]]
+        return [v for v, _ in expanded[:k]]
 
     def nonzero(self, i):
         """The i-th nonzero eigenvalue, i >= 1."""
@@ -187,16 +188,24 @@ class Spectrum(
 
     def to_csv(self):
         """CSV export: index,value,multiplicity,label (10 significant digits)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value", "multiplicity", "label"])
+        rows = []
         index = 1
         for m in self.modes:
-            writer.writerow(
+            rows.append(
                 [index, f"{m.value:.10g}", m.multiplicity, ",".join(map(str, m.label))]
             )
             index += m.multiplicity
-        return buf.getvalue()
+        return csv_text(["index", "value", "multiplicity", "label"], rows)
+
+
+def csv_text(header, rows):
+    """The CSV text of a header and rows, each line ended by a newline: the
+    one dialect of every CSV export."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _power(value, dimension):

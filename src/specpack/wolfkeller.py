@@ -28,15 +28,13 @@ returns exactly what a scan over every j would, but skips the blocks of j
 that a superadditivity bound on the stored powers rules out.
 """
 
-import csv
-import io
 import itertools
 import math
 import operator
 from collections import namedtuple
 
 from . import spectra
-from .spectra import _power, _unpower, spectrum_of
+from .spectra import _power, _unpower, csv_text, spectrum_of
 
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
@@ -211,12 +209,11 @@ class ExtremalSequence:
 
     def to_csv(self):
         """CSV export: n,value,provenance (full precision)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "value", "provenance"])
-        for n in range(1, self.K + 1):
-            writer.writerow([n, repr(self._values[n]), self.expression(n, ascii_form=True)])
-        return buf.getvalue()
+        return csv_text(
+            ["n", "value", "provenance"],
+            ([n, repr(self._values[n]), self.expression(n, ascii_form=True)]
+             for n in range(1, self.K + 1)),
+        )
 
 
 def _format_terms(counts, ascii_form):

@@ -293,6 +293,23 @@ class TestZeroTables:
         with pytest.raises(ValueError, match="backward recurrence would take more than"):
             query()
 
+    @pytest.mark.parametrize("query", [
+        lambda: ZeroTable("bessel").zeros_below(0, 9e5),
+        lambda: ZeroTable("bessel_prime").positive_zero(0, 10**5),
+        lambda: ZeroTable("bessel_prime").positive_zero(10**5, 1),
+    ], ids=["zeros_below", "positive_zero_rank", "positive_zero_order"])
+    def test_work_bound(self, query, monkeypatch):
+        # each pass stays within MAX_RECURRENCE, but the whole query would
+        # take from 1e11 to 1e15 steps (days at least); it is refused before
+        # any pass
+        def no_pass(*args):
+            raise AssertionError("a kernel pass ran")
+
+        monkeypatch.setattr(bessel.kernels, "evaluate", no_pass)
+        monkeypatch.setattr(bessel.kernels, "next_zero", no_pass)
+        with pytest.raises(ValueError, match="query too large: .* more than 1e\\+09"):
+            query()
+
     def test_residuals_of_all_cached_zeros(self):
         evaluators = {
             "bessel_prime": bessel_j_prime,
@@ -417,6 +434,25 @@ class TestFinder:
         zs = table.zeros_below(4, 20.0)
         assert max(table.entries().values()) < 20.0
         assert zs == [bessel_j_zero(ZeroIndex(4, k)) for k in range(1, len(zs) + 1)]
+
+    def test_grid_value_decided_by_sign_left_of_zero(self):
+        # the grid point hi lies within the guard of a zero 2 ulp above it;
+        # J_0 > 0 there puts it left of the zero, so the scan steps on
+        hi = 0.01 + _kernels_py._GRID_STEP
+        zero, resume = _kernels_py._grid_value(
+            _kernels_py.KIND_BESSEL, 0, hi + 2 * math.ulp(hi), None, 1.0
+        )
+        assert hi <= zero <= hi + 1e-12
+        assert resume == hi + _kernels_py._GRID_STEP
+
+    def test_grid_value_at_vanishing_grid_point(self):
+        # J_200(0.06) underflows to 0.0, so the grid point is reported as the
+        # zero and the grid resumes one step on
+        hi = 0.01 + _kernels_py._GRID_STEP
+        assert bessel_j(200, hi) == 0.0
+        assert _kernels_py._grid_value(_kernels_py.KIND_BESSEL, 200, hi, 0.01, 1.0) == (
+            hi, hi + _kernels_py._GRID_STEP
+        )
 
     @staticmethod
     def _grow_counting_nodes(kind, monkeypatch, orders, x):

@@ -48,6 +48,7 @@ def test_record_semantics(cls, fields):
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
     assert [getattr(rec, name) for name in fields] == list(fields.values())
+    assert not hasattr(rec, "__dict__")
     twin = cls(*fields.values())
     assert twin == rec and hash(twin) == hash(rec)
     body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
@@ -67,6 +68,14 @@ def test_rescaled_does_not_carry_the_cache():
     scaled = spec.rescaled(2.0)
     assert [v for v, _ in scaled.expanded] == pytest.approx([v / 2 for v in before])
     assert [label for _, label in scaled.expanded] == [label for _, label in spec.expanded]
+
+
+def test_expanded_is_a_fresh_list():
+    spec = spectra.disk_spectrum("neumann", 5)
+    values = spec.nonzero_values()
+    spec.expanded[0] = (0.0, (9, 9))
+    assert spec.nonzero_values() == values
+    assert spec.nonzero(1) == values[0] > 0.0
 
 
 def test_entries_look_up_by_zero_index():

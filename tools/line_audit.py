@@ -10,9 +10,10 @@ records with the standard library's ``sys.settrace`` each line of the
 package that the process executes, writing them out when the process exits.
 A line counts as executable when the compiled code of its file maps an
 instruction to it.  The audit prints each executable line that no process
-ran, as ``path:line: source``, then their count out of all executable lines,
-and exits with the suite's status.  Tracing makes the suite about four times
-slower.
+ran, as ``path:line: source``, then their count out of all executable lines.
+It is a gate: it exits with the suite's status when the suite fails, and
+with status 1 when the suite passes but a line never ran.  Tracing makes the
+suite about four times slower.
 """
 
 import json
@@ -115,7 +116,7 @@ def main(argv):
         total += len(lines)
         unrun += len(missed)
     print(f"{unrun} of {total} executable lines of {PACKAGE.relative_to(REPO)} never ran")
-    return status
+    return status or (1 if unrun else 0)
 
 
 if __name__ == "__main__":
