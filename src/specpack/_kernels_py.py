@@ -10,11 +10,14 @@ steps of backward recurrence (``check_recurrence``, which the zero tables
 apply to each query too).  The internal passes skip these checks.
 
 Evaluation strategy:
-  * x < 8: ascending power series (no destructive cancellation there).
-  * x >= 8: backward recurrence started well above max(order, x), normalized
-    with the even-order sum rule J_0 + 2*sum_k J_{2k} = 1 (cylindrical) or
-    against the closed forms j_0, j_1 (spherical).  Backward recurrence keeps
-    relative accuracy even deep in the evanescent zone.
+  * J below x = 8: ascending power series (no destructive cancellation there).
+  * j of order 0 and 1: the closed forms.
+  * Otherwise one backward-recurrence loop, ``_backward``, started well above
+    max(order, x): v_{k-1} = (2k + shift)/x v_k - v_{k+1}, with shift 0 for J
+    (from an even start, normalized with the even-order sum rule
+    J_0 + 2*sum_k J_{2k} = 1) and 1 for j (anchored on the closed forms j_0,
+    j_1).  Backward recurrence keeps relative accuracy even deep in the
+    evanescent zone.
 
 One such pass (``_pass``) yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p
 and j_{p+1}), and from them one formula set gives f, the function a kind
@@ -74,35 +77,43 @@ def _recurrence_start(x, lo):
     return max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
 
 
-def _miller(x, lo):
-    # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X by backward recurrence,
-    # started well above max(lo + 1, x)
-    start = _recurrence_start(x, lo)
-    if start & 1:
-        start += 1
-    jnext = 0.0  # trial J at order k+1
-    jcur = 1e-30  # trial J at order k
-    esum = 0.0  # sum of trial J over even orders >= 2
+def _backward(x, lo, start, shift):
+    # trial values v_k of the backward recurrence
+    # v_{k-1} = (2k + shift)/x v_k - v_{k+1} (shift 0 for J, 1 for j), run
+    # from v_start = 1e-30, v_{start+1} = 0 down to k = 1: returns v_lo,
+    # v_lo+1, v_lo+2, v_0, v_1 and the sum of v_k over even k >= 2, all
+    # rescaled together whenever v outgrows _RESCALE_AT
+    vnext = 0.0
+    vcur = 1e-30
+    esum = 0.0
     cap = lo + 1
     va = vb = vc = 0.0
-    k = start
-    while k > 0:
+    c = 2.0 * start + shift  # 2k + shift, exactly
+    for k in range(start, 0, -1):
         if not (k & 1):
-            esum += jcur
-        jprev = (2.0 * k) / x * jcur - jnext
+            esum += vcur
+        vprev = c / x * vcur - vnext
+        c -= 2.0
         if k == cap:
-            va, vb, vc = jprev, jcur, jnext
-        jnext = jcur
-        jcur = jprev
-        if abs(jcur) > _RESCALE_AT:
-            jcur *= _RESCALE_BY
-            jnext *= _RESCALE_BY
+            va, vb, vc = vprev, vcur, vnext
+        vnext = vcur
+        vcur = vprev
+        if abs(vcur) > _RESCALE_AT:
+            vcur *= _RESCALE_BY
+            vnext *= _RESCALE_BY
             esum *= _RESCALE_BY
             va *= _RESCALE_BY
             vb *= _RESCALE_BY
             vc *= _RESCALE_BY
-        k -= 1
-    norm = jcur + 2.0 * esum
+    return va, vb, vc, vcur, vnext, esum
+
+
+def _miller(x, lo):
+    # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X, from an even start,
+    # normalized by the sum rule J_0 + 2 sum_k J_2k = 1
+    start = _recurrence_start(x, lo)
+    va, vb, vc, v0, _, esum = _backward(x, lo, start + (start & 1), 0.0)
+    norm = v0 + 2.0 * esum
     return va / norm, vb / norm, vc / norm
 
 
@@ -153,36 +164,13 @@ def bessel_j_prime(order, x):
 
 
 def _sph_miller(x, lo):
-    # (j_lo, j_lo+1, j_lo+2) by backward recurrence started above
-    # max(lo + 1, x), anchored on the closed forms of j_0 and j_1
-    start = _recurrence_start(x, lo)
-    jnext = 0.0
-    jcur = 1e-30
-    cap = lo + 1
-    va = vb = vc = 0.0
-    k = start
-    while k >= 1:
-        jprev = (2.0 * k + 1.0) / x * jcur - jnext
-        if k == cap:
-            va, vb, vc = jprev, jcur, jnext
-        jnext = jcur
-        jcur = jprev
-        if abs(jcur) > _RESCALE_AT:
-            jcur *= _RESCALE_BY
-            jnext *= _RESCALE_BY
-            va *= _RESCALE_BY
-            vb *= _RESCALE_BY
-            vc *= _RESCALE_BY
-        k -= 1
-    # jcur and jnext are now the trial j_0 and j_1
+    # (j_lo, j_lo+1, j_lo+2), anchored on the closed forms of j_0 and j_1
+    va, vb, vc, v0, v1, _ = _backward(x, lo, _recurrence_start(x, lo), 1.0)
     sx = math.sin(x)
     cx = math.cos(x)
     s0 = sx / x
     s1 = sx / (x * x) - cx / x
-    if abs(s0) >= abs(s1):
-        scale = s0 / jcur
-    else:
-        scale = s1 / jnext
+    scale = s0 / v0 if abs(s0) >= abs(s1) else s1 / v1
     return va * scale, vb * scale, vc * scale
 
 
@@ -214,22 +202,18 @@ def _pass(kind, order, x):
     # (f, f', f'', g) at x > 0 from one series or Miller pass: f is the
     # function the kind tabulates at this order and g the same function of
     # order + 1.  J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
-    # j'_p = j_{p-1} - (p+1)/x j_p; the higher derivatives come from the ODE
-    # and its derivative, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
+    # j'_p = j_{p-1} - (p+1)/x j_p (j'_0 = -j_1); the higher derivatives come
+    # from the ODE and its derivative, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
     # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m
     if kind == KIND_SPHERICAL_PRIME:
-        if order < 2:
+        if order >= 2:
+            below, j, above = _sph_miller(x, order - 1)
+        else:
             s0 = math.sin(x) / x
             s1 = (s0 - math.cos(x)) / x
-            if order == 0:
-                j, d, up = s0, -s1, s0 - 2.0 / x * s1
-            else:
-                s2 = 3.0 / x * s1 - s0
-                j, d, up = s1, s0 - 2.0 / x * s1, s1 - 3.0 / x * s2
-        else:
-            below, j, above = _sph_miller(x, order - 1)
-            d = below - (order + 1.0) / x * j
-            up = j - (order + 2.0) / x * above
+            below, j, above = (s0, s1, 3.0 / x * s1 - s0) if order else (None, s0, s1)
+        d = below - (order + 1.0) / x * j if order else -above
+        up = j - (order + 2.0) / x * above
         q = order * (order + 1.0) / (x * x)
         d2 = -2.0 / x * d - (1.0 - q) * j
         d3 = 2.0 / (x * x) * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d

@@ -24,14 +24,6 @@ from .svgfig import packing_svg
 PI = math.pi
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; input errors are exit 1 here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 class TableRow(namedtuple("TableRow", [
     "n",
     "disk_label",
@@ -261,7 +253,7 @@ def cmd_spectrum(args):
 
 
 def build_parser():
-    parser = _Parser(prog="specpack", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="specpack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="render the extremal table")
@@ -304,7 +296,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # a usage error (argparse exits 2) is an input error here: exit 1
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except AccuracyError as exc:

@@ -1,5 +1,6 @@
 """Special-function values, zero tables, and their independent oracles."""
 
+import hashlib
 import math
 
 import pytest
@@ -148,6 +149,10 @@ EVALUATORS = {
     "spherical_bessel_j_prime": "spherical_j_prime",
 }
 
+# sha256 of the four public evaluators' reprs on the grid of
+# TestPublicEvaluators.test_values_pinned
+EVALUATORS_SHA256 = "2a3d604f174e66f4df5567db0c006820fce2577662add9ca2da1506a74bf1803"
+
 
 class TestPublicEvaluators:
     """The four public evaluators are the kernels' own, input checks included."""
@@ -157,6 +162,18 @@ class TestPublicEvaluators:
         kernel = getattr(backend.kernels, EVALUATORS[name])
         assert getattr(specpack, name) is kernel
         assert getattr(bessel, name) is kernel
+
+    def test_values_pinned(self):
+        # every bit of the four evaluators on a grid across both sides of the
+        # series/recurrence seam at x = 8, the deep-evanescent orders
+        # included; a kernel change that moves one value moves this digest
+        orders = [*range(12), 40, 150]
+        xs = [0.37 * i for i in range(1, 120)] + [8.0 - 2.0**-50, 8.0, 8.0 + 2.0**-49, 1e-3]
+        digest = hashlib.sha256()
+        for name in sorted(EVALUATORS):
+            f = getattr(specpack, name)
+            digest.update(" ".join(repr(f(n, x)) for n in orders for x in xs).encode())
+        assert digest.hexdigest() == EVALUATORS_SHA256
 
     @pytest.mark.parametrize("name,order,x,message", [
         *[(name, -1, 1.0, "order must be >= 0") for name in sorted(EVALUATORS)],
@@ -174,10 +191,10 @@ class TestPublicEvaluators:
     @pytest.mark.parametrize("name,order,x,ref", [
         # the lgamma start of _series_j (order > 120, x < 8)
         ("bessel_j", 150, 5.0, lambda sp: sp.jv(150, 5.0)),
-        # the rescale branch of _miller (x >= 8, far below the order)
+        # the rescale branch of _backward for J (x >= 8, far below the order)
         ("bessel_j", 200, 9.0, lambda sp: sp.jv(200, 9.0)),
         ("bessel_j_prime", 200, 9.0, lambda sp: sp.jvp(200, 9.0)),
-        # the rescale branch of _sph_miller
+        # the rescale branch of _backward for j
         ("spherical_bessel_j", 200, 9.0, lambda sp: sp.spherical_jn(200, 9.0)),
     ])
     def test_deep_evanescent_against_scipy(self, name, order, x, ref):
@@ -361,25 +378,38 @@ class TestZeroTables:
         assert firsts[0] > firsts[1]
 
 
-def _fresh_disk_table(bc, k):
-    """A fresh zero table grown by the k-mode disk spectrum, the kernel
-    passes (series/Miller passes of the finder, of its sign checks and of
-    the reporting grid's guard) that growing it took, and the zeros it then
-    held."""
-    kind = "bessel_prime" if bc == "neumann" else "bessel"
+def _fresh_table(name, k):
+    """A fresh zero table grown by the k-mode Neumann or Dirichlet disk
+    spectrum or the Neumann ball spectrum, the kernel passes (series/Miller
+    passes of the finder, of its sign checks and of the reporting grid's
+    guard) that growing it took, and a snapshot of the zeros it then held
+    (``entries()``; later queries grow the table itself)."""
+    kind = {"neumann": "bessel_prime", "dirichlet": "bessel", "ball": "spherical_prime"}[name]
     table = ZeroTable(kind)
     passes = []
     fn = _kernels_py._pass
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(bessel._TABLES, kind, table)
         mp.setattr(_kernels_py, "_pass", lambda *a: passes.append(1) or fn(*a))
-        spectra.disk_spectrum(bc, k)
-    return table, len(passes), len(table.entries())
+        if name == "ball":
+            spectra.ball_spectrum("neumann", k)
+        else:
+            spectra.disk_spectrum(name, k)
+    return table, len(passes), table.entries()
 
 
 @pytest.fixture(scope="module")
 def disk_tables_3000():
-    return {bc: _fresh_disk_table(bc, 3000) for bc in ("neumann", "dirichlet")}
+    return {bc: _fresh_table(bc, 3000) for bc in ("neumann", "dirichlet")}
+
+
+# sha256 of repr(sorted(entries().items())) of the fresh tables that the
+# K = 3000 spectra grow, and the kernel passes that growing each one took
+TABLES_3000 = {
+    "neumann": ("cf0d44a40060d4b729d285762ccf3e4de8f665129643189b365cb501ff4b4344", 3611),
+    "dirichlet": ("e5b52ab5dc4492f5fa37b87426e7f0f319e46abc00d87601efb0f9697fcbd879", 3597),
+    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 454),
+}
 
 
 def _zeros_by_order(table):
@@ -417,8 +447,15 @@ class TestFinder:
     def test_passes_per_zero(self, disk_tables_3000):
         for bc in ("neumann", "dirichlet"):
             _, passes, zeros = disk_tables_3000[bc]
-            assert passes / zeros <= 2.5
-            assert zeros <= 1600  # the 3000 modes use 1517 (1518) of them
+            assert passes / len(zeros) <= 2.5
+            assert len(zeros) <= 1600  # the 3000 modes use 1517 (1518) of them
+
+    def test_tables_3000_pinned(self, disk_tables_3000):
+        # every bit of every zero the K = 3000 disk and ball spectra tabulate
+        tables = {**disk_tables_3000, "ball": _fresh_table("ball", 3000)}
+        for name, (_, passes, zeros) in tables.items():
+            digest = hashlib.sha256(repr(sorted(zeros.items())).encode()).hexdigest()
+            assert (digest, passes) == TABLES_3000[name], name
 
     def test_zeros_below_matches_ranks(self):
         table = ZeroTable("spherical_prime")

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).parent / "golden" / "table_k25.md"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
+# `table --rows 25 --format md`, the benchmark's reference copy
+GOLDEN = PYPROJECT.parent / "perfbench" / "reference" / "table_k25.md"
 
 
 # sha256 of `construct --t T --svg F` stdout (F written as "c.svg") followed
@@ -359,3 +360,18 @@ def test_import_set():
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["table", "--rows", "x"],
+     "usage: specpack table [-h] --rows ROWS [--format {md,csv}]\n"
+     "specpack table: error: argument --rows: invalid int value: 'x'\n"),
+    (["scan", "--dim", "4", "--max-n", "5"],
+     "usage: specpack scan [-h] --dim {2,3} --max-n MAX_N\n"
+     "specpack scan: error: argument --dim: invalid choice: 4 (choose from 2, 3)\n"),
+])
+def test_usage_error_is_input_error(capsys, argv, err):
+    from specpack import cli
+
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", err)
