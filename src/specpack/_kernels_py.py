@@ -24,14 +24,13 @@ and j_{p+1}), and from them one formula set gives f, the function a kind
 tabulates (J'_m = (J_{m-1} - J_{m+1})/2, J_m or j'_p), f' and f'' through
 the Bessel ODE and its derivative, and the same function of order m + 1.
 That pass is the only evaluator: it serves each Newton iterate of
-``next_zero``, the zero tables' sign checks (``evaluate``), the sign guard
-of the reporting grid and the public J, J' and j' (spherical j, which no
-finder needs, reads the same recurrence).  Since every derivative of J_m
-and j_p is at most 1 in size, f'' bounds the error of a Newton step, and a
-step is accepted as soon as that bound proves the zero within a quarter ulp
-of it (about two passes per zero).  The order-(m + 1) value of a zero's last
-pass lets the zero tables check the sign of f_{m+1} at that zero without a
-pass of its own.
+``next_zero``, the zero tables' sign checks (``evaluate``) and the public J,
+J' and j' (spherical j, which no finder needs, reads the same recurrence).
+Since every derivative of J_m and j_p is at most 1 in size, f'' bounds the
+error of a Newton step, and a step is accepted as soon as that bound proves
+the zero within a quarter ulp of it (about two passes per zero).  The
+order-(m + 1) value of a zero's last pass lets the zero tables check the
+sign of f_{m+1} at that zero without a pass of its own.
 """
 
 import math
@@ -47,7 +46,6 @@ _MAX_STEPS = 100
 # reporting grid of the tabulated values (see _grid_value)
 _GRID_STEP = 0.05
 _BISECT_WIDTH = 1e-12
-_GUARD_ULPS = 4
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 # the most steps of backward recurrence a public evaluator takes (about 0.4 s)
@@ -241,49 +239,25 @@ def evaluate(kind, order, x):
     return _pass(kind, order, x)[0]
 
 
-def _grid_value(kind, order, zero, x_from, sign_lo):
-    # The reported value of a zero, which keeps the tabulated values of the
-    # earlier grid-scan finder bit for bit: the midpoint at which a bisection
-    # to width _BISECT_WIDTH ends, started from the cell of the grid x_from,
-    # x_from + _GRID_STEP, ... (summed step by step) that holds the zero.  The
-    # side of the Newton zero decides each step; a point within _GUARD_ULPS
-    # of it is decided by the sign of the function there (one _pass), as the
-    # scan decided it.  The grid of an order's first zero starts at
-    # max(order/2, 0.01), below the zero in every kind.  Returns the value
-    # and the grid point after the cell (nan, nan if the grid starts past the
-    # zero).
-    guard = _GUARD_ULPS * math.ulp(zero)
-
-    def left(x):
-        # x lies left of the zero; None if the evaluator vanishes at x
-        if abs(x - zero) > guard:
-            return x < zero
-        f = _pass(kind, order, x)[0]
-        return None if f == 0.0 else (f > 0.0) == (sign_lo > 0.0)
-
-    edge = zero - guard
+def _grid_value(order, zero, x_from):
+    # The reported value of a zero: the midpoint at which a bisection to
+    # width _BISECT_WIDTH ends, started from the cell of the grid x_from,
+    # x_from + _GRID_STEP, ... (summed step by step) that holds the zero.  A
+    # point below the Newton zero lies left of it, any other right of it.
+    # The grid of an order's first zero starts at max(order/2, 0.01), below
+    # the zero in every kind.  Returns the value and the grid point after the
+    # cell (nan, nan if the grid starts past the zero).
     lo = max(order * 0.5, 0.01) if x_from is None else x_from
-    if not lo < edge:
+    if not lo < zero:
         return math.nan, math.nan
     hi = lo + _GRID_STEP
-    while hi < edge:
-        lo = hi
-        hi = lo + _GRID_STEP
-    while True:
-        side = left(hi)
-        if side is None:
-            return hi, hi + _GRID_STEP
-        if not side:
-            break
+    while hi < zero:
         lo = hi
         hi = lo + _GRID_STEP
     resume = hi
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        side = left(mid)
-        if side is None:
-            return mid, resume
-        if side:
+        if mid < zero:
             lo = mid
         else:
             hi = mid
@@ -303,10 +277,10 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         |f''| <= M = |f''(x)| + 2r   and   |f'| >= d = |f'(x)| - 2r M;
 
     if d > 0, f is monotone on I, |f(x - f/f')| <= M r^2 / 2 and the zero
-    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).  The
-    zero is reported on the grid that resumes at ``x_from``, the resume
-    point returned with the order's previous zero (None for its first; see
-    ``_grid_value``).
+    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).  That
+    Newton zero alone places the reported value on the grid that resumes at
+    ``x_from``, the resume point returned with the order's previous zero
+    (None for its first; see ``_grid_value``), with no further pass.
 
     Returns (zero, residual, resume point, x, g): the residual bounds |f| at
     the accepted step, x is the last iterate and g the kind's function of
@@ -321,7 +295,7 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         big = abs(d2f) + 2.0 * r
         small = abs(df) - 2.0 * r * big
         if small > 0.0 and big * r * r <= 2.0 * small * min(0.25 * math.ulp(x), r):
-            zero, resume = _grid_value(kind, order, x - step, x_from, sign_lo)
+            zero, resume = _grid_value(order, x - step, x_from)
             if math.isnan(zero):
                 break
             return zero, abs(f - df * step) + 0.5 * big * r * r, resume, x, up

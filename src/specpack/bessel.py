@@ -40,10 +40,10 @@ Inside its bracket each zero is refined by a safeguarded Newton iteration
 (``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
 extrapolated in the order.  Its last step is accepted once an error bound
 puts the zero within a quarter ulp of it, and the bound on |f| after that
-step is checked against ``RESIDUAL_TOL``.  The reported value keeps the
-tabulated values of earlier releases bit for bit: the midpoint of a
-bisection to width 1e-12 from the cell of the 0.05-step grid, started at
-max(order/2, 0.01), that holds the zero (see ``_kernels_py._grid_value``).
+step is checked against ``RESIDUAL_TOL``.  The reported value is the
+midpoint of a bisection to width 1e-12, steered by the Newton zero alone,
+from the cell of the 0.05-step grid, started at max(order/2, 0.01), that
+holds the zero (see ``_kernels_py._grid_value``).
 """
 
 import bisect

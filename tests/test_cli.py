@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: output, exit codes, determinism, golden table."""
+"""End-to-end CLI behavior: output, exit codes, determinism, reference outputs."""
 
 import hashlib
 import math
@@ -13,8 +13,17 @@ import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
-# `table --rows 25 --format md`, the benchmark's reference copy
-GOLDEN = PYPROJECT.parent / "perfbench" / "reference" / "table_k25.md"
+# the benchmark's reference outputs: stdout and the file a command writes
+REFERENCE = PYPROJECT.parent / "perfbench" / "reference"
+REFERENCE_RUNS = {
+    "table-md": ("table --rows 25 --format md", "table_k25.md", None),
+    "table-csv": ("table --rows 25 --format csv", "table_k25.csv", None),
+    "certify": ("certify --n 22", "certify_n22.txt", None),
+    "scan2d": ("scan --dim 2 --max-n 3000", "scan2d_3000.txt", None),
+    "spectrum": ("spectrum --shape ball --count 10", "spectrum_ball_10.csv", None),
+    "figure": ("figure --n 22 --class disks --out figure_n22_disks.svg",
+               "figure_n22_disks.txt", "figure_n22_disks.svg"),
+}
 
 
 # sha256 of `construct --t T --svg F` stdout (F written as "c.svg") followed
@@ -74,12 +83,20 @@ def declared_scripts():
         return tomllib.load(fh)["project"]["scripts"]
 
 
-class TestTable:
-    def test_golden_markdown(self):
-        cp = run_cli("table", "--rows", "25", "--format", "md")
-        assert cp.returncode == 0, cp.stderr
-        assert cp.stdout == GOLDEN.read_text()
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_reference_output(name, tmp_path, monkeypatch, capsys):
+    # byte for byte, in process; the figure writes its SVG into tmp_path
+    from specpack import cli
 
+    args, stdout, written = REFERENCE_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args.split()) == 0
+    assert capsys.readouterr().out.encode() == (REFERENCE / stdout).read_bytes()
+    if written:
+        assert (tmp_path / written).read_bytes() == (REFERENCE / written).read_bytes()
+
+
+class TestTable:
     def test_deterministic(self):
         a = run_cli("table", "--rows", "10", "--format", "md")
         b = run_cli("table", "--rows", "10", "--format", "md")

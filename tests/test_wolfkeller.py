@@ -28,7 +28,7 @@ PI = math.pi
 # precision and every provenance expression, as the loop-based split search
 # produced them
 CSV_3000_SHA256 = {
-    "disks": "02a69abe7d31c14fc8b6b6907a6e164ee7bbc5c15d081a85a34cb437623fd280",
+    "disks": "cbb53ae5ea290d8595f7d7758dc40b03be2aed8fe0c37ada13df7a0f49839a3d",
     "squares": "6a61cfec495f1a9ea4a7932fc8ef5f89e7192711fd47066825110358a6a290e9",
     "balls": "7d19ff5120753b6674da3d2d00958c6f4de4aca3089ad485f4562f93898ae197",
     "cubes": "a8fa03e2b683ba3183d4c94685fb1e4f3bfd17bd90357729bb0af993139c2ce2",
