@@ -1,8 +1,9 @@
 """Evaluation kernels, in pure Python.
 
 Scalar Bessel J, its derivative, spherical Bessel j and its derivative, and
-the per-zero refinement ``next_zero`` that the zero tables call once for
-each zero inside a bracket they derived from interlacing.  The four
+the per-zero refinement ``next_zero``, a safeguarded Newton finder that the
+zero tables call once for each zero inside a bracket they derived from
+interlacing; where a zero is reported is the tables' decision.  The four
 evaluators are the public ones (``specpack.bessel_j`` and the rest are these
 functions), so they check their input here: order >= 0 and a finite x,
 x >= 0 for J and J', x > 0 for j and j', and no more than ``MAX_RECURRENCE``
@@ -43,9 +44,6 @@ KIND_SPHERICAL_PRIME = 2
 
 _SERIES_MAX_X = 8.0
 _MAX_STEPS = 100
-# reporting grid of the tabulated values (see _grid_value)
-_GRID_STEP = 0.05
-_BISECT_WIDTH = 1e-12
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 # the most steps of backward recurrence a public evaluator takes (about 0.4 s)
@@ -239,32 +237,7 @@ def evaluate(kind, order, x):
     return _pass(kind, order, x)[0]
 
 
-def _grid_value(order, zero, x_from):
-    # The reported value of a zero: the midpoint at which a bisection to
-    # width _BISECT_WIDTH ends, started from the cell of the grid x_from,
-    # x_from + _GRID_STEP, ... (summed step by step) that holds the zero.  A
-    # point below the Newton zero lies left of it, any other right of it.
-    # The grid of an order's first zero starts at max(order/2, 0.01), below
-    # the zero in every kind.  Returns the value and the grid point after the
-    # cell (nan, nan if the grid starts past the zero).
-    lo = max(order * 0.5, 0.01) if x_from is None else x_from
-    if not lo < zero:
-        return math.nan, math.nan
-    hi = lo + _GRID_STEP
-    while hi < zero:
-        lo = hi
-        hi = lo + _GRID_STEP
-    resume = hi
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid < zero:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), resume
-
-
-def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
+def next_zero(kind, order, lo, hi, guess, sign_lo):
     """Refine the one zero of the kind's function inside (lo, hi).
 
     f has the sign ``sign_lo`` on (lo, zero) and the opposite sign on
@@ -277,15 +250,11 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         |f''| <= M = |f''(x)| + 2r   and   |f'| >= d = |f'(x)| - 2r M;
 
     if d > 0, f is monotone on I, |f(x - f/f')| <= M r^2 / 2 and the zero
-    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).  That
-    Newton zero alone places the reported value on the grid that resumes at
-    ``x_from``, the resume point returned with the order's previous zero
-    (None for its first; see ``_grid_value``), with no further pass.
+    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).
 
-    Returns (zero, residual, resume point, x, g): the residual bounds |f| at
-    the accepted step, x is the last iterate and g the kind's function of
-    order + 1 at x, from the same pass.  All five are nan if no step was
-    accepted.
+    Returns (zero, residual, x, g): the Newton zero x - f/f', a bound on |f|
+    there, the last iterate x and the kind's function of order + 1 at x,
+    from the same pass.  All four are nan if no step was accepted.
     """
     x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
@@ -295,10 +264,7 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         big = abs(d2f) + 2.0 * r
         small = abs(df) - 2.0 * r * big
         if small > 0.0 and big * r * r <= 2.0 * small * min(0.25 * math.ulp(x), r):
-            zero, resume = _grid_value(order, x - step, x_from)
-            if math.isnan(zero):
-                break
-            return zero, abs(f - df * step) + 0.5 * big * r * r, resume, x, up
+            return x - step, abs(f - df * step) + 0.5 * big * r * r, x, up
         if (f > 0.0) == (sign_lo > 0.0):
             lo = x
         else:
@@ -306,4 +272,4 @@ def next_zero(kind, order, lo, hi, guess, sign_lo, x_from):
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-    return (math.nan,) * 5
+    return (math.nan,) * 4

@@ -28,7 +28,10 @@ iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
 |f_m(x)| > |x - zero|, and is evaluated there otherwise.  A zero missing
 from, or extra in, the order below raises AccuracyError.  The count of zeros
 below any x then follows from the order below plus the sign of f_m at x,
-which is what ``ZeroTable.zeros_below`` answers.  Order 0 is counted by a
+which is what ``ZeroTable.zeros_below`` answers.  From order 1 on, the
+first zero grows with the order, so the first order >= 1 with no zero below
+x has no higher order with one: ``ZeroTable.entries_below`` tabulates every
+zero below x by growing the orders up to that one.  Order 0 is counted by a
 sign scan in cells of ``ORDER0_STEP`` = 2.4, with no sign at x = 0 and the
 last cell ending at x: the step stays below J_0's first zero (2.405), so the
 first cell holds no zero, and below the spacing of consecutive order-0 zeros
@@ -40,10 +43,12 @@ Inside its bracket each zero is refined by a safeguarded Newton iteration
 (``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
 extrapolated in the order.  Its last step is accepted once an error bound
 puts the zero within a quarter ulp of it, and the bound on |f| after that
-step is checked against ``RESIDUAL_TOL``.  The reported value is the
-midpoint of a bisection to width 1e-12, steered by the Newton zero alone,
-from the cell of the 0.05-step grid, started at max(order/2, 0.01), that
-holds the zero (see ``_kernels_py._grid_value``).
+step is checked against ``RESIDUAL_TOL``.  The table reports that Newton
+zero on a grid of its own: as the midpoint of a bisection to width 1e-12,
+steered by the Newton zero alone, from the cell of the 0.05-step grid that
+holds the zero (see ``_grid_value``).  Each order's grid starts at
+max(order/2, 0.01) and resumes, for each later zero, after the cell of the
+one before.
 """
 
 import bisect
@@ -61,13 +66,16 @@ _KIND_CODE = {
 }
 
 RESIDUAL_TOL = 1e-9
+# the reporting grid of the tabulated values (see _grid_value)
+_GRID_STEP = 0.05
+_BISECT_WIDTH = 1e-12
 # Step of the order-0 sign scan.  The scan has no sign at x = 0, so its first
 # cell (0, step] must hold no zero: the step stays below J_0's first zero
 # (2.405).  Each later cell must hold at most one zero: the step stays below
 # the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1, j_1).
 # A scan's last cell ends at the x asked for, so it counts no zero past x.
 ORDER0_STEP = 2.4
-# The most recurrence steps, by the estimate in ``ZeroTable._settle``, that a
+# The most recurrence steps, by the estimate in ``_check_query``, that a
 # query may take to grow a fresh table: about 2 minutes at the 1.2e-7 s a
 # step measured on one core of a 2-core Xeon.
 MAX_QUERY_STEPS = 10**9
@@ -94,6 +102,43 @@ def rank_offset(kind, order):
     """Rank of the k-th positive zero less k: 1 for ``bessel_prime`` order 0,
     whose rank 1 is the trivial zero at x = 0 (see above), else 0."""
     return 1 if (kind == "bessel_prime" and order == 0) else 0
+
+
+def _grid_value(zero, lo):
+    # The reported value of a zero above the grid point lo: the midpoint at
+    # which a bisection to width _BISECT_WIDTH ends, started from the cell of
+    # the grid lo, lo + _GRID_STEP, ... (summed step by step) that holds the
+    # zero.  A point below the zero lies left of it, any other right of it.
+    # Returns the value and the grid point after the cell.
+    hi = lo + _GRID_STEP
+    while hi < zero:
+        lo = hi
+        hi = lo + _GRID_STEP
+    resume = hi
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid < zero:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), resume
+
+
+def _check_query(order, x):
+    # refuse, before any pass, a query whose passes would recur too far, or
+    # whose whole work could, by an estimate from an empty table: each of the
+    # orders 0 .. order takes at most x/ORDER0_STEP + 2 sign passes, and about
+    # 2.4 passes (5 allowed) for each of its about x/pi zeros, none longer
+    # than the top order's
+    kernels.check_recurrence(x, order)
+    steps = (order + 1) * (x / ORDER0_STEP + 5.0 * x / math.pi + 2.0)
+    steps *= kernels._recurrence_start(x, order)
+    if steps > MAX_QUERY_STEPS:
+        raise ValueError(
+            f"query too large: growing orders 0 .. {order} to x = {x:g} "
+            f"could take {steps:.1e} recurrence steps, more than "
+            f"{MAX_QUERY_STEPS:.0e}"
+        )
 
 
 def _parity(crossings):
@@ -163,6 +208,26 @@ class ZeroTable:
         zs = self._zeros.get(order, [])
         return zs[: bisect.bisect_left(zs, x)]
 
+    def entries_below(self, x):
+        """``entries`` restricted to the zeros below x, once every zero below
+        x is tabulated: the orders grow one at a time (``zeros_below``) up to
+        the first order >= 1 with no zero below x, past which no order has
+        one.  The walk is refused before its first pass when the query of
+        the highest order it could reach would be."""
+        if not math.isfinite(x):
+            raise ValueError(f"need a finite x, got {x}")
+        # The first zero of order m >= 1 exceeds m in every kind.  With
+        # f = J_m (or j_m), f and f' are positive near 0, and
+        # (x f')' = (m^2/x - x) f for J_m, or (x^2 f')' = (m(m+1) - x^2) f
+        # for j_m, is positive while f is on (0, m]: x f' (x^2 f') grows
+        # from 0, so neither f nor f' vanishes there.  The walk thus ends by
+        # order floor(x) + 1, whose estimate bounds every query it makes.
+        _check_query(int(x) + 1, x)
+        order = 0
+        while self.zeros_below(order, x) or not order:
+            order += 1
+        return {idx: z for idx, z in self.entries().items() if z < x}
+
     def zero(self, idx):
         """Zero addressed by a ZeroIndex, honoring the rank convention."""
         off = rank_offset(self.kind, idx.order)
@@ -191,20 +256,7 @@ class ZeroTable:
         return self._reach.get(order, (0.0, None))[0]
 
     def _settle(self, order, x):
-        # refuse, before any pass, a query whose passes would recur too far,
-        # or whose whole work could, by an estimate from an empty table: each
-        # of the orders 0 .. order takes at most x/ORDER0_STEP + 2 sign
-        # passes, and about 2.4 passes (5 allowed) for each of its about x/pi
-        # zeros, none longer than the top order's
-        kernels.check_recurrence(x, order)
-        steps = (order + 1) * (x / ORDER0_STEP + 5.0 * x / math.pi + 2.0)
-        steps *= kernels._recurrence_start(x, order)
-        if steps > MAX_QUERY_STEPS:
-            raise ValueError(
-                f"query too large: growing orders 0 .. {order} to x = {x:g} "
-                f"could take {steps:.1e} recurrence steps, more than "
-                f"{MAX_QUERY_STEPS:.0e}"
-            )
+        _check_query(order, x)
         # count every zero of orders <= order below x; find the lower orders'
         low = order
         while low > 0 and self._reach_x(low - 1) < x:
@@ -268,14 +320,25 @@ class ZeroTable:
             j = len(zs)
             i = self._trivial(order) + j  # its place, counting the trivial zero
             lo, hi, guess = self._bracket(order, j)
-            zero, residual, resume, x, f_up = kernels.next_zero(
-                self._code, order, lo, hi, guess, _parity(i), self._resume.get(order),
+            zero, residual, x, f_up = kernels.next_zero(
+                self._code, order, lo, hi, guess, _parity(i)
             )
             if math.isnan(zero):
                 raise AccuracyError(
                     f"{self.kind} order {order} zero #{j + 1}: not refined "
                     f"inside its bracket ({lo}, {hi})"
                 )
+            # an order's grid starts below its first zero in every kind, and
+            # resumes within 0.05 above the zero before, below the next one
+            # (zeros of one order lie more than 0.05 apart)
+            start = self._resume.get(order, max(order * 0.5, 0.01))
+            if not start < zero:
+                raise AccuracyError(
+                    f"{self.kind} order {order} zero #{j + 1}: the reporting "
+                    f"grid resumes at {start!r}, past the zero {zero!r}; a "
+                    f"zero below {start!r} is missing from the table"
+                )
+            zero, resume = _grid_value(zero, start)
             if residual > RESIDUAL_TOL:
                 raise AccuracyError(
                     f"{self.kind} order {order} zero #{j + 1} in ({lo}, {hi}): "

@@ -235,6 +235,15 @@ def cmd_construct(args):
     return 0
 
 
+def target(text):
+    """The --t value: a float, refused when its text names a nonzero number
+    that underflows to 0.0 (1e-400), which would build the t = 0 domain."""
+    t = float(text)
+    if t == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise argparse.ArgumentTypeError(f"{text!r} underflows to 0.0")
+    return t
+
+
 _SHAPES = {
     "disk": spectra.disk,
     "square": spectra.square,
@@ -278,7 +287,7 @@ def build_parser():
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("construct", help="build a domain with prescribed mu_2")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=target, required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_construct)
 

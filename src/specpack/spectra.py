@@ -11,10 +11,10 @@ stored value; Dirichlet indexing starts at lambda_1 = first stored value.
 Completeness: every generator enumerates all modes with eigenvalue below an
 adaptive ceiling and only returns the first k once the k-th value sits
 strictly inside the ceiling, so no eigenvalue below the last returned one can
-be missing.  One order walk serves the disk and the ball: it takes each
-order's zeros below the ceiling's reach in x from the zero table and stops
-at the first order >= 1 with none: by interlacing, the first zero grows with
-the order from there on.  One lattice walk serves rectangles and boxes.
+be missing.  One order walk serves the disk and the ball: it takes every
+zero below the ceiling's reach in x from the zero table
+(``ZeroTable.entries_below``).  One lattice walk serves rectangles and
+boxes.
 
 The first ceiling inverts the two-term Weyl law (Ivrii 1980) for k modes,
 volume V and boundary measure S (perimeter or surface area), + for Neumann
@@ -285,24 +285,12 @@ def _spectrum(shape, k, enumerate_below):
 
 def _order_walk(kind, reach, mode):
     """enumerate_below for a Bessel spectrum: mode(order, rank, zero) for
-    every zero of the kind's table below reach(lam), order by order, ranked
-    by the table's rank convention."""
+    every zero of the kind's table below reach(lam), ranked by the table's
+    rank convention."""
     table = bessel.default_table(kind)
-
-    def below(lam):
-        xmax = reach(lam)
-        modes = []
-        order = 0
-        while True:
-            zs = table.zeros_below(order, xmax)
-            if not zs and order > 0:
-                break  # no zero of this order below xmax: none of any higher order
-            first = 1 + bessel.rank_offset(kind, order)
-            modes.extend(mode(order, q, z) for q, z in enumerate(zs, first))
-            order += 1
-        return modes
-
-    return below
+    return lambda lam: [
+        mode(idx.order, idx.rank, z) for idx, z in table.entries_below(reach(lam)).items()
+    ]
 
 
 def disk_spectrum(bc, k):
@@ -327,9 +315,9 @@ def ball_spectrum(bc, k):
     return _spectrum(shape, k, walk)
 
 
-def _lattice_spectrum(shape, k):
-    """First k nonzero eigenvalues of a rectangle or box with sides s_i: the
-    modes pi^2 * sum (c_i / s_i)^2 over integers c_i >= 0 (Neumann, less the
+def _lattice_walk(shape):
+    """enumerate_below for a rectangle or box with sides s_i: the modes
+    pi^2 * sum (c_i / s_i)^2 <= lam over integers c_i >= 0 (Neumann, less the
     constant mode) or c_i >= 1 (Dirichlet)."""
     lo = 0 if shape.bc == "neumann" else 1
 
@@ -341,6 +329,8 @@ def _lattice_spectrum(shape, k):
             grown = []
             for label, q, rem in prefixes:
                 for c in range(lo, int(s * math.sqrt(rem) / PI) + 1):
+                    # the range's end may round up past the last c that
+                    # fits, and the next axis would take sqrt(left < 0)
                     left = rem - (PI * c / s) ** 2
                     if left >= 0:
                         grown.append((label + (c,), q + (c / s) ** 2, left))
@@ -350,17 +340,19 @@ def _lattice_spectrum(shape, k):
             del modes[0]  # the constant mode: all indices 0, first in walk order
         return modes
 
-    return _spectrum(shape, k, below)
+    return below
 
 
 def rectangle_spectrum(a, b, bc, k):
     """First k nonzero eigenvalues of an a-by-b rectangle."""
-    return _lattice_spectrum(rectangle(a, b, bc), k)
+    shape = rectangle(a, b, bc)
+    return _spectrum(shape, k, _lattice_walk(shape))
 
 
 def box_spectrum(a1, a2, a3, bc, k):
     """First k nonzero eigenvalues of an a1-by-a2-by-a3 box."""
-    return _lattice_spectrum(box(a1, a2, a3, bc), k)
+    shape = box(a1, a2, a3, bc)
+    return _spectrum(shape, k, _lattice_walk(shape))
 
 
 def spectrum_of(shape, k):

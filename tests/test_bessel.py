@@ -294,6 +294,8 @@ class TestZeroTables:
         assert zero == pytest.approx(sp.jn_zeros(0, 100)[-1], rel=1e-12)
         with pytest.raises(ValueError):
             ZeroTable("bessel").zeros_below(0, math.inf)
+        with pytest.raises(ValueError, match="need a finite x"):
+            ZeroTable("bessel").entries_below(math.inf)
 
     @pytest.mark.parametrize("query", [
         lambda: ZeroTable("bessel").zeros_below(0, 1e300),
@@ -314,11 +316,13 @@ class TestZeroTables:
         lambda: ZeroTable("bessel").zeros_below(0, 9e5),
         lambda: ZeroTable("bessel_prime").positive_zero(0, 10**5),
         lambda: ZeroTable("bessel_prime").positive_zero(10**5, 1),
-    ], ids=["zeros_below", "positive_zero_rank", "positive_zero_order"])
+        lambda: ZeroTable("bessel_prime").entries_below(2857.0),
+    ], ids=["zeros_below", "positive_zero_rank", "positive_zero_order", "entries_below"])
     def test_work_bound(self, query, monkeypatch):
         # each pass stays within MAX_RECURRENCE, but the whole query would
-        # take from 1e11 to 1e15 steps (days at least); it is refused before
-        # any pass
+        # take from 5e10 to 1e15 steps (hours at least); it is refused before
+        # any pass.  The walk of entries_below (a 2-million-mode disk) is
+        # refused as a whole, although its queries up to order 56 would pass
         def no_pass(*args):
             raise AssertionError("a kernel pass ran")
 
@@ -468,6 +472,16 @@ class TestFinder:
             assert table.positive_zero(order, len(zs) + 1) > 30.0
         assert table.zeros_below(40, 30.0) == []
 
+    def test_entries_below_hold_every_zero_below_x(self):
+        table = ZeroTable("spherical_prime")
+        entries = table.entries_below(30.0)
+        top = max(idx.order for idx in entries) + 1
+        assert table.zeros_below(top, 30.0) == []
+        for order in range(top):
+            zs = [z for idx, z in entries.items() if idx.order == order]
+            assert zs == table.zeros_below(order, 30.0) and zs
+        assert entries == {idx: z for idx, z in table.entries().items() if z < 30.0}
+
     def test_zeros_below_need_no_zero_past_x(self):
         table = ZeroTable("bessel")
         zs = table.zeros_below(4, 20.0)
@@ -481,21 +495,29 @@ class TestFinder:
             raise AssertionError("a kernel pass ran")
 
         monkeypatch.setattr(_kernels_py, "_pass", no_pass)
-        hi = 0.01 + _kernels_py._GRID_STEP
-        zero, resume = _kernels_py._grid_value(0, hi + 2 * math.ulp(hi), None)
+        hi = 0.01 + bessel._GRID_STEP
+        zero, resume = bessel._grid_value(hi + 2 * math.ulp(hi), 0.01)
         assert hi <= zero <= hi + 1e-12
-        assert resume == hi + _kernels_py._GRID_STEP
+        assert resume == hi + bessel._GRID_STEP
 
     def test_next_zero_gives_up_after_max_steps(self, monkeypatch):
         # with f' = 0 no Newton step is ever accepted: after _MAX_STEPS
-        # passes the refinement gives up, with all five results nan
+        # passes the refinement gives up, with all four results nan
         passes = []
         monkeypatch.setattr(
             _kernels_py, "_pass", lambda *a: passes.append(1) or (1.0, 0.0, 0.0, 0.0)
         )
-        found = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 2.0, 3.0, 2.4, 1.0, None)
-        assert len(found) == 5 and all(math.isnan(v) for v in found)
+        found = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 2.0, 3.0, 2.4, 1.0)
+        assert len(found) == 4 and all(math.isnan(v) for v in found)
         assert len(passes) == _kernels_py._MAX_STEPS
+
+    def test_unrefined_zero_raises(self, monkeypatch):
+        # every pass reports f' = 0: the sign scan still counts J_0's first
+        # zero, but no Newton step is accepted inside its bracket
+        real = _kernels_py._pass
+        monkeypatch.setattr(_kernels_py, "_pass", lambda *a: (real(*a)[0], 0.0, 0.0, 0.0))
+        with pytest.raises(AccuracyError, match="zero #1: not refined inside its bracket"):
+            ZeroTable("bessel").positive_zero(0, 1)
 
     @staticmethod
     def _grow_counting_nodes(kind, monkeypatch, orders, x):
@@ -587,5 +609,7 @@ class TestFinder:
         if recount:
             # as if the order below had never seen the zero
             table._count[3] -= 1
-        with pytest.raises(AccuracyError, match="interlacing" if recount else None):
+        # else the table refinds its last zero, past which its grid resumes
+        with pytest.raises(AccuracyError, match="interlacing" if recount else
+                           "grid resumes at .* a zero below .* is missing"):
             table.zeros_below(4, 30.0)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def construct_target(name):
 
 def run_cli(*args):
     cmd = [sys.executable, "-m", "specpack", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
 
 
 def declared_scripts():
@@ -237,6 +238,16 @@ class TestConstruct:
         assert cp.returncode == 0
         assert cp.stdout.count("disk") == 3
 
+    def test_underflowing_target_is_input_error(self, capsys):
+        # 1e-400 names a nonzero target but parses to 0.0; 0 is the t = 0 one
+        from specpack import cli
+
+        assert cli.main(["construct", "--t", "1e-400"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("argument --t: '1e-400' underflows to 0.0\n")
+        assert cli.main(["construct", "--t", "0"]) == 0
+        assert capsys.readouterr().out.count("disk") == 3
+
     def test_out_of_range_mentions_interval(self):
         cp = run_cli("construct", "--t", "50")
         assert cp.returncode == 1
@@ -360,6 +371,20 @@ def test_count_below_one_is_input_error(capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {option} must be >= 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    "spectrum --shape disk --count 2000000",
+    "table --rows 200000",
+])
+def test_oversized_walk_refused_before_any_pass(args):
+    # the zero table refuses the disk spectrum's whole order walk up front,
+    # where a refusal per order came only after 17-34 s of passes
+    start = time.monotonic()
+    cp = run_cli(*args.split())
+    assert time.monotonic() - start < 10.0
+    assert cp.returncode == 1 and cp.stdout == ""
+    assert cp.stderr.startswith("error: query too large: ") and "Traceback" not in cp.stderr
 
 
 def test_import_set():

@@ -1,6 +1,8 @@
 """Spectrum generators: values, multiplicities, completeness, unions."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +101,26 @@ class TestRectangleSpectrum:
     def test_dirichlet_excludes_zero_indices(self):
         labels = [m.label for m in rectangle_spectrum(1, 1, "dirichlet", 10).modes]
         assert all(j >= 1 and k >= 1 for j, k in labels)
+
+    @pytest.mark.parametrize("shape", [square(), spectra.box(1.0, 2.0, 3.0)],
+                             ids=["square", "box"])
+    def test_walk_skips_an_axis_end_rounded_up(self, shape):
+        # one ulp below the mode value (3 pi)^2 the first axis still runs to
+        # c = 3, which leaves a negative budget: the walk skips it and lists
+        # exactly the modes that an exact count over the float pi puts at or
+        # below the ceiling
+        lam = math.nextafter((3 * PI) ** 2, 0.0)
+        side = shape.sides[0]
+        end = int(side * math.sqrt(lam) / PI)
+        assert lam - (PI * end / side) ** 2 < 0
+        labels = {m.label for m in spectra._lattice_walk(shape)(lam)}
+        exact = {
+            c for c in itertools.product(range(10), repeat=len(shape.sides))
+            if any(c) and Fraction(PI) ** 2 * sum(
+                Fraction(ci) ** 2 / Fraction(si) ** 2 for ci, si in zip(c, shape.sides)
+            ) <= Fraction(lam)
+        }
+        assert labels == exact and (end, 0) + (0,) * (len(shape.sides) - 2) not in labels
 
 
 class TestBallSpectrum:
