@@ -226,7 +226,7 @@ class ZeroTable:
         order = 0
         while self.zeros_below(order, x) or not order:
             order += 1
-        return {idx: z for idx, z in self.entries().items() if z < x}
+        return self._entries(x)
 
     def zero(self, idx):
         """Zero addressed by a ZeroIndex, honoring the rank convention."""
@@ -240,10 +240,14 @@ class ZeroTable:
 
     def entries(self):
         """Snapshot of all cached zeros keyed by ZeroIndex."""
+        return self._entries(math.inf)
+
+    def _entries(self, x):
+        # the cached zeros below x keyed by ZeroIndex, by order, then rank
         out = {}
         for order, zs in sorted(self._zeros.items()):
             off = rank_offset(self.kind, order)
-            for i, z in enumerate(zs):
+            for i, z in enumerate(zs[:bisect.bisect_left(zs, x)]):
                 out[ZeroIndex(order, i + 1 + off)] = z
         return out
 

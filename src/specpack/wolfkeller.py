@@ -227,34 +227,33 @@ def _format_terms(counts, ascii_form):
     return ("+" if ascii_form else " + ").join(parts)
 
 
-def _block_best(powers, n, pick, a, b):
-    """pick of powers[j] + powers[n - j] over a <= j <= b, and the smallest j
-    that attains it."""
-    sums = list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
-    best = pick(sums)
-    return best, a + sums.index(best)
+def _sums(powers, n, a, b):
+    """powers[j] + powers[n - j] for a <= j <= b."""
+    return list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
 
 
 def _best_split(powers, n, pick):
     """pick (max or min) of powers[j] + powers[n - j] over 1 <= j <= n/2, and
     the smallest j that attains it: the exhaustive result, from a search that
-    sums only the blocks of j a bound cannot rule out.
+    sums only the blocks of j a bound cannot rule out, each at most once.
 
     The bound.  A stored power dominates every split sum at its own index
     (powers[m] >= powers[i] + powers[m - i] when maximizing, <= when
     minimizing), so with c = powers[1], the split (1, i) at i + 1 gives
     powers[i + 1] >= powers[i] + c.  Hence g(j) = powers[j] - c*j is
     monotone, and every sum in a block a <= j <= b is at most (when
-    minimizing: at least) powers[b] + powers[n - a] - (b - a)*c.  The best
-    sum of the whole block with the best top is the seed.  Then, in
-    ascending order, every whole block whose top, widened by SPLIT_SLACK
-    relative to |seed| + SPLIT_BLOCK*|c|, reaches seed + (SPLIT_BLOCK - 1)*c
-    is summed, and the last partial block always is.
+    minimizing: at least) powers[b] + powers[n - a] - (b - a)*c.  Below
+    2*SPLIT_BLOCK there is no whole block and the one block is summed.
+    Otherwise the best sum of the whole block with the best top is the seed.
+    Then, in ascending order, every block whose top, widened by SPLIT_SLACK
+    relative to |seed| + SPLIT_BLOCK*|c|, reaches seed + (b - a)*c is summed:
+    the whole blocks of SPLIT_BLOCK indices, then the last partial block
+    full + 1 <= j <= h.  The seed's block keeps the sums that made the seed.
 
     Why the slack is safe.  The premise holds up to the recursion's defect
     (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
     which the tests keep below SPLIT_SLACK/1000 relative.  One bound chains
-    at most 2*(SPLIT_BLOCK - 1) steps, each off by that defect plus one
+    at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), each off by that defect plus one
     rounding, on positive powers (extremal_sequence admits no others) that
     stay within |seed| + SPLIT_BLOCK*|c| wherever a top is near the
     threshold.  So a bound is off by under a tenth of the slack, and no
@@ -262,24 +261,29 @@ def _best_split(powers, n, pick):
     """
     h = n // 2
     full = h - h % SPLIT_BLOCK  # j <= full lie in whole blocks
+    if not full:
+        sums = _sums(powers, n, 1, h)
+        best = pick(sums)
+        return best, 1 + sums.index(best)
     starts = range(1, full + 1, SPLIT_BLOCK)
-    if full:
-        tops = list(map(operator.add, powers[SPLIT_BLOCK:full + 1:SPLIT_BLOCK],
-                        powers[n - 1:n - 1 - full:-SPLIT_BLOCK]))
-        a = starts[tops.index(pick(tops))]
-        seed, _ = _block_best(powers, n, pick, a, a + SPLIT_BLOCK - 1)
-        c = powers[1]
-        reaches, sign = _REACHES[pick]
-        slack = SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
-        threshold = seed + (SPLIT_BLOCK - 1) * c + sign * slack
-        starts = itertools.compress(starts, map(reaches, tops, itertools.repeat(threshold)))
-    if full < h:
+    tops = list(map(operator.add, powers[SPLIT_BLOCK:full + 1:SPLIT_BLOCK],
+                    powers[n - 1:n - 1 - full:-SPLIT_BLOCK]))
+    seed_a = starts[tops.index(pick(tops))]
+    seed_sums = _sums(powers, n, seed_a, seed_a + SPLIT_BLOCK - 1)
+    seed = pick(seed_sums)
+    c = powers[1]
+    reaches, sign = _REACHES[pick]
+    slack = sign * SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
+    threshold = seed + (SPLIT_BLOCK - 1) * c + slack
+    starts = itertools.compress(starts, map(reaches, tops, itertools.repeat(threshold)))
+    if full < h and reaches(powers[h] + powers[n - full - 1], seed + (h - full - 1) * c + slack):
         starts = itertools.chain(starts, (full + 1,))
     best = None
     for a in starts:  # ascending, so the first block to attain best has the smallest j
-        s, j = _block_best(powers, n, pick, a, min(a + SPLIT_BLOCK - 1, h))
+        sums = seed_sums if a == seed_a else _sums(powers, n, a, min(a + SPLIT_BLOCK - 1, h))
+        s = pick(sums)
         if best is None or pick(s, best) != best:
-            best, best_j = s, j
+            best, best_j = s, a + sums.index(s)
     return best, best_j
 
 

@@ -480,7 +480,11 @@ class TestFinder:
         for order in range(top):
             zs = [z for idx, z in entries.items() if idx.order == order]
             assert zs == table.zeros_below(order, 30.0) and zs
-        assert entries == {idx: z for idx, z in table.entries().items() if z < 30.0}
+        # with zeros past x cached, the same entries in the same order
+        table.zeros_below(2, 45.0)
+        assert max(table.entries().values()) > 30.0
+        below = [(idx, z) for idx, z in table.entries().items() if z < 30.0]
+        assert list(table.entries_below(30.0).items()) == list(entries.items()) == below
 
     def test_zeros_below_need_no_zero_past_x(self):
         table = ZeroTable("bessel")

@@ -79,6 +79,35 @@ def _exhaustive_split(powers, n, pick):
     return best, sums.index(best) + 1
 
 
+def _record_sums(monkeypatch):
+    # the (a, b) of every block of split sums the search forms, in order
+    summed = []
+    sums = wolfkeller._sums
+
+    def recording(powers, n, a, b):
+        summed.append((a, b))
+        return sums(powers, n, a, b)
+
+    monkeypatch.setattr(wolfkeller, "_sums", recording)
+    return summed
+
+
+def _partial_reaches(powers, n, pick):
+    # the partial block's bound against the seed, widened by the slack:
+    # every sum at full < j <= h is at most (when minimizing: at least)
+    # powers[h] + powers[n - full - 1] - (h - full - 1)*c
+    B = wolfkeller.SPLIT_BLOCK
+    h = n // 2
+    full = h - h % B
+    tops = [powers[a + B - 1] + powers[n - a] for a in range(1, full + 1, B)]
+    a = 1 + B * tops.index(pick(tops))
+    seed = pick(powers[i] + powers[n - i] for i in range(a, a + B))
+    c = powers[1]
+    bound = powers[h] + powers[n - full - 1] - (h - full - 1) * c
+    slack = wolfkeller.SPLIT_SLACK * (abs(seed) + B * abs(c))
+    return bound >= seed - slack if pick is max else bound <= seed + slack
+
+
 class TestSequenceValues:
     def test_disks_n8_connected(self, disks_sequence):
         assert disks_sequence.value(8) == pytest.approx(88.83, abs=5e-3)
@@ -221,9 +250,10 @@ class TestSequenceValues:
 class TestSplitSearch:
     """The bounded split search returns the exhaustive (value, smallest j)."""
 
-    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
-    def test_equals_exhaustive_through_3000(self, sequences_3000, name):
-        seq = sequences_3000[name]
+    @pytest.mark.parametrize("name", [*sorted(CSV_3000_SHA256), "dirichlet-disks"])
+    def test_equals_exhaustive_through_3000(self, sequences_3000, dirichlet_3000, name):
+        # the Dirichlet disks minimize, where the slack widens the other way
+        seq = dirichlet_3000 if name == "dirichlet-disks" else sequences_3000[name]
         powers, pick = _powers(seq), seq.domain_class.pick
         for n in range(2, seq.K + 1):
             assert wolfkeller._best_split(powers, n, pick) == _exhaustive_split(powers, n, pick)
@@ -243,16 +273,9 @@ class TestSplitSearch:
     @pytest.mark.parametrize("n", [20, 31, 2000, 2015, 2016, 2999])
     def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000,
                                               dirichlet_3000, n):
-        # h < 16 sums one partial block; larger n sums the last partial block
-        # (if any) and skips most whole blocks under either objective
-        summed = []
-        block_best = wolfkeller._block_best
-
-        def recording(powers, n, pick, a, b):
-            summed.append((a, b))
-            return block_best(powers, n, pick, a, b)
-
-        monkeypatch.setattr(wolfkeller, "_block_best", recording)
+        # h < 16 sums its one block; larger n sums each block at most once and
+        # skips most whole blocks under either objective
+        summed = _record_sums(monkeypatch)
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
         for seq in (sequences_3000["disks"], dirichlet_3000):
@@ -262,10 +285,31 @@ class TestSplitSearch:
             if h < wolfkeller.SPLIT_BLOCK:
                 assert summed == [(1, h)]
                 continue
-            assert ((full + 1, h) in summed) == (full < h)
-            # whole blocks summed (the seed's twice): fewer than half of them
-            whole = {a for a, b in summed if b - a == wolfkeller.SPLIT_BLOCK - 1}
+            assert len(set(summed)) == len(summed)
+            assert ((full + 1, h) in summed) == (full < h and _partial_reaches(powers, n, pick))
+            whole = [a for a, b in summed if b - a == wolfkeller.SPLIT_BLOCK - 1]
             assert len(whole) < full // wolfkeller.SPLIT_BLOCK / 2
+
+    @pytest.mark.parametrize("name, n, reaches", [
+        ("disks", 2015, False), ("dirichlet-disks", 2999, False),
+        ("balls", 50, True), ("cubes", 87, True),
+    ])
+    def test_partial_block_summed_when_its_bound_reaches(
+            self, monkeypatch, sequences_3000, dirichlet_3000, name, n, reaches):
+        # a skipped partial block holds no sum as good as the best; at these
+        # balls and cubes n it holds the best j itself
+        summed = _record_sums(monkeypatch)
+        seq = dirichlet_3000 if name == "dirichlet-disks" else sequences_3000[name]
+        powers, pick = _powers(seq), seq.domain_class.pick
+        h = n // 2
+        full = h - h % wolfkeller.SPLIT_BLOCK
+        best, j = wolfkeller._best_split(powers, n, pick)
+        assert (best, j) == _exhaustive_split(powers, n, pick)
+        assert _partial_reaches(powers, n, pick) == reaches
+        assert ((full + 1, h) in summed) == reaches
+        partial = [powers[i] + powers[n - i] for i in range(full + 1, h + 1)]
+        assert (j > full) == reaches
+        assert (pick(partial) == best) == reaches
 
 
 class TestGeometry:
