@@ -20,24 +20,33 @@ there the ranks simply count the strictly positive zeros starting at 1.
 Completeness follows from interlacing (DLMF 10.21(i)), checked as the table
 grows.  For order m >= 1 the k-th zero lies between the k-th and (k+1)-th
 zeros of order m-1; for the two derivative kinds the trivial zero of order 0
-at x = 0 counts as the first.  Each function is positive on (0, first zero)
-(J'_0 and j'_0 negative), so the sign of f_m at every zero of order m-1 is
-fixed by its rank.  Each such sign is checked when its zero of order m-1 is
-found, from the Newton pass that found it, which also gives f_m at the last
-iterate x: as |f_m'| <= 1, f_m has the same sign at the zero when
-|f_m(x)| > |x - zero|, and is evaluated there otherwise.  A zero missing
-from, or extra in, the order below raises AccuracyError.  The count of zeros
-below any x then follows from the order below plus the sign of f_m at x,
-which is what ``ZeroTable.zeros_below`` answers.  From order 1 on, the
-first zero grows with the order, so the first order >= 1 with no zero below
-x has no higher order with one: ``ZeroTable.entries_below`` tabulates every
-zero below x by growing the orders up to that one.  Order 0 is counted by a
-sign scan in cells of ``ORDER0_STEP`` = 2.4, with no sign at x = 0 and the
-last cell ending at x: the step stays below J_0's first zero (2.405), so the
-first cell holds no zero, and below the spacing of consecutive order-0 zeros
-(> 3.1 for J_0, > pi for J_1 and j_1), so every later cell holds at most
-one.  The tables have no fixed range: any x can be reached, at the cost of
-the zeros below it.
+at x = 0 counts as the first.  Order 0 is bracketed the same way, with the
+multiples of pi standing in for the order below: counting the trivial zero
+as zero 0 in the kinds that have one, zero i of order 0 lies strictly inside
+(i pi, (i+1) pi) in all three kinds.
+
+  * J_0's k-th zero lies in ((k-1) pi, k pi).  The zeros of J_nu grow with
+    nu >= 0 (DLMF 10.21(iv)), and J_{1/2}(x) = sqrt(2/(pi x)) sin x has its
+    k-th zero at k pi, so j_{0,k} < k pi.  By interlacing j_{0,k} lies above
+    j_{1,k-1}, which lies above j_{1/2,k-1} = (k-1) pi.
+  * The positive zeros of J'_0 = -J_1 and j'_0 = -j_1 lie in
+    (k pi, (k+1/2) pi): j_{1,k} lies between the k-th zeros of J_{1/2} and
+    J_{3/2}, and the zeros of j_1, as of J_{3/2}, are the roots of
+    tan x = x, one in each (k pi, (k+1/2) pi).
+
+Each function is positive on (0, first zero) (J'_0 and j'_0 negative), so
+the sign of f_m at every zero of order m-1 is fixed by its rank.  Each such
+sign is checked when its zero of order m-1 is found, from the Newton pass
+that found it, which also gives f_m at the last iterate x: as |f_m'| <= 1,
+f_m has the same sign at the zero when |f_m(x)| > |x - zero|, and is
+evaluated there otherwise.  A zero missing from, or extra in, the order
+below raises AccuracyError.  The count of zeros below any x then follows
+from the order below (for order 0 the multiples of pi) plus the sign of f_m
+at x, which is what ``ZeroTable.zeros_below`` answers.  From order 1 on,
+the first zero grows with the order, so the first order >= 1 with no zero
+below x has no higher order with one: ``ZeroTable.entries_below`` tabulates
+every zero below x by growing the orders up to that one.  The tables have no
+fixed range: any x can be reached, at the cost of the zeros below it.
 
 Inside its bracket each zero is refined by a safeguarded Newton iteration
 (``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
@@ -69,12 +78,6 @@ RESIDUAL_TOL = 1e-9
 # the reporting grid of the tabulated values (see _grid_value)
 _GRID_STEP = 0.05
 _BISECT_WIDTH = 1e-12
-# Step of the order-0 sign scan.  The scan has no sign at x = 0, so its first
-# cell (0, step] must hold no zero: the step stays below J_0's first zero
-# (2.405).  Each later cell must hold at most one zero: the step stays below
-# the spacing of consecutive order-0 zeros (> 3.1 for J_0, > pi for J_1, j_1).
-# A scan's last cell ends at the x asked for, so it counts no zero past x.
-ORDER0_STEP = 2.4
 # The most recurrence steps, by the estimate in ``_check_query``, that a
 # query may take to grow a fresh table: about 2 minutes at the 1.2e-7 s a
 # step measured on one core of a 2-core Xeon.
@@ -127,11 +130,12 @@ def _grid_value(zero, lo):
 def _check_query(order, x):
     # refuse, before any pass, a query whose passes would recur too far, or
     # whose whole work could, by an estimate from an empty table: each of the
-    # orders 0 .. order takes at most x/ORDER0_STEP + 2 sign passes, and about
-    # 2.4 passes (5 allowed) for each of its about x/pi zeros, none longer
-    # than the top order's
+    # orders 0 .. order takes about 2.4 passes (5 allowed) for each of its
+    # about x/pi zeros, none longer than the top order's, and x/2.4 + 2 more,
+    # a pad that covers its sign passes at x and the sign checks that fall
+    # back to an evaluation
     kernels.check_recurrence(x, order)
-    steps = (order + 1) * (x / ORDER0_STEP + 5.0 * x / math.pi + 2.0)
+    steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0)
     steps *= kernels._recurrence_start(x, order)
     if steps > MAX_QUERY_STEPS:
         raise ValueError(
@@ -157,13 +161,14 @@ class ZeroTable:
     interlacing fixes for the function of the next order there.
 
     A pass at x runs a backward recurrence of about max(order, x) steps, and
-    the order-0 scan makes x/2.4 of them, so growing a table to x costs
-    about x^2: ``zeros_below(0, 1000)`` takes about 0.3 s and
-    ``zeros_below(0, 2000)`` about 1 s.  A query is refused with ValueError
-    before any pass when one pass would take more than the kernels'
-    ``MAX_RECURRENCE`` (10^6) steps (``kernels.check_recurrence``, as in the
-    public evaluators), or when its whole work from an empty table could
-    take more than ``MAX_QUERY_STEPS`` (10^9 steps, about 2 minutes).
+    order 0 alone has about x/pi zeros below x, each found in about two
+    passes, so growing a table to x costs about x^2: ``zeros_below(0, 1000)``
+    takes about 0.15 s and ``zeros_below(0, 2000)`` about 0.5 s.  A query is
+    refused with ValueError before any pass when one pass would take more
+    than the kernels' ``MAX_RECURRENCE`` (10^6) steps
+    (``kernels.check_recurrence``, as in the public evaluators), or when its
+    whole work from an empty table could take more than ``MAX_QUERY_STEPS``
+    (10^9 steps, about 2 minutes).
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -177,7 +182,6 @@ class ZeroTable:
         self._zeros = {}  # order -> positive zeros found, ascending
         self._count = {}  # order -> positive zeros counted below the reach
         self._reach = {}  # order -> (x, f(x)); f is None when nothing is below x
-        self._scan = []  # order 0: (lo, hi, guess) of each counted zero
         self._resume = {}  # order -> where the reporting grid resumes
 
     def positive_zero(self, order, k):
@@ -247,8 +251,9 @@ class ZeroTable:
         out = {}
         for order, zs in sorted(self._zeros.items()):
             off = rank_offset(self.kind, order)
-            for i, z in enumerate(zs[:bisect.bisect_left(zs, x)]):
-                out[ZeroIndex(order, i + 1 + off)] = z
+            # valid orders and ranks by construction: skip ZeroIndex's checks
+            for rank, z in enumerate(zs[:bisect.bisect_left(zs, x)], 1 + off):
+                out[ZeroIndex._make((order, rank))] = z
         return out
 
     def _trivial(self, order):
@@ -269,10 +274,7 @@ class ZeroTable:
             if m:
                 self._find(m - 1, self._count.get(m - 1, 0))
             if self._reach_x(m) < x:
-                if m:
-                    self._count_from_below(m, x)
-                else:
-                    self._scan_order0(x)
+                self._count_from_below(m, x)
 
     def _check_sign(self, order, x, f, crossings):
         if f is not None and f * _parity(crossings) < 0.0:
@@ -283,39 +285,29 @@ class ZeroTable:
             )
 
     def _count_from_below(self, m, x):
-        # zeros of order m-1 bracket those of order m (DLMF 10.21(i)), one
-        # each, as ``_find`` checked the sign of f_m at every one of them; so
-        # with the n zeros of m-1 below x, the trivial one counted, n zeros of
-        # m lie below x if f_m(x) has the sign (-1)^n, and n - 1 otherwise
-        below = self._zeros.get(m - 1, [])
-        shift = self._trivial(m - 1)
-        low_x, low_f = self._reach[m - 1]
-        self._check_sign(m - 1, low_x, low_f, shift + len(below))
-        n = shift + bisect.bisect_left(below, x)
+        # the zeros of order m-1 bracket those of order m (see _bracket), one
+        # each, as ``_find`` checked the sign of f_m at every one of them, and
+        # the multiples of pi those of order 0, by the theorem in the module
+        # docstring; so with the n zeros of m-1 below x, n zeros of m lie
+        # below x if f_m(x) has the sign (-1)^n, and n - 1 otherwise, the
+        # trivial zeros of both orders counted
+        if m:
+            below = self._zeros.get(m - 1, [])
+            shift = self._trivial(m - 1)
+            low_x, low_f = self._reach[m - 1]
+            self._check_sign(m - 1, low_x, low_f, shift + len(below))
+            n = shift + bisect.bisect_left(below, x)
+        else:
+            n = 0  # the multiples of pi below x, 0 included
+            while self._node(-1, n) < x:
+                n += 1
         fx = None
         count = 0
         if n:
             fx = kernels.evaluate(self._code, m, x)
             count = n if fx * _parity(n) > 0.0 else n - 1
         self._reach[m] = (x, fx)
-        self._count[m] = count
-
-    def _scan_order0(self, x):
-        # sign scan in cells of at most ORDER0_STEP, the last one ending at
-        # x: no zero lies in the first cell, and at most one in each later one
-        shift = self._trivial(0)
-        a, fa = self._reach.get(0, (0.0, None))
-        count = self._count.get(0, 0)
-        while a < x:
-            b = min(a + ORDER0_STEP, x)
-            fb = kernels.evaluate(self._code, 0, b)
-            if fa is not None and (fa < 0.0) != (fb < 0.0):
-                self._scan.append((a, b, a - fa * (b - a) / (fb - fa)))
-                count += 1
-            a, fa = b, fb
-        self._check_sign(0, a, fa, shift + count)
-        self._reach[0] = (a, fa)
-        self._count[0] = count
+        self._count[m] = count - self._trivial(m)
 
     def _find(self, order, k):
         # find the counted zeros up to rank k, one bracketed refinement each
@@ -323,7 +315,7 @@ class ZeroTable:
         while len(zs) < k:
             j = len(zs)
             i = self._trivial(order) + j  # its place, counting the trivial zero
-            lo, hi, guess = self._bracket(order, j)
+            lo, hi, guess = self._bracket(order, i)
             zero, residual, x, f_up = kernels.next_zero(
                 self._code, order, lo, hi, guess, _parity(i)
             )
@@ -358,26 +350,29 @@ class ZeroTable:
             self._resume[order] = resume
 
     def _node(self, order, i):
-        # i-th zero of the order, counting the trivial zero at 0; None if unknown
+        # i-th zero of the order, counting the trivial zero at 0; None if
+        # unknown.  Order -1 stands for sin x, whose zeros i pi bracket those
+        # of order 0
+        if order < 0:
+            return i * math.pi
         shift = self._trivial(order)
         if i < shift:
             return 0.0
         zs = self._zeros.get(order, [])
         return zs[i - shift] if i - shift < len(zs) else None
 
-    def _bracket(self, m, j):
-        # (lo, hi, first guess) of the j-th positive zero of order m: for
-        # m = 0 from the scan; for m >= 1 between the j-th and (j+1)-th zeros
-        # of m-1, and below the reach of m
-        if m == 0:
-            return self._scan[j]
-        lo = self._node(m - 1, j)
-        hi = self._node(m - 1, j + 1)
+    def _bracket(self, m, i):
+        # (lo, hi, first guess) of the i-th zero of order m, counting the
+        # trivial zero: between the i-th and (i+1)-th zeros of order m-1
+        # (for m = 0 the multiples of pi, see _node), and below the reach of m
+        lo = self._node(m - 1, i)
+        hi = self._node(m - 1, i + 1)
         reach = self._reach_x(m)
         hi = reach if hi is None else min(hi, reach)
-        prev = self._node(m - 2, j) if m >= 2 else None
-        prev2 = self._node(m - 3, j) if m >= 3 else None
-        # extrapolate in the order from m-1, m-2 and m-3
+        prev = self._node(m - 2, i) if m >= 2 else None
+        prev2 = self._node(m - 3, i) if m >= 3 else None
+        # extrapolate in the order from m-1, m-2 and m-3 (orders 0 and 1,
+        # with no two orders >= 0 below them, start at the midpoint)
         if prev2 is not None:
             guess = 3.0 * (lo - prev) + prev2
         elif prev is not None:

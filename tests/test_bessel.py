@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 from conftest import oracle_positive_zeros, spherical_series
@@ -410,9 +411,9 @@ def disk_tables_3000():
 # sha256 of repr(sorted(entries().items())) of the fresh tables that the
 # K = 3000 spectra grow, and the kernel passes that growing each one took
 TABLES_3000 = {
-    "neumann": ("94ea2aa48d256f6f4c0f6d05b80b0bcf9d20e008c993b8f0b6e57f73397a9812", 3385),
-    "dirichlet": ("0293f9d9d3734ad9b9b4ebe31b33a7b77a49e4807f6eefdb6511ec52d432733b", 3381),
-    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 449),
+    "neumann": ("94ea2aa48d256f6f4c0f6d05b80b0bcf9d20e008c993b8f0b6e57f73397a9812", 3374),
+    "dirichlet": ("0293f9d9d3734ad9b9b4ebe31b33a7b77a49e4807f6eefdb6511ec52d432733b", 3370),
+    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 434),
 }
 
 
@@ -447,11 +448,51 @@ class TestZeroOracle:
             assert checked > 1900
 
 
+class TestOrder0Cells:
+    """The theorem the order-0 count rests on: counting the trivial zero at
+    x = 0 as zero 0 where there is one, zero i of order 0 lies strictly
+    inside (i pi, (i+1) pi), here at least 0.69 from either end."""
+
+    K = 2000
+
+    def test_zeros_inside_cells(self):
+        import numpy as np
+        from scipy import optimize
+        from scipy import special as sp
+
+        def g(x):
+            # x^2 j_1(x), with one root in ((k - 1/2) pi, (k + 1/2) pi)
+            return math.sin(x) - x * math.cos(x)
+
+        k = np.arange(1, self.K + 1)
+        tan_roots = np.array([optimize.brentq(g, (i - 0.5) * PI, (i + 0.5) * PI, xtol=1e-14)
+                              for i in k])
+        cells = (
+            (sp.jn_zeros(0, self.K), k - 1.0, k),  # J_0, zero k - 1
+            (sp.jn_zeros(1, self.K), k, k + 0.5),  # J'_0 = -J_1, zero k
+            (tan_roots, k, k + 0.5),  # j'_0 = -j_1, zero k
+        )
+        for zeros, lo, hi in cells:
+            assert np.all((lo * PI < zeros) & (zeros < hi * PI))
+            gap = np.minimum(zeros - np.floor(zeros / PI) * PI,
+                             np.ceil(zeros / PI) * PI - zeros)
+            assert gap.min() >= 0.69
+
+    @pytest.mark.parametrize("f", [bessel_j, bessel_j_prime, spherical_bessel_j_prime])
+    def test_sign_at_multiples_of_pi(self, f):
+        # i zeros of order 0 lie below i pi, the trivial one counted, so f_0
+        # has the sign (-1)^i there (f_0 > 0 before its first zero)
+        i = 1
+        while i * PI < REACH_3000:
+            assert f(0, i * PI) * (-1) ** i > 0.0, i
+            i += 1
+
+
 class TestFinder:
     def test_passes_per_zero(self, disk_tables_3000):
         for bc in ("neumann", "dirichlet"):
             _, passes, zeros = disk_tables_3000[bc]
-            # 2.19 and 2.18: Newton steps and sign checks; the reporting
+            # 2.18 and 2.17: Newton steps and sign checks; the reporting
             # grid makes no pass
             assert passes / len(zeros) <= 2.25
             assert len(zeros) <= 1600  # the 3000 modes use 1517 (1518) of them
@@ -485,6 +526,7 @@ class TestFinder:
         assert max(table.entries().values()) > 30.0
         below = [(idx, z) for idx, z in table.entries().items() if z < 30.0]
         assert list(table.entries_below(30.0).items()) == list(entries.items()) == below
+        assert {type(idx) for idx in table.entries()} == {ZeroIndex}
 
     def test_zeros_below_need_no_zero_past_x(self):
         table = ZeroTable("bessel")
@@ -516,8 +558,8 @@ class TestFinder:
         assert len(passes) == _kernels_py._MAX_STEPS
 
     def test_unrefined_zero_raises(self, monkeypatch):
-        # every pass reports f' = 0: the sign scan still counts J_0's first
-        # zero, but no Newton step is accepted inside its bracket
+        # every pass reports f' = 0: the sign of J_0 at x still counts its
+        # first zero in (0, pi), but no Newton step is accepted there
         real = _kernels_py._pass
         monkeypatch.setattr(_kernels_py, "_pass", lambda *a: (real(*a)[0], 0.0, 0.0, 0.0))
         with pytest.raises(AccuracyError, match="zero #1: not refined inside its bracket"):
@@ -563,36 +605,49 @@ class TestFinder:
         assert zeros == ref_zeros
         assert nodes == ref_zeros[:-1]
 
-    def test_order0_step_past_first_zero_of_j0_raises(self, monkeypatch):
-        # the order-0 scan has no sign at x = 0, so a step of 3 puts J_0's
-        # first zero (2.405) into the unchecked cell (0, 3]; the derivative
-        # kinds have no zero there and keep their zeros
-        refs = {kind: ZeroTable(kind).zeros_below(0, 60.0)
-                for kind in ("bessel_prime", "spherical_prime")}
-        monkeypatch.setattr(bessel, "ORDER0_STEP", 3.0)
-        with pytest.raises(AccuracyError, match="interlacing"):
-            ZeroTable("bessel").zeros_below(0, 60.0)
-        for kind, ref in refs.items():
-            assert ZeroTable(kind).zeros_below(0, 60.0) == ref
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    @pytest.mark.parametrize("nodes, empty", [
+        # without the node 3 pi, (2 pi, 4 pi) holds two zeros, and the zero
+        # in (4 pi, 5 pi) is refined as the one of the rank below it
+        ([0, 1, 2, 4, 5, 6, 7], dict.fromkeys(bessel.KINDS, (4, 5))),
+        # with a node at 2.5 pi, (2 pi, 2.5 pi) holds no zero of J_0, and
+        # (2.5 pi, 3 pi) none of J'_0 or j'_0
+        ([0, 1, 2, 2.5, 3, 4, 5, 6],
+         {"bessel": (2, 2.5), "bessel_prime": (2.5, 3), "spherical_prime": (2.5, 3)}),
+    ], ids=["two zeros", "no zero"])
+    def test_order0_bracket_with_two_zeros_or_none_raises(self, kind, nodes, empty,
+                                                          monkeypatch):
+        # the multiples of pi bracket the zeros of order 0, one each; a node
+        # rule that breaks this leaves some bracket without a zero of the
+        # sign it expects below it, where no Newton step is accepted
+        node = ZeroTable._node
+        monkeypatch.setattr(ZeroTable, "_node", lambda self, order, i: (
+            nodes[i] * PI if order < 0 else node(self, order, i)))
+        lo, hi = empty[kind]
+        with pytest.raises(AccuracyError, match=re.escape(
+                f"not refined inside its bracket ({lo * PI!r}, {hi * PI!r})")):
+            ZeroTable(kind).zeros_below(0, 6 * PI - 0.1)
 
     @pytest.mark.parametrize("kind", bessel.KINDS)
     def test_wrong_sign_at_found_zero_raises(self, kind, monkeypatch):
-        # f of order 3 at the third zero of order 2 gets the wrong sign from
-        # that zero's Newton pass, large enough to be trusted: the check runs
-        # as the zero is found, though order 3 is never counted
+        # f of order m + 1 at the third zero of order m (m = 2, then 0) gets
+        # the wrong sign from that zero's Newton pass, large enough to be
+        # trusted: the check runs as the zero is found, though order m + 1 is
+        # never counted
         next_zero = _kernels_py.next_zero
-        orders = []
+        for m in (2, 0):
+            orders = []
 
-        def flipped(code, order, *args):
-            *found, f_up = next_zero(code, order, *args)
-            orders.append(order)
-            if order == 2 and orders.count(2) == 3:
-                f_up = -math.copysign(1.0, f_up)
-            return (*found, f_up)
+            def flipped(code, order, *args):
+                *found, f_up = next_zero(code, order, *args)
+                orders.append(order)
+                if order == m and orders.count(m) == 3:
+                    f_up = -math.copysign(1.0, f_up)
+                return (*found, f_up)
 
-        monkeypatch.setattr(_kernels_py, "next_zero", flipped)
-        with pytest.raises(AccuracyError, match="order 3: .* interlacing is broken"):
-            ZeroTable(kind).zeros_below(2, 40.0)
+            monkeypatch.setattr(_kernels_py, "next_zero", flipped)
+            with pytest.raises(AccuracyError, match=f"order {m + 1}: .* interlacing is broken"):
+                ZeroTable(kind).zeros_below(m, 40.0)
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         next_zero = _kernels_py.next_zero
