@@ -12,6 +12,8 @@ apply to each query too).  The internal passes skip these checks.
 
 Evaluation strategy:
   * J below x = 8: ascending power series (no destructive cancellation there).
+  * j below x = 1e-3: its ascending series, also differentiated term by term
+    for j' (there the closed forms cancel and the recurrence overflows).
   * j of order 0 and 1: the closed forms.
   * Otherwise one backward-recurrence loop, ``_backward``, started well above
     max(order, x): v_{k-1} = (2k + shift)/x v_k - v_{k+1}, with shift 0 for J
@@ -43,6 +45,9 @@ KIND_BESSEL = 1
 KIND_SPHERICAL_PRIME = 2
 
 _SERIES_MAX_X = 8.0
+# below it j and j' come from their ascending series: the closed forms of
+# j_0' and j_1 cancel and the recurrence's c/x overflows there
+_SPH_SERIES_MAX_X = 1e-3
 _MAX_STEPS = 100
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
@@ -78,15 +83,42 @@ def _backward(x, lo, start, shift):
     # v_{k-1} = (2k + shift)/x v_k - v_{k+1} (shift 0 for J, 1 for j), run
     # from v_start = 1e-30, v_{start+1} = 0 down to k = 1: returns v_lo,
     # v_lo+1, v_lo+2, v_0, v_1 and the sum of v_k over even k >= 2, all
-    # rescaled together whenever v outgrows _RESCALE_AT
+    # rescaled together right after the step at which |v| exceeds _RESCALE_AT.
+    # The step at k multiplies M = max(|v_k|, |v_k+1|) by at most
+    # g = (2k + shift)/x + 1 (the growth bound of a three-term recurrence,
+    # Gautschi, SIAM Rev. 9, 1967), and g falls with k; so no step of the
+    # budget, the n steps with M g^n < _RESCALE_AT / 2 at the k where it is
+    # drawn, can rescale (the halving covers rounding).  Within the budget
+    # the loop runs pairs of steps from an even k with no test at all; the
+    # capture step at lo + 1, a step from an odd k and every step outside the
+    # budget run alone with every test, and a budget is drawn anew when it is
+    # spent or after a rescale (0 when M is 0 or c/x overflows).  Each
+    # rescale thus falls on the step at which a test of every step puts it.
     vnext = 0.0
     vcur = 1e-30
     esum = 0.0
     cap = lo + 1
     va = vb = vc = 0.0
     c = 2.0 * start + shift  # 2k + shift, exactly
-    for k in range(start, 0, -1):
-        if not (k & 1):
+    k = start
+    budget = 0
+    while k:
+        if budget < 2:
+            m = max(abs(vcur), abs(vnext))
+            budget = (int(math.log(0.5 * _RESCALE_AT / m) / math.log1p(c / x))
+                      if 0.0 < m < 0.5 * _RESCALE_AT else 0)
+        if not k & 1:
+            n = min(budget, k - cap if k >= cap else k) >> 1
+            budget -= 2 * n
+            k -= 2 * n
+            for _ in range(n):
+                esum += vcur
+                vnext = c / x * vcur - vnext
+                c -= 2.0
+                vcur = c / x * vnext - vcur
+                c -= 2.0
+            if not k:
+                break
             esum += vcur
         vprev = c / x * vcur - vnext
         c -= 2.0
@@ -94,6 +126,8 @@ def _backward(x, lo, start, shift):
             va, vb, vc = vprev, vcur, vnext
         vnext = vcur
         vcur = vprev
+        k -= 1
+        budget -= 1
         if abs(vcur) > _RESCALE_AT:
             vcur *= _RESCALE_BY
             vnext *= _RESCALE_BY
@@ -101,6 +135,7 @@ def _backward(x, lo, start, shift):
             va *= _RESCALE_BY
             vb *= _RESCALE_BY
             vc *= _RESCALE_BY
+            budget = 0
     return va, vb, vc, vcur, vnext, esum
 
 
@@ -170,13 +205,36 @@ def _sph_miller(x, lo):
     return va * scale, vb * scale, vc * scale
 
 
+def _sph_series(p, x, deriv):
+    # j_p(x), or with deriv = 1 its derivative (p >= 1), for
+    # x < _SPH_SERIES_MAX_X: the ascending series (DLMF 10.53.1)
+    # j_p(x) = sum_k (-x^2/2)^k x^p / (k! (2p + 2k + 1)!!), differentiated
+    # term by term.  Below 1e-3 each term is below 2e-7 of the one before,
+    # so the terms past k = 3 add less than 1e-28.  The leading x^(p - deriv) /
+    # (2p + 1)!! is built a factor at a time, so that it underflows to 0
+    # where the value does instead of overflowing.
+    t = 1.0
+    for i in range(1, p + 1):
+        t *= (x if i > deriv else 1.0) / (2 * i + 1)
+    s = p * t if deriv else t
+    mx2 = -0.5 * x * x
+    for k in (1, 2, 3):
+        t *= mx2 / (k * (2 * p + 2 * k + 1))
+        s += (p + 2 * k) * t if deriv else t
+    return s
+
+
 def spherical_j(order, x):
     """Spherical Bessel function j_order(x), x > 0.
 
-    For order >= 2 the backward recurrence takes about max(order, x) steps;
-    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    For order >= 2 the backward recurrence takes about max(order, x) steps
+    (below x = 1e-3 the ascending series, built over about as many factors,
+    serves instead); input that needs more than ``MAX_RECURRENCE`` (10^6)
+    raises ValueError.
     """
     _check(order, x, False, order >= 2)
+    if x < _SPH_SERIES_MAX_X:
+        return _sph_series(order, x, 0)
     if order == 0:
         return math.sin(x) / x
     if order == 1:
@@ -201,18 +259,26 @@ def _pass(kind, order, x):
     # j'_p = j_{p-1} - (p+1)/x j_p (j'_0 = -j_1); the higher derivatives come
     # from the ODE and its derivative, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
     # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m
+    # x * x underflows to 0 below x = 1.6e-162, far below every zero: the
+    # ODE's terms are nan there, and f (the sign passes') stays exact
+    xx = x * x or math.nan
     if kind == KIND_SPHERICAL_PRIME:
-        if order >= 2:
-            below, j, above = _sph_miller(x, order - 1)
+        if x < _SPH_SERIES_MAX_X:
+            j = _sph_series(order, x, 0)
+            d = _sph_series(order, x, 1) if order else -_sph_series(1, x, 0)
+            up = _sph_series(order + 1, x, 1)
         else:
-            s0 = math.sin(x) / x
-            s1 = (s0 - math.cos(x)) / x
-            below, j, above = (s0, s1, 3.0 / x * s1 - s0) if order else (None, s0, s1)
-        d = below - (order + 1.0) / x * j if order else -above
-        up = j - (order + 2.0) / x * above
-        q = order * (order + 1.0) / (x * x)
+            if order >= 2:
+                below, j, above = _sph_miller(x, order - 1)
+            else:
+                s0 = math.sin(x) / x
+                s1 = (s0 - math.cos(x)) / x
+                below, j, above = (s0, s1, 3.0 / x * s1 - s0) if order else (None, s0, s1)
+            d = below - (order + 1.0) / x * j if order else -above
+            up = j - (order + 2.0) / x * above
+        q = order * (order + 1.0) / xx
         d2 = -2.0 / x * d - (1.0 - q) * j
-        d3 = 2.0 / (x * x) * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d
+        d3 = 2.0 / xx * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d
         return d, d2, d3, up
     lo = order - 1 if order else 0
     if x < _SERIES_MAX_X:
@@ -224,11 +290,11 @@ def _pass(kind, order, x):
         j, d, above = b, 0.5 * (a - c), c
     else:
         j, d, above = a, -b, b
-    q = order * order / (x * x)
+    q = order * order / xx
     d2 = -d / x - (1.0 - q) * j
     if kind == KIND_BESSEL:
         return j, d, d2, above
-    d3 = d / (x * x) - d2 / x - 2.0 * q / x * j - (1.0 - q) * d
+    d3 = d / xx - d2 / x - 2.0 * q / x * j - (1.0 - q) * d
     return d, d2, d3, j - (order + 1.0) / x * above
 
 

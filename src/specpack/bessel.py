@@ -181,7 +181,7 @@ class ZeroTable:
         self._code = _KIND_CODE[kind]
         self._zeros = {}  # order -> positive zeros found, ascending
         self._count = {}  # order -> positive zeros counted below the reach
-        self._reach = {}  # order -> (x, f(x)); f is None when nothing is below x
+        self._reach = {}  # order -> (x, f(x)); f is None when no sign was needed
         self._resume = {}  # order -> where the reporting grid resumes
 
     def positive_zero(self, order, k):
@@ -301,9 +301,13 @@ class ZeroTable:
             n = 0  # the multiples of pi below x, 0 included
             while self._node(-1, n) < x:
                 n += 1
+        # when the trivial zero is the only node below x (order 0 of the
+        # derivative kinds, x <= pi), it is the only zero below x too, as the
+        # next one lies above pi: no sign is read, which at x = 5e-324, where
+        # f_0(x) underflows to -0.0, would miscount
         fx = None
-        count = 0
-        if n:
+        count = n
+        if n > self._trivial(m):
             fx = kernels.evaluate(self._code, m, x)
             count = n if fx * _parity(n) > 0.0 else n - 1
         self._reach[m] = (x, fx)

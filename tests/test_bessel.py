@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import random
 import re
+import sys
 
 import pytest
 from conftest import oracle_positive_zeros, spherical_series
@@ -150,6 +152,24 @@ EVALUATORS = {
     "spherical_bessel_j_prime": "spherical_j_prime",
 }
 
+# x far below every zero, down to the smallest subnormal
+TINY_X = [1e-5, 1e-8, 1e-50, 1e-150, 1e-200, 5e-324]
+
+
+def _mp_evaluator(mp, name, order, x):
+    # the public evaluator in mpmath: j_p = sqrt(pi/2x) J_{p+1/2} and
+    # j'_p = (p/x) j_p - j_{p+1} (DLMF 10.47.3, 10.51.2)
+    if name == "bessel_j":
+        return mp.besselj(order, x)
+    if name == "bessel_j_prime":
+        return mp.besselj(order, x, derivative=1)
+
+    def sph(p):
+        return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(p + mp.mpf(0.5), x)
+
+    return sph(order) if name == "spherical_bessel_j" else order / x * sph(order) - sph(order + 1)
+
+
 # sha256 of the four public evaluators' reprs on the grid of
 # TestPublicEvaluators.test_values_pinned
 EVALUATORS_SHA256 = "2a3d604f174e66f4df5567db0c006820fce2577662add9ca2da1506a74bf1803"
@@ -203,6 +223,24 @@ class TestPublicEvaluators:
 
         assert getattr(specpack, name)(order, x) == pytest.approx(ref(sp), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("x", TINY_X)
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_tiny_x_against_mpmath(self, name, order, x):
+        # far below the zeros: the closed forms of j cancel, x * x and the
+        # recurrence's c/x overflow or underflow.  Each value is within 1e-12
+        # of 30-digit mpmath, or where the true value underflows, 0.0 or a
+        # subnormal of its sign within one subnormal step
+        import mpmath as mp
+
+        got = getattr(specpack, name)(order, x)
+        with mp.workdps(30):
+            ref = _mp_evaluator(mp, name, order, mp.mpf(x))
+            if abs(ref) >= sys.float_info.min:
+                assert got == pytest.approx(float(ref), rel=1e-12, abs=0)
+            else:
+                assert abs(got - ref) <= 5e-324
+                assert math.copysign(1.0, got) == mp.sign(ref)
 
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
     def test_recurrence_bound(self, name):
@@ -224,6 +262,67 @@ class TestPublicEvaluators:
         assert bessel_j(10**7, 5.0) == 0.0
         assert bessel_j_prime(10**7, 5.0) == 0.0
         assert spherical_bessel_j(0, 1e300) == math.sin(1e300) / 1e300
+
+
+def _backward_per_step(x, lo, start, shift):
+    # the backward recurrence with every test at every step: the reference
+    # that _backward must match bit for bit.  Also returns how often it
+    # rescaled
+    vnext, vcur, esum = 0.0, 1e-30, 0.0
+    va = vb = vc = 0.0
+    c = 2.0 * start + shift
+    rescales = 0
+    for k in range(start, 0, -1):
+        if not (k & 1):
+            esum += vcur
+        vprev = c / x * vcur - vnext
+        c -= 2.0
+        if k == lo + 1:
+            va, vb, vc = vprev, vcur, vnext
+        vnext, vcur = vcur, vprev
+        if abs(vcur) > _kernels_py._RESCALE_AT:
+            by = _kernels_py._RESCALE_BY
+            vcur, vnext, esum, va, vb, vc = (v * by for v in (vcur, vnext, esum, va, vb, vc))
+            rescales += 1
+    return (va, vb, vc, vcur, vnext, esum), rescales
+
+
+class TestBackward:
+    """``_backward`` runs unchecked pairs of steps inside a growth-bound
+    budget; every result is the bits of the loop that tests every step."""
+
+    def test_bit_identical_to_per_step_loop(self):
+        rng = random.Random(20)
+        cases = [
+            (9.0, 199, 0),  # J_200(9) and j_200(9): one rescale each
+            (9.0, 199, 1),
+            (9.0, 1500, 0),  # many rescales
+            (1.0, 600, 1),
+            (1e-280, 2, 1),  # c/x = 6e281: budget 0 from the start
+            (5e-324, 2, 1),  # c/x overflows
+        ]
+        cases += [(rng.uniform(0.5, 8.0), rng.randrange(300), shift) for shift in (0, 1)
+                  for _ in range(100)]
+        cases += [(rng.uniform(8.0, 200.0), rng.randrange(300), shift) for shift in (0, 1)
+                  for _ in range(100)]
+        cases += [(rng.uniform(0.5, 200.0), 0, shift) for shift in (0, 1) for _ in range(20)]
+        seen = set()
+        for x, lo, shift in cases:
+            for start in (_kernels_py._recurrence_start(x, lo) + odd for odd in (0, 1)):
+                ref, rescales = _backward_per_step(x, lo, start, shift)
+                got = _kernels_py._backward(x, lo, start, shift)
+                assert repr(got) == repr(ref), (x, lo, start, shift)
+                seen.add(("shift", shift))
+                seen.add(("odd start", start & 1))
+                seen.add(("x >= 8", int(x >= 8.0)))
+                seen.add(("lo > 0", min(lo, 1)))
+                seen.add(("rescales", min(rescales, 2)))
+        features = ("shift", "odd start", "x >= 8", "lo > 0", "rescales")
+        assert seen == {(f, v) for f in features for v in (0, 1)} | {("rescales", 2)}
+        # where one step can exceed the rescale threshold, the budget is 0
+        # from the start
+        c = 2 * _kernels_py._recurrence_start(1e-280, 2) + 1
+        assert math.log1p(c / 1e-280) > math.log(0.5 * _kernels_py._RESCALE_AT / 1e-30)
 
 
 class TestZeroTables:
@@ -331,6 +430,15 @@ class TestZeroTables:
         monkeypatch.setattr(bessel.kernels, "next_zero", no_pass)
         with pytest.raises(ValueError, match="query too large: .* more than 1e\\+09"):
             query()
+
+    @pytest.mark.parametrize("x", TINY_X)
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    def test_nothing_below_tiny_x(self, kind, x):
+        # at 5e-324 J'_0 and j'_0 underflow to -0.0; the count below pi needs
+        # no sign: the trivial zero is the only one there
+        table = ZeroTable(kind)
+        assert table.zeros_below(0, x) == [] and table.entries_below(x) == {}
+        assert table._count[0] == 0
 
     def test_residuals_of_all_cached_zeros(self):
         evaluators = {
