@@ -1,14 +1,15 @@
 """Evaluation kernels, in pure Python.
 
 Scalar Bessel J, its derivative, spherical Bessel j and its derivative, and
-the per-zero refinement ``next_zero``, a safeguarded Newton finder that the
-zero tables call once for each zero inside a bracket they derived from
-interlacing; where a zero is reported is the tables' decision.  The four
-evaluators are the public ones (``specpack.bessel_j`` and the rest are these
-functions), so they check their input here: order >= 0 and a finite x,
-x >= 0 for J and J', x > 0 for j and j', and no more than ``MAX_RECURRENCE``
-steps of backward recurrence (``check_recurrence``, which the zero tables
-apply to each query too).  The internal passes skip these checks.
+the per-zero refinement ``next_zero``, a cubic Taylor step with a
+safeguarded Newton fallback that the zero tables call once for each zero
+inside a bracket they derived from interlacing; where a zero is reported is
+the tables' decision.  The four evaluators are the public ones
+(``specpack.bessel_j`` and the rest are these functions), so they check
+their input here: order >= 0 and a finite x, x >= 0 for J and J', x > 0 for
+j and j', and no more than ``MAX_RECURRENCE`` steps of backward recurrence
+(``check_recurrence``, which the zero tables apply to each query too).  The
+internal passes skip these checks.
 
 Evaluation strategy:
   * J below x = 8: ascending power series (no destructive cancellation there).
@@ -24,16 +25,18 @@ Evaluation strategy:
 
 One such pass (``_pass``) yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p
 and j_{p+1}), and from them one formula set gives f, the function a kind
-tabulates (J'_m = (J_{m-1} - J_{m+1})/2, J_m or j'_p), f' and f'' through
-the Bessel ODE and its derivative, and the same function of order m + 1.
-That pass is the only evaluator: it serves each Newton iterate of
+tabulates (J'_m = (J_{m-1} - J_{m+1})/2, J_m or j'_p), f', f'' and f'''
+through the Bessel ODE and its derivatives, and the same function of order
+m + 1.  That pass is the only evaluator: it serves each iterate of
 ``next_zero``, the zero tables' sign checks (``evaluate``) and the public J,
 J' and j' (spherical j, which no finder needs, reads the same recurrence).
-Since every derivative of J_m and j_p is at most 1 in size, f'' bounds the
-error of a Newton step, and a step is accepted as soon as that bound proves
-the zero within a quarter ulp of it (about two passes per zero).  The
-order-(m + 1) value of a zero's last pass lets the zero tables check the
-sign of f_{m+1} at that zero without a pass of its own.
+Since every derivative of J_m and j_p is at most 1 in size, the cubic Taylor
+model from f through f''' bounds the error of its own root, which is
+accepted as soon as that bound proves the zero within a quarter ulp of it;
+from the zero tables' guesses most zeros take one pass (about 1.15 per zero
+for a 3000-mode disk).  The order-(m + 1) value of a zero's last pass lets
+the zero tables check the sign of f_{m+1} at that zero without a pass of its
+own.
 """
 
 import math
@@ -253,14 +256,18 @@ def spherical_j_prime(order, x):
 
 
 def _pass(kind, order, x):
-    # (f, f', f'', g) at x > 0 from one series or Miller pass: f is the
+    # (f, f', f'', f''', g) at x > 0 from one series or Miller pass: f is the
     # function the kind tabulates at this order and g the same function of
     # order + 1.  J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
     # j'_p = j_{p-1} - (p+1)/x j_p (j'_0 = -j_1); the higher derivatives come
-    # from the ODE and its derivative, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m and
-    # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m
-    # x * x underflows to 0 below x = 1.6e-162, far below every zero: the
-    # ODE's terms are nan there, and f (the sign passes') stays exact
+    # from the ODE and its derivatives, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m,
+    # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m and
+    # J''''_m = 2/x^2 (J''_m - J'_m/x) - J'''_m/x - 4m^2/x^3 J'_m
+    #           + 6m^2/x^4 J_m - (1 - m^2/x^2) J''_m
+    # (for j_p, with q = p(p+1)/x^2: j'''' = 4/x^2 (j'' - j'/x) - 2j'''/x
+    # + 6q/x^2 j - 4q/x j' - (1 - q) j'').  x * x underflows to 0 below
+    # x = 1.6e-162, far below every zero: the ODE's terms are nan there, and
+    # f (the sign passes') stays exact
     xx = x * x or math.nan
     if kind == KIND_SPHERICAL_PRIME:
         if x < _SPH_SERIES_MAX_X:
@@ -279,7 +286,9 @@ def _pass(kind, order, x):
         q = order * (order + 1.0) / xx
         d2 = -2.0 / x * d - (1.0 - q) * j
         d3 = 2.0 / xx * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d
-        return d, d2, d3, up
+        d4 = (4.0 / xx * (d2 - d / x) - 2.0 / x * d3 + 6.0 * q / xx * j
+              - 4.0 * q / x * d - (1.0 - q) * d2)
+        return d, d2, d3, d4, up
     lo = order - 1 if order else 0
     if x < _SERIES_MAX_X:
         a, b = _series_j(lo, x), _series_j(lo + 1, x)
@@ -292,10 +301,12 @@ def _pass(kind, order, x):
         j, d, above = a, -b, b
     q = order * order / xx
     d2 = -d / x - (1.0 - q) * j
-    if kind == KIND_BESSEL:
-        return j, d, d2, above
     d3 = d / xx - d2 / x - 2.0 * q / x * j - (1.0 - q) * d
-    return d, d2, d3, j - (order + 1.0) / x * above
+    if kind == KIND_BESSEL:
+        return j, d, d2, d3, above
+    d4 = (2.0 / xx * (d2 - d / x) - d3 / x - 4.0 * q / x * d + 6.0 * q / xx * j
+          - (1.0 - q) * d2)
+    return d, d2, d3, d4, j - (order + 1.0) / x * above
 
 
 def evaluate(kind, order, x):
@@ -307,30 +318,43 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
     """Refine the one zero of the kind's function inside (lo, hi).
 
     f has the sign ``sign_lo`` on (lo, zero) and the opposite sign on
-    (zero, hi).  Newton steps start at ``guess``; a step that leaves the
-    bracket is replaced by bisection.  The step x - f/f' is accepted once
-    the zero is proven to lie within a quarter ulp of it.  Every derivative
-    of J_m and j_p is at most 1 in size (DLMF 10.14.1 with 10.6.7, and
-    10.54.2), so with r = |f/f'| on I = [x - 2r, x + 2r]
+    (zero, hi).  The passes start at ``guess``.  Each pass at x gives f
+    through f''' there, and from them the cubic Taylor step x + t: t solves
+    the model p(t) = f + f' t + f'' t^2/2 + f''' t^3/6 = 0 near -f/f' (one
+    Newton step on p from there).  Every derivative of J_m and j_p is at
+    most 1 in size (DLMF 10.14.1 with 10.6.7, and 10.54.2), so with
+    q = ulp(x)/4 and S = |t| + q, on [x + t - q, x + t + q]
 
-        |f''| <= M = |f''(x)| + 2r   and   |f'| >= d = |f'(x)| - 2r M;
+        |f'| >= d = |f'(x)| - S (|f''(x)| + S (|f'''(x)|/2 + S/6)),
 
-    if d > 0, f is monotone on I, |f(x - f/f')| <= M r^2 / 2 and the zero
-    lies within M r^2 / 2d of x - f/f' (inside I when that is <= r).
+    and |f(x + t)| <= R = |p(t)| + t^4/24.  If d > 0 and R <= d q, f is
+    monotone there and changes sign, so the zero lies within q of x + t,
+    which is accepted if it lies inside (lo, hi).  Otherwise the next pass
+    is at the Newton step x - f/f', or at the midpoint of the bracket that
+    the signs of f have narrowed when that leaves it.  That step needs no
+    test of its own: Newton's bound proves x - f/f' within q only where
+    M r^2/2 <= d q, with r = |f/f'| and M = |f''(x)| + 2r >= 2r, so only
+    where r^3 <= d q, and there the cubic's remainder t^4/24 is far
+    smaller still.
 
-    Returns (zero, residual, x, g): the Newton zero x - f/f', a bound on |f|
+    Returns (zero, residual, x, g): the zero x + t, the bound R on |f|
     there, the last iterate x and the kind's function of order + 1 at x,
     from the same pass.  All four are nan if no step was accepted.
     """
     x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
-        f, df, d2f, up = _pass(kind, order, x)
+        f, df, d2f, d3f, up = _pass(kind, order, x)
         step = f / df if df else math.inf
-        r = abs(step)
-        big = abs(d2f) + 2.0 * r
-        small = abs(df) - 2.0 * r * big
-        if small > 0.0 and big * r * r <= 2.0 * small * min(0.25 * math.ulp(x), r):
-            return x - step, abs(f - df * step) + 0.5 * big * r * r, x, up
+        # a p' of exactly 0 leaves t at -step
+        t = -step
+        t -= ((f + t * (df + t * (0.5 * d2f + t * d3f / 6.0)))
+              / ((df + t * (d2f + 0.5 * t * d3f)) or math.inf))
+        q = 0.25 * math.ulp(x)
+        s = abs(t) + q
+        small = abs(df) - s * (abs(d2f) + s * (0.5 * abs(d3f) + s / 6.0))
+        bound = abs(f + t * (df + t * (0.5 * d2f + t * d3f / 6.0))) + (t * t) * (t * t) / 24.0
+        if small > 0.0 and bound <= small * q and lo < x + t < hi:
+            return x + t, bound, x, up
         if (f > 0.0) == (sign_lo > 0.0):
             lo = x
         else:

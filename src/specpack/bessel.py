@@ -36,8 +36,8 @@ as zero 0 in the kinds that have one, zero i of order 0 lies strictly inside
 
 Each function is positive on (0, first zero) (J'_0 and j'_0 negative), so
 the sign of f_m at every zero of order m-1 is fixed by its rank.  Each such
-sign is checked when its zero of order m-1 is found, from the Newton pass
-that found it, which also gives f_m at the last iterate x: as |f_m'| <= 1,
+sign is checked when its zero of order m-1 is found, from the last pass of
+the finder, which also gives f_m at the last iterate x: as |f_m'| <= 1,
 f_m has the same sign at the zero when |f_m(x)| > |x - zero|, and is
 evaluated there otherwise.  A zero missing from, or extra in, the order
 below raises AccuracyError.  The count of zeros below any x then follows
@@ -48,16 +48,20 @@ below x has no higher order with one: ``ZeroTable.entries_below`` tabulates
 every zero below x by growing the orders up to that one.  The tables have no
 fixed range: any x can be reached, at the cost of the zeros below it.
 
-Inside its bracket each zero is refined by a safeguarded Newton iteration
-(``kernels.next_zero``), started from the zeros of orders m-1, m-2 and m-3
-extrapolated in the order.  Its last step is accepted once an error bound
-puts the zero within a quarter ulp of it, and the bound on |f| after that
-step is checked against ``RESIDUAL_TOL``.  The table reports that Newton
-zero on a grid of its own: as the midpoint of a bisection to width 1e-12,
-steered by the Newton zero alone, from the cell of the 0.05-step grid that
-holds the zero (see ``_grid_value``).  Each order's grid starts at
-max(order/2, 0.01) and resumes, for each later zero, after the cell of the
-one before.
+Inside its bracket each zero is refined by ``kernels.next_zero``: a cubic
+Taylor step from each pass, with a safeguarded Newton step as the fallback.
+Its first pass is at a guess: from order 4 on, the zeros of orders m-1 .. m-4
+extrapolated in the order by a cubic; for orders 0-2 of J and J',
+McMahon's expansion (DLMF 10.21.19, 10.21.20); otherwise, or where that
+guess leaves the bracket, the zeros of orders m-1 .. m-3 extrapolated by a
+quadratic (by a line for order 2, the bracket's midpoint for orders 0 and
+1).  A step is accepted once an error bound puts the zero within a quarter
+ulp of it, and the bound on |f| there is checked against ``RESIDUAL_TOL``.
+The table reports that zero on a grid of its own: as the midpoint of a
+bisection to width 1e-12, steered by that zero alone, from the cell of the
+0.05-step grid that holds the zero (see ``_grid_value``).  Each order's grid
+starts at max(order/2, 0.01) and resumes, for each later zero, after the
+cell of the one before.
 """
 
 import bisect
@@ -127,13 +131,34 @@ def _grid_value(zero, lo):
     return 0.5 * (lo + hi), resume
 
 
+def _mcmahon(kind, m, s):
+    # McMahon's expansion of the s-th zero of J_m (DLMF 10.21.19) or of J'_m
+    # (10.21.20, which counts the zero of J'_0 at x = 0 as its first), to
+    # four terms
+    mu = 4.0 * m * m
+    if kind == "bessel":
+        a = (s + 0.5 * m - 0.25) * math.pi
+        c1 = mu - 1.0
+        c2 = (mu - 1.0) * (7.0 * mu - 31.0)
+        c3 = (mu - 1.0) * ((83.0 * mu - 982.0) * mu + 3779.0)
+    else:
+        a = (s + 0.5 * m - 0.75) * math.pi
+        c1 = mu + 3.0
+        c2 = (7.0 * mu + 82.0) * mu - 9.0
+        c3 = ((83.0 * mu + 2075.0) * mu - 3039.0) * mu + 3537.0
+    b = 1.0 / (8.0 * a)
+    return a - b * (c1 + b * b * (4.0 / 3.0 * c2 + b * b * 32.0 / 15.0 * c3))
+
+
 def _check_query(order, x):
     # refuse, before any pass, a query whose passes would recur too far, or
     # whose whole work could, by an estimate from an empty table: each of the
-    # orders 0 .. order takes about 2.4 passes (5 allowed) for each of its
-    # about x/pi zeros, none longer than the top order's, and x/2.4 + 2 more,
-    # a pad that covers its sign passes at x and the sign checks that fall
-    # back to an evaluation
+    # orders 0 .. order is allowed 5 passes for each of its about x/pi zeros,
+    # none longer than the top order's, and x/2.4 + 2 more for its sign
+    # passes at x and the sign checks that fall back to an evaluation.  A
+    # zero takes about 1.15 passes, so the 2.4 passes a zero once took, kept
+    # in x/2.4, are now a pad, to be sized anew when one work budget per
+    # command replaces this estimate
     kernels.check_recurrence(x, order)
     steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0)
     steps *= kernels._recurrence_start(x, order)
@@ -161,7 +186,7 @@ class ZeroTable:
     interlacing fixes for the function of the next order there.
 
     A pass at x runs a backward recurrence of about max(order, x) steps, and
-    order 0 alone has about x/pi zeros below x, each found in about two
+    order 0 alone has about x/pi zeros below x, each found in one or two
     passes, so growing a table to x costs about x^2: ``zeros_below(0, 1000)``
     takes about 0.15 s and ``zeros_below(0, 2000)`` about 0.5 s.  A query is
     refused with ValueError before any pass when one pass would take more
@@ -373,16 +398,21 @@ class ZeroTable:
         hi = self._node(m - 1, i + 1)
         reach = self._reach_x(m)
         hi = reach if hi is None else min(hi, reach)
-        prev = self._node(m - 2, i) if m >= 2 else None
-        prev2 = self._node(m - 3, i) if m >= 3 else None
-        # extrapolate in the order from m-1, m-2 and m-3 (orders 0 and 1,
-        # with no two orders >= 0 below them, start at the midpoint)
-        if prev2 is not None:
-            guess = 3.0 * (lo - prev) + prev2
-        elif prev is not None:
-            guess = 2.0 * lo - prev
+        # the zeros of the same place in the orders m-2 .. m-4 (those >= 0)
+        z = [self._node(m - d, i) for d in range(2, min(m, 4) + 1)]
+        # from order 4 on, a cubic extrapolation in the order from m-1 .. m-4;
+        # for orders 0-2 of J and J', McMahon's expansion
+        if len(z) == 3:
+            guess = 4.0 * (lo + z[1]) - 6.0 * z[0] - z[2]
+        elif m <= 2 and self.kind != "spherical_prime":
+            guess = _mcmahon(self.kind, m, i + 1)
         else:
-            guess = 0.5 * (lo + hi)
+            guess = math.nan
+        # otherwise, or where that guess leaves the bracket, a quadratic from
+        # m-1 .. m-3 (a line from m-1, m-2; the midpoint for orders 0 and 1)
+        if not lo < guess < hi:
+            guess = (3.0 * (lo - z[0]) + z[1] if len(z) >= 2 else
+                     2.0 * lo - z[0] if z else 0.5 * (lo + hi))
         return lo, hi, guess
 
 

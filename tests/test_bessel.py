@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from collections import namedtuple
 
 import pytest
 from conftest import oracle_positive_zeros, spherical_series
@@ -334,6 +335,12 @@ class TestZeroTables:
             with pytest.raises(ValueError, match="need order >= 0 and k >= 1"):
                 table.positive_zero(order, k)
 
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    def test_zeros_below_rejects_negative_order(self, kind):
+        message = "need order >= 0 and a finite x, got (-1, 5.0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ZeroTable(kind).zeros_below(-1, 5.0)
+
     def test_jprime_first_zero(self):
         assert bessel_jprime_zero(ZeroIndex(1, 1)) == pytest.approx(
             1.8411838, abs=1e-6
@@ -491,24 +498,39 @@ class TestZeroTables:
         assert firsts[0] > firsts[1]
 
 
+FreshTable = namedtuple("FreshTable", "table passes zeros found")
+
+
 def _fresh_table(name, k):
     """A fresh zero table grown by the k-mode Neumann or Dirichlet disk
-    spectrum or the Neumann ball spectrum, the kernel passes (series/Miller
-    passes of the finder and of its sign checks) that growing it took, and a
-    snapshot of the zeros it then held (``entries()``; later queries grow the
-    table itself)."""
+    spectrum or the Neumann ball spectrum: the table, the kernel passes
+    (series/Miller passes of the finder and of its sign checks) that growing
+    it took, a snapshot of the zeros it then held (``entries()``; later
+    queries grow the table itself), and the zeros as the finder returned
+    them, before the reporting grid (the first argument of ``_grid_value``),
+    keyed alike."""
     kind = {"neumann": "bessel_prime", "dirichlet": "bessel", "ball": "spherical_prime"}[name]
     table = ZeroTable(kind)
     passes = []
+    found = {}
     fn = _kernels_py._pass
+    grid_value = bessel._grid_value
+
+    def recorded(zero, lo):
+        value, resume = grid_value(zero, lo)
+        found[value] = zero
+        return value, resume
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(bessel._TABLES, kind, table)
         mp.setattr(_kernels_py, "_pass", lambda *a: passes.append(1) or fn(*a))
+        mp.setattr(bessel, "_grid_value", recorded)
         if name == "ball":
             spectra.ball_spectrum("neumann", k)
         else:
             spectra.disk_spectrum(name, k)
-    return table, len(passes), table.entries()
+    zeros = table.entries()
+    return FreshTable(table, len(passes), zeros, {idx: found[z] for idx, z in zeros.items()})
 
 
 @pytest.fixture(scope="module")
@@ -516,12 +538,17 @@ def disk_tables_3000():
     return {bc: _fresh_table(bc, 3000) for bc in ("neumann", "dirichlet")}
 
 
+@pytest.fixture(scope="module")
+def ball_table_3000():
+    return _fresh_table("ball", 3000)
+
+
 # sha256 of repr(sorted(entries().items())) of the fresh tables that the
 # K = 3000 spectra grow, and the kernel passes that growing each one took
 TABLES_3000 = {
-    "neumann": ("94ea2aa48d256f6f4c0f6d05b80b0bcf9d20e008c993b8f0b6e57f73397a9812", 3374),
-    "dirichlet": ("0293f9d9d3734ad9b9b4ebe31b33a7b77a49e4807f6eefdb6511ec52d432733b", 3370),
-    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 434),
+    "neumann": ("9f4af24dd5f37941c63b6464b870d3a9dccbc20f08516d8405718fd51a1740f1", 1782),
+    "dirichlet": ("9071537246b2efd0395c2fadd606e4511eddbcea20d41a2406d28b4a6e9968c4", 1772),
+    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 319),
 }
 
 
@@ -543,7 +570,7 @@ class TestZeroOracle:
 
         # scipy's jnp_zeros(0, .) starts at 3.83, like the stored positive zeros
         for bc, oracle in (("neumann", sp.jnp_zeros), ("dirichlet", sp.jn_zeros)):
-            table, _, _ = disk_tables_3000[bc]
+            table = disk_tables_3000[bc].table
             m = 0
             while table.zeros_below(m, REACH_3000):
                 m += 1
@@ -554,6 +581,32 @@ class TestZeroOracle:
                 assert worst <= 1e-12, (bc, order, worst)
                 checked += len(zs)
             assert checked > 1900
+
+    @pytest.mark.parametrize("name", ["neumann", "dirichlet", "ball"])
+    def test_found_zeros_against_mpmath(self, name, disk_tables_3000, ball_table_3000):
+        # each zero as the finder returned it, before the reporting grid,
+        # against the root of the 40-digit mpmath function next to it (the
+        # ranks are checked against scipy above): a seeded sample of 120
+        # within 1.5 ulp, and every zero below x = 8 of J and J', where the
+        # power series evaluates them with up to 86 eps of error of its own,
+        # within 16 ulp.  How far that error moves a zero depends on where
+        # the last pass falls: 9.1 ulp at J'_0's third zero (J_1's second)
+        # here, 16 ulp at J_4's first from other passes
+        import mpmath as mp
+
+        fresh = ball_table_3000 if name == "ball" else disk_tables_3000[name]
+        evaluator = {"neumann": "bessel_j_prime", "dirichlet": "bessel_j",
+                     "ball": "spherical_bessel_j_prime"}[name]
+        found = sorted(fresh.found.items())
+        series = [item for item in found if name != "ball" and item[1] < 8.0]
+        sample = random.Random(21).sample([item for item in found if item not in series], 120)
+        with mp.workdps(40):
+            for items, bound in ((sample, 1.5), (series, 16.0)):
+                for idx, zero in items:
+                    root = mp.findroot(
+                        lambda x: _mp_evaluator(mp, evaluator, idx.order, x), mp.mpf(zero))
+                    ulps = float(abs(zero - root)) / math.ulp(float(root))
+                    assert ulps <= bound, (idx, zero, ulps)
 
 
 class TestOrder0Cells:
@@ -599,16 +652,16 @@ class TestOrder0Cells:
 class TestFinder:
     def test_passes_per_zero(self, disk_tables_3000):
         for bc in ("neumann", "dirichlet"):
-            _, passes, zeros = disk_tables_3000[bc]
-            # 2.18 and 2.17: Newton steps and sign checks; the reporting
-            # grid makes no pass
-            assert passes / len(zeros) <= 2.25
+            _, passes, zeros, _ = disk_tables_3000[bc]
+            # 1.15 and 1.14: most zeros take the one pass whose cubic Taylor
+            # step is accepted, and the reporting grid makes no pass
+            assert passes / len(zeros) <= 1.16
             assert len(zeros) <= 1600  # the 3000 modes use 1517 (1518) of them
 
-    def test_tables_3000_pinned(self, disk_tables_3000):
+    def test_tables_3000_pinned(self, disk_tables_3000, ball_table_3000):
         # every bit of every zero the K = 3000 disk and ball spectra tabulate
-        tables = {**disk_tables_3000, "ball": _fresh_table("ball", 3000)}
-        for name, (_, passes, zeros) in tables.items():
+        tables = {**disk_tables_3000, "ball": ball_table_3000}
+        for name, (_, passes, zeros, _) in tables.items():
             digest = hashlib.sha256(repr(sorted(zeros.items())).encode()).hexdigest()
             assert (digest, passes) == TABLES_3000[name], name
 
@@ -655,11 +708,11 @@ class TestFinder:
         assert resume == hi + bessel._GRID_STEP
 
     def test_next_zero_gives_up_after_max_steps(self, monkeypatch):
-        # with f' = 0 no Newton step is ever accepted: after _MAX_STEPS
+        # with f' = 0 no step is ever accepted: after _MAX_STEPS
         # passes the refinement gives up, with all four results nan
         passes = []
         monkeypatch.setattr(
-            _kernels_py, "_pass", lambda *a: passes.append(1) or (1.0, 0.0, 0.0, 0.0)
+            _kernels_py, "_pass", lambda *a: passes.append(1) or (1.0, 0.0, 0.0, 0.0, 0.0)
         )
         found = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 2.0, 3.0, 2.4, 1.0)
         assert len(found) == 4 and all(math.isnan(v) for v in found)
@@ -667,11 +720,52 @@ class TestFinder:
 
     def test_unrefined_zero_raises(self, monkeypatch):
         # every pass reports f' = 0: the sign of J_0 at x still counts its
-        # first zero in (0, pi), but no Newton step is accepted there
+        # first zero in (0, pi), but no step is accepted there
         real = _kernels_py._pass
-        monkeypatch.setattr(_kernels_py, "_pass", lambda *a: (real(*a)[0], 0.0, 0.0, 0.0))
+        monkeypatch.setattr(_kernels_py, "_pass", lambda *a: (real(*a)[0], 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(AccuracyError, match="zero #1: not refined inside its bracket"):
             ZeroTable("bessel").positive_zero(0, 1)
+
+    def test_taylor_step_outside_bracket_refused(self, monkeypatch):
+        # passes of f(x) = x - 3.5: from 3.4999 the cubic Taylor step proves
+        # the root 3.5 to the last bit, and is taken inside (3, 3.6) at once;
+        # with hi = 3.49995 it lies past hi and is never taken, though every
+        # pass, each at most at hi, proves it again
+        passes = []
+
+        def line(kind, order, x):
+            passes.append(x)
+            return x - 3.5, 1.0, 0.0, 0.0, 0.0
+
+        monkeypatch.setattr(_kernels_py, "_pass", line)
+        kind = _kernels_py.KIND_BESSEL
+        zero, residual, x, _ = _kernels_py.next_zero(kind, 0, 3.0, 3.6, 3.4999, -1.0)
+        assert (zero, x, passes) == (3.5, 3.4999, [3.4999]) and residual < 1e-17
+        passes.clear()
+        found = _kernels_py.next_zero(kind, 0, 3.0, 3.49995, 3.4999, -1.0)
+        assert all(math.isnan(v) for v in found)
+        assert len(passes) == _kernels_py._MAX_STEPS
+        assert 3.4999 <= min(passes) and max(passes) <= 3.49995
+
+    @pytest.mark.parametrize("kind,order,x", [
+        ("bessel_prime", 0, 3.3), ("bessel_prime", 5, 7.9), ("bessel_prime", 40, 55.0),
+        ("bessel", 0, 9.1), ("bessel", 7, 30.2), ("bessel", 3, 2.2),
+        ("spherical_prime", 0, 2.5), ("spherical_prime", 1, 20.0),
+        ("spherical_prime", 12, 40.0),
+    ])
+    def test_pass_derivatives_against_mpmath(self, kind, order, x):
+        # f through f''' of one pass, the higher ones from the ODE and its
+        # derivatives, and f of order + 1, against 30-digit mpmath
+        import mpmath as mp
+
+        name = {"bessel_prime": "bessel_j_prime", "bessel": "bessel_j",
+                "spherical_prime": "spherical_bessel_j_prime"}[kind]
+        got = _kernels_py._pass(bessel._KIND_CODE[kind], order, x)
+        with mp.workdps(30):
+            ref = [mp.diff(lambda t: _mp_evaluator(mp, name, order, t), x, n) for n in range(4)]
+            ref.append(_mp_evaluator(mp, name, order + 1, mp.mpf(x)))
+        for value, r in zip(got, ref, strict=True):
+            assert value == pytest.approx(float(r), rel=1e-11, abs=1e-13)
 
     @staticmethod
     def _grow_counting_nodes(kind, monkeypatch, orders, x):

@@ -125,6 +125,13 @@ class TestTable:
         assert run_cli("table", "--rows", "0").returncode == 1
         assert run_cli("table", "--rows", "x").returncode == 1
 
+    def test_int_cell(self):
+        # squares' split values over pi^2 are integers in every table row;
+        # a value that is not prints with two decimals
+        from specpack import cli
+
+        assert [cli._int_cell(x) for x in (None, 3.0, 3.0000004, 2.5)] == ["-", "3", "3", "2.50"]
+
 
 class TestCertify:
     def test_n22_certified(self):

@@ -422,6 +422,9 @@ class TestShapeValidation:
                 spectra.box(1.0, side, 1.0)
         with pytest.raises(ValueError, match="box needs three positive sides"):
             spectra.DomainShape("box", "neumann", (1.0, 1.0))
+        for sides in ((1.0,), (1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="rectangle needs two positive sides"):
+                spectra.DomainShape("rectangle", "neumann", sides)
         with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
             disk("robin")
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ PI = math.pi
 # precision and every provenance expression, as the loop-based split search
 # produced them
 CSV_3000_SHA256 = {
-    "disks": "cbb53ae5ea290d8595f7d7758dc40b03be2aed8fe0c37ada13df7a0f49839a3d",
+    "disks": "1fc3d1ad7da020bd7587d708458f83b317227ab026cf56bb1c7d311b416cd6bb",
     "squares": "6a61cfec495f1a9ea4a7932fc8ef5f89e7192711fd47066825110358a6a290e9",
     "balls": "7d19ff5120753b6674da3d2d00958c6f4de4aca3089ad485f4562f93898ae197",
     "cubes": "a8fa03e2b683ba3183d4c94685fb1e4f3bfd17bd90357729bb0af993139c2ce2",
@@ -437,9 +437,12 @@ class TestCrossoverScan:
             crossover_scan(disks_sequence, squares_sequence, 1000)
 
     def test_objective_mismatch_rejected(self, disks_sequence):
+        # a maximizing and a minimizing sequence, either way round
         seq = extremal_sequence(dirichlet_disks_class(), 5)
-        with pytest.raises(ValueError, match="objective"):
-            crossover_scan(disks_sequence, seq, 5)
+        assert (disks_sequence.objective, seq.objective) == ("maximize", "minimize")
+        for a, b in ((disks_sequence, seq), (seq, disks_sequence)):
+            with pytest.raises(ValueError, match="^sequences must share objective$"):
+                crossover_scan(a, b, 5)
 
     @pytest.mark.parametrize("cls", [disks_class, dirichlet_disks_class])
     def test_margin_is_strict(self, cls):
