@@ -11,17 +11,18 @@ j and j', and no more than ``MAX_RECURRENCE`` steps of backward recurrence
 (``check_recurrence``, which the zero tables apply to each query too).  The
 internal passes skip these checks.
 
-Evaluation strategy:
-  * J below x = 8: ascending power series (no destructive cancellation there).
-  * j below x = 1e-3: its ascending series, also differentiated term by term
-    for j' (there the closed forms cancel and the recurrence overflows).
-  * j of order 0 and 1: the closed forms.
-  * Otherwise one backward-recurrence loop, ``_backward``, started well above
-    max(order, x): v_{k-1} = (2k + shift)/x v_k - v_{k+1}, with shift 0 for J
-    (from an even start, normalized with the even-order sum rule
-    J_0 + 2*sum_k J_{2k} = 1) and 1 for j (anchored on the closed forms j_0,
-    j_1).  Backward recurrence keeps relative accuracy even deep in the
-    evanescent zone.
+Evaluation strategy, one rule for all four evaluators and every order:
+  * below x = 1e-3, where the recurrence's c/x overflows: the ascending
+    series that J_m and j_p share, a leading power times
+    0F1(; nu + 1; -x^2/4) with nu = m or p + 1/2, differentiated term by
+    term for j';
+  * from x = 1e-3 on: one backward-recurrence loop, ``_backward``, started
+    well above max(order, x): v_{k-1} = (2k + shift)/x v_k - v_{k+1}, with
+    shift 0 for J (from an even start, normalized with the even-order sum
+    rule J_0 + 2*sum_k J_{2k} = 1) and 1 for j (anchored on
+    j_0 = sin x/x or j_1 = sin x/x^2 - cos x/x, whichever is larger).
+    Backward recurrence keeps relative accuracy even deep in the evanescent
+    zone.
 
 One such pass (``_pass``) yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p
 and j_{p+1}), and from them one formula set gives f, the function a kind
@@ -47,32 +48,14 @@ KIND_BESSEL_PRIME = 0
 KIND_BESSEL = 1
 KIND_SPHERICAL_PRIME = 2
 
-_SERIES_MAX_X = 8.0
-# below it j and j' come from their ascending series: the closed forms of
-# j_0' and j_1 cancel and the recurrence's c/x overflows there
-_SPH_SERIES_MAX_X = 1e-3
+# below it every evaluator sums its ascending series: the recurrence's c/x
+# overflows there
+_SERIES_SEAM = 1e-3
 _MAX_STEPS = 100
 _RESCALE_AT = 1e250
 _RESCALE_BY = 1e-250
 # the most steps of backward recurrence a public evaluator takes (about 0.4 s)
 MAX_RECURRENCE = 10**6
-
-
-def _series_j(m, x):
-    # sum_k (-1)^k (x/2)^(m+2k) / (k! (k+m)!)
-    half = 0.5 * x
-    if m > 120:
-        t = math.exp(m * math.log(half) - math.lgamma(m + 1.0)) if half > 0.0 else 0.0
-    else:
-        t = half**m / math.factorial(m)
-    s = t
-    mx2 = -half * half
-    for k in range(1, 200):
-        t *= mx2 / (k * (k + m))
-        s += t
-        if abs(t) <= 1e-17 * abs(s):
-            break
-    return s
 
 
 def _recurrence_start(x, lo):
@@ -143,7 +126,7 @@ def _backward(x, lo, start, shift):
 
 
 def _miller(x, lo):
-    # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_MAX_X, from an even start,
+    # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_SEAM, from an even start,
     # normalized by the sum rule J_0 + 2 sum_k J_2k = 1
     start = _recurrence_start(x, lo)
     va, vb, vc, v0, _, esum = _backward(x, lo, start + (start & 1), 0.0)
@@ -161,25 +144,25 @@ def check_recurrence(x, lo):
         )
 
 
-def _check(order, x, closed, recurs):
+def _check(order, x, closed):
     # the public evaluators' input: order >= 0 and a finite x, >= 0 if closed
-    # and > 0 otherwise; and if the pass recurs backward, a recurrence of at
-    # most MAX_RECURRENCE steps
+    # and > 0 otherwise; and from the series seam on, where the pass recurs
+    # backward, a recurrence of at most MAX_RECURRENCE steps
     if order < 0:
         raise ValueError("order must be >= 0")
     if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
         raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
-    if recurs:
+    if x >= _SERIES_SEAM:
         check_recurrence(x, max(order - 1, 0))
 
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x).
 
-    For x >= 8 the backward recurrence takes about max(order, x) steps; input
-    that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
+    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, True, x >= _SERIES_MAX_X)
+    _check(order, x, True)
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
     return _pass(KIND_BESSEL, order, x)[0]
@@ -188,17 +171,18 @@ def bessel_j(order, x):
 def bessel_j_prime(order, x):
     """Derivative J'_order(x).
 
-    For x >= 8 the backward recurrence takes about max(order, x) steps; input
-    that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
+    For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
+    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, True, x >= _SERIES_MAX_X)
+    _check(order, x, True)
     if x == 0.0:
         return 0.5 if order == 1 else 0.0
     return _pass(KIND_BESSEL_PRIME, order, x)[0]
 
 
 def _sph_miller(x, lo):
-    # (j_lo, j_lo+1, j_lo+2), anchored on the closed forms of j_0 and j_1
+    # (j_lo, j_lo+1, j_lo+2), anchored on j_0 = sin x/x or on
+    # j_1 = sin x/x^2 - cos x/x, whichever is larger
     va, vb, vc, v0, v1, _ = _backward(x, lo, _recurrence_start(x, lo), 1.0)
     sx = math.sin(x)
     cx = math.cos(x)
@@ -208,21 +192,26 @@ def _sph_miller(x, lo):
     return va * scale, vb * scale, vc * scale
 
 
-def _sph_series(p, x, deriv):
-    # j_p(x), or with deriv = 1 its derivative (p >= 1), for
-    # x < _SPH_SERIES_MAX_X: the ascending series (DLMF 10.53.1)
-    # j_p(x) = sum_k (-x^2/2)^k x^p / (k! (2p + 2k + 1)!!), differentiated
-    # term by term.  Below 1e-3 each term is below 2e-7 of the one before,
-    # so the terms past k = 3 add less than 1e-28.  The leading x^(p - deriv) /
-    # (2p + 1)!! is built a factor at a time, so that it underflows to 0
-    # where the value does instead of overflowing.
+def _series(p, x, shift, deriv):
+    # J_p(x) (shift 0) or j_p(x) (shift 1), or with deriv = 1 its derivative
+    # (p >= 1), for x < _SERIES_SEAM: the ascending series they share, a
+    # leading power times 0F1(; nu + 1; -x^2/4) with nu = p or p + 1/2
+    # (DLMF 10.2.2, 10.53.1),
+    # sum_k (-x^2/2)^k x^p / (k! prod_{i=1}^{p+k} (2i + shift)),
+    # differentiated term by term.  Below 1e-3 each term is below 2.5e-7 of
+    # the one before, so the terms past k = 3 add less than 1e-26.  The
+    # leading x^(p - deriv) / prod_{i=1}^p (2i + shift) is built a factor at
+    # a time, so that it underflows to 0 where the value does instead of
+    # overflowing, and it stops there, so that every order is cheap.
     t = 1.0
     for i in range(1, p + 1):
-        t *= (x if i > deriv else 1.0) / (2 * i + 1)
+        t *= (x if i > deriv else 1.0) / (2 * i + shift)
+        if not t:
+            break
     s = p * t if deriv else t
     mx2 = -0.5 * x * x
     for k in (1, 2, 3):
-        t *= mx2 / (k * (2 * p + 2 * k + 1))
+        t *= mx2 / (k * (2 * p + 2 * k + shift))
         s += (p + 2 * k) * t if deriv else t
     return s
 
@@ -230,35 +219,30 @@ def _sph_series(p, x, deriv):
 def spherical_j(order, x):
     """Spherical Bessel function j_order(x), x > 0.
 
-    For order >= 2 the backward recurrence takes about max(order, x) steps
-    (below x = 1e-3 the ascending series, built over about as many factors,
-    serves instead); input that needs more than ``MAX_RECURRENCE`` (10^6)
-    raises ValueError.
+    For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
+    input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, False, order >= 2)
-    if x < _SPH_SERIES_MAX_X:
-        return _sph_series(order, x, 0)
-    if order == 0:
-        return math.sin(x) / x
-    if order == 1:
-        return math.sin(x) / (x * x) - math.cos(x) / x
-    return _sph_miller(x, order - 1)[1]
+    _check(order, x, False)
+    if x < _SERIES_SEAM:
+        return _series(order, x, 1, 0)
+    return _sph_miller(x, max(order - 1, 0))[min(order, 1)]
 
 
 def spherical_j_prime(order, x):
     """Derivative d/dx j_order(x), x > 0.
 
-    For order >= 2 the backward recurrence takes about max(order, x) steps;
+    For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, False, order >= 2)
+    _check(order, x, False)
     return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
 
 
 def _pass(kind, order, x):
-    # (f, f', f'', f''', g) at x > 0 from one series or Miller pass: f is the
-    # function the kind tabulates at this order and g the same function of
-    # order + 1.  J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
+    # (f, f', f'', f''', g) at x > 0 from one series or Miller pass over the
+    # orders lo .. lo + 2, lo = max(order - 1, 0): f is the function the kind
+    # tabulates at this order and g the same function of order + 1.
+    # J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
     # j'_p = j_{p-1} - (p+1)/x j_p (j'_0 = -j_1); the higher derivatives come
     # from the ODE and its derivatives, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m,
     # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m and
@@ -269,19 +253,15 @@ def _pass(kind, order, x):
     # x = 1.6e-162, far below every zero: the ODE's terms are nan there, and
     # f (the sign passes') stays exact
     xx = x * x or math.nan
+    lo = order - 1 if order else 0
     if kind == KIND_SPHERICAL_PRIME:
-        if x < _SPH_SERIES_MAX_X:
-            j = _sph_series(order, x, 0)
-            d = _sph_series(order, x, 1) if order else -_sph_series(1, x, 0)
-            up = _sph_series(order + 1, x, 1)
+        if x < _SERIES_SEAM:
+            j = _series(order, x, 1, 0)
+            d = _series(order, x, 1, 1) if order else -_series(1, x, 1, 0)
+            up = _series(order + 1, x, 1, 1)
         else:
-            if order >= 2:
-                below, j, above = _sph_miller(x, order - 1)
-            else:
-                s0 = math.sin(x) / x
-                s1 = (s0 - math.cos(x)) / x
-                below, j, above = (s0, s1, 3.0 / x * s1 - s0) if order else (None, s0, s1)
-            d = below - (order + 1.0) / x * j if order else -above
+            a, b, c = _sph_miller(x, lo)
+            j, d, above = (b, a - (order + 1.0) / x * b, c) if order else (a, -b, b)
             up = j - (order + 2.0) / x * above
         q = order * (order + 1.0) / xx
         d2 = -2.0 / x * d - (1.0 - q) * j
@@ -289,16 +269,11 @@ def _pass(kind, order, x):
         d4 = (4.0 / xx * (d2 - d / x) - 2.0 / x * d3 + 6.0 * q / xx * j
               - 4.0 * q / x * d - (1.0 - q) * d2)
         return d, d2, d3, d4, up
-    lo = order - 1 if order else 0
-    if x < _SERIES_MAX_X:
-        a, b = _series_j(lo, x), _series_j(lo + 1, x)
-        c = _series_j(lo + 2, x) if order else 0.0
+    if x < _SERIES_SEAM:
+        a, b, c = (_series(lo + i, x, 0, 0) for i in range(3))
     else:
         a, b, c = _miller(x, lo)
-    if order:
-        j, d, above = b, 0.5 * (a - c), c
-    else:
-        j, d, above = a, -b, b
+    j, d, above = (b, 0.5 * (a - c), c) if order else (a, -b, b)
     q = order * order / xx
     d2 = -d / x - (1.0 - q) * j
     d3 = d / xx - d2 / x - 2.0 * q / x * j - (1.0 - q) * d

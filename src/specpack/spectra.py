@@ -33,6 +33,7 @@ import csv
 import io
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from . import bessel
 
@@ -125,10 +126,13 @@ class Mode(namedtuple("Mode", "label value multiplicity", defaults=(1,))):
     __slots__ = ()
 
 
-def _mode_sort_key(mode):
-    # equal values ordered by descending-lexicographic label (matches the
-    # classical tabulation order, e.g. (1,0) before (0,1) on the square)
-    return (mode.value, tuple(-c for c in mode.label))
+def _sort_modes(modes):
+    # ascending values, equal values ordered by descending-lexicographic label
+    # (matches the classical tabulation order, e.g. (1,0) before (0,1) on the
+    # square): two stable sorts with C-level keys, the second by value
+    modes.sort(key=attrgetter("label"), reverse=True)
+    modes.sort(key=attrgetter("value"))
+    return modes
 
 
 class Spectrum(
@@ -238,7 +242,7 @@ def _adaptive_modes(enumerate_below, k, lam0):
     k-th lies strictly below it."""
     lam = lam0
     for _ in range(200):
-        head = _prefix(sorted(enumerate_below(lam), key=_mode_sort_key), k)
+        head = _prefix(_sort_modes(enumerate_below(lam)), k)
         if head is not None and head[-1].value <= lam * (1.0 - 1e-9):
             return head
         lam *= 1.6
@@ -392,7 +396,7 @@ def union_spectrum(parts, k):
                 f"part spectra must carry at least {k} eigenvalues (got {spec.count})"
             )
         merged += _prefix(spec.rescaled(vol).modes, k)
-    merged.sort(key=_mode_sort_key)
+    _sort_modes(merged)
     return Spectrum(
         bc=bc,
         dimension=dim,

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import time
 from collections import namedtuple
 
 import pytest
@@ -173,7 +174,7 @@ def _mp_evaluator(mp, name, order, x):
 
 # sha256 of the four public evaluators' reprs on the grid of
 # TestPublicEvaluators.test_values_pinned
-EVALUATORS_SHA256 = "2a3d604f174e66f4df5567db0c006820fce2577662add9ca2da1506a74bf1803"
+EVALUATORS_SHA256 = "8a96145fa1bc3344c5207718cb4db13c30c0564b9bf771dff698c1c635c77132"
 
 
 class TestPublicEvaluators:
@@ -187,10 +188,14 @@ class TestPublicEvaluators:
 
     def test_values_pinned(self):
         # every bit of the four evaluators on a grid across both sides of the
-        # series/recurrence seam at x = 8, the deep-evanescent orders
-        # included; a kernel change that moves one value moves this digest
+        # series/recurrence seam at x = 1e-3 and of x = 8, the
+        # deep-evanescent orders included; a kernel change that moves one
+        # value moves this digest
         orders = [*range(12), 40, 150]
-        xs = [0.37 * i for i in range(1, 120)] + [8.0 - 2.0**-50, 8.0, 8.0 + 2.0**-49, 1e-3]
+        seam = _kernels_py._SERIES_SEAM
+        xs = [0.37 * i for i in range(1, 120)] + [8.0 - 2.0**-50, 8.0, 8.0 + 2.0**-49,
+                                                  math.nextafter(seam, 0.0), seam,
+                                                  math.nextafter(seam, 1.0)]
         digest = hashlib.sha256()
         for name in sorted(EVALUATORS):
             f = getattr(specpack, name)
@@ -211,7 +216,7 @@ class TestPublicEvaluators:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("name,order,x,ref", [
-        # the lgamma start of _series_j (order > 120, x < 8)
+        # the rescale branch of _backward for J below x = 8
         ("bessel_j", 150, 5.0, lambda sp: sp.jv(150, 5.0)),
         # the rescale branch of _backward for J (x >= 8, far below the order)
         ("bessel_j", 200, 9.0, lambda sp: sp.jv(200, 9.0)),
@@ -257,12 +262,59 @@ class TestPublicEvaluators:
         with pytest.raises(ValueError, match="backward recurrence"):
             bessel_j(999_961, 9.0)
 
-    def test_series_has_no_recurrence_bound(self):
-        # below x = 8 J and J' come from the power series at any order; j and
-        # j' of order 0 and 1 from closed forms at any x
-        assert bessel_j(10**7, 5.0) == 0.0
-        assert bessel_j_prime(10**7, 5.0) == 0.0
-        assert spherical_bessel_j(0, 1e300) == math.sin(1e300) / 1e300
+    def test_one_rule_at_series_seam(self):
+        # below x = 1e-3 the series serves every order, its leading power cut
+        # short once it underflows to 0, so order 10^7 takes microseconds;
+        # from 1e-3 on every evaluator recurs backward at every order, and
+        # MAX_RECURRENCE refuses that order there, as it refuses j_0 and j_1
+        # at x = 1e300
+        seam = _kernels_py._SERIES_SEAM
+        for name in sorted(EVALUATORS):
+            f = getattr(specpack, name)
+            start = time.perf_counter()
+            assert f(10**7, math.nextafter(seam, 0.0)) == 0.0
+            assert time.perf_counter() - start < 0.1
+            for order, x in ((10**7, seam), (10**7, 5.0), (0, 1e300), (1, 1e300)):
+                with pytest.raises(ValueError, match="backward recurrence would take more than"):
+                    f(order, x)
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_sampled_against_mpmath(self, name):
+        # seeded (x, order) samples in [1e-3, 8), x uniform and log-uniform
+        # in turn so that both ends are sampled: each value within 16 eps of
+        # max |f_{m-1}|, |f_m|, |f_{m+1}| of 40-digit mpmath (a power series
+        # of J cancels near 8, closed forms of j and j' near 1e-3; the Miller
+        # pass stays within 4 eps)
+        import mpmath as mp
+
+        f = getattr(specpack, name)
+        rng = random.Random(22)
+        with mp.workdps(40):
+            for i in range(150):
+                x = rng.uniform(1e-3, 8.0) if i % 2 else 1e-3 * 8000.0 ** rng.random()
+                order = rng.randrange(12)
+                ref = {m: _mp_evaluator(mp, name, m, mp.mpf(x))
+                       for m in range(max(order - 1, 0), order + 2)}
+                err = abs(f(order, x) - ref[order]) / max(abs(r) for r in ref.values())
+                assert err <= 16 * sys.float_info.epsilon, (x, order, float(err))
+
+    @pytest.mark.parametrize("name,order,x,rel", [
+        # deep in the evanescent zone below x = 8
+        ("bessel_j", 150, 5.0, 1e-14),
+        ("bessel_j_prime", 150, 5.0, 1e-14),
+        # just above the series seam, where the closed forms of j_1 and j'_1
+        # cancel to about eps/x^2
+        *[(name, order, x, 1e-15)
+          for name, order in (("spherical_bessel_j", 1), ("spherical_bessel_j_prime", 0),
+                              ("spherical_bessel_j_prime", 1))
+          for x in (1e-3, 1e-2)],
+    ])
+    def test_points_against_mpmath(self, name, order, x, rel):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            ref = float(_mp_evaluator(mp, name, order, mp.mpf(x)))
+        assert getattr(specpack, name)(order, x) == pytest.approx(ref, rel=rel, abs=0)
 
 
 def _backward_per_step(x, lo, start, shift):
@@ -586,27 +638,24 @@ class TestZeroOracle:
     def test_found_zeros_against_mpmath(self, name, disk_tables_3000, ball_table_3000):
         # each zero as the finder returned it, before the reporting grid,
         # against the root of the 40-digit mpmath function next to it (the
-        # ranks are checked against scipy above): a seeded sample of 120
-        # within 1.5 ulp, and every zero below x = 8 of J and J', where the
-        # power series evaluates them with up to 86 eps of error of its own,
-        # within 16 ulp.  How far that error moves a zero depends on where
-        # the last pass falls: 9.1 ulp at J'_0's third zero (J_1's second)
-        # here, 16 ulp at J_4's first from other passes
+        # ranks are checked against scipy above), within 1.5 ulp: every zero
+        # below x = 8 (10 of J', 7 of J, 10 of j'), where a power series of
+        # J would leave some 9 ulp off, and a seeded sample of 120 of the rest
         import mpmath as mp
 
         fresh = ball_table_3000 if name == "ball" else disk_tables_3000[name]
         evaluator = {"neumann": "bessel_j_prime", "dirichlet": "bessel_j",
                      "ball": "spherical_bessel_j_prime"}[name]
         found = sorted(fresh.found.items())
-        series = [item for item in found if name != "ball" and item[1] < 8.0]
-        sample = random.Random(21).sample([item for item in found if item not in series], 120)
+        below_8 = [item for item in found if item[1] < 8.0]
+        assert len(below_8) == {"neumann": 10, "dirichlet": 7, "ball": 10}[name]
+        sample = random.Random(21).sample([item for item in found if item not in below_8], 120)
         with mp.workdps(40):
-            for items, bound in ((sample, 1.5), (series, 16.0)):
-                for idx, zero in items:
-                    root = mp.findroot(
-                        lambda x: _mp_evaluator(mp, evaluator, idx.order, x), mp.mpf(zero))
-                    ulps = float(abs(zero - root)) / math.ulp(float(root))
-                    assert ulps <= bound, (idx, zero, ulps)
+            for idx, zero in below_8 + sample:
+                root = mp.findroot(
+                    lambda x: _mp_evaluator(mp, evaluator, idx.order, x), mp.mpf(zero))
+                ulps = float(abs(zero - root)) / math.ulp(float(root))
+                assert ulps <= 1.5, (idx, zero, ulps)
 
 
 class TestOrder0Cells:
@@ -746,6 +795,21 @@ class TestFinder:
         assert all(math.isnan(v) for v in found)
         assert len(passes) == _kernels_py._MAX_STEPS
         assert 3.4999 <= min(passes) and max(passes) <= 3.49995
+
+    @pytest.mark.parametrize("guess", [2.0, 3.0, 5.0])
+    def test_guess_outside_bracket_starts_at_midpoint(self, guess, monkeypatch):
+        # passes of f(x) = x - 3.5: a guess at or outside an end of (3, 4)
+        # is replaced by the midpoint 3.5, where the first pass proves the
+        # root exactly
+        passes = []
+
+        def line(kind, order, x):
+            passes.append(x)
+            return x - 3.5, 1.0, 0.0, 0.0, 0.0
+
+        monkeypatch.setattr(_kernels_py, "_pass", line)
+        zero, _, x, _ = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 3.0, 4.0, guess, -1.0)
+        assert (zero, x, passes) == (3.5, 3.5, [3.5])
 
     @pytest.mark.parametrize("kind,order,x", [
         ("bessel_prime", 0, 3.3), ("bessel_prime", 5, 7.9), ("bessel_prime", 40, 55.0),

@@ -238,6 +238,33 @@ class TestCeiling:
         monkeypatch.setattr(spectra, "_weyl_ceiling", lambda shape, k: 1.0)
         assert spectrum_of(shape, 200) == full
 
+    def test_short_first_ceiling_is_raised(self):
+        # asked for two modes, listed in descending order: the first ceiling
+        # holds one (no prefix of two), the second holds both but the second
+        # at the ceiling itself, not strictly below it, and the third holds
+        # both strictly below it, in ascending order
+        lam0 = 1.2
+        modes = [spectra.Mode((2,), lam0 * 1.6), spectra.Mode((1,), 1.0)]
+        calls = []
+
+        def below(lam):
+            calls.append(lam)
+            return [m for m in modes if m.value <= lam]
+
+        assert spectra._adaptive_modes(below, 2, lam0) == modes[::-1]
+        assert calls == [lam0, lam0 * 1.6, lam0 * 1.6 * 1.6]
+
+    def test_sort_matches_tuple_key(self):
+        # ascending values, equal values by descending label, as the tuple
+        # key (value, -label) orders them, on the 3133 modes of the first
+        # ceiling of a 3000-mode cube, in a shuffled order
+        lam = spectra._weyl_ceiling(cube(), 3000) * 1.02 + spectra._weyl_ceiling(cube(), 4)
+        modes = spectra._lattice_walk(cube())(lam)
+        assert len(modes) == 3133
+        np.random.default_rng(22).shuffle(modes)
+        key = sorted(modes, key=lambda m: (m.value, tuple(-c for c in m.label)))
+        assert spectra._sort_modes(modes) == key
+
     def test_ceiling_that_never_covers_raises(self):
         with pytest.raises(RuntimeError, match="failed to converge"):
             spectra._adaptive_modes(lambda lam: [], 1, 1.0)
