@@ -6,10 +6,10 @@ safeguarded Newton fallback that the zero tables call once for each zero
 inside a bracket they derived from interlacing; where a zero is reported is
 the tables' decision.  The four evaluators are the public ones
 (``specpack.bessel_j`` and the rest are these functions), so they check
-their input here: order >= 0 and a finite x, x >= 0 for J and J', x > 0 for
-j and j', and no more than ``MAX_RECURRENCE`` steps of backward recurrence
-(``check_recurrence``, which the zero tables apply to each query too).  The
-internal passes skip these checks.
+their input here: an integer order >= 0 and a finite x, x >= 0 for J and
+J', x > 0 for j and j', and no more than ``MAX_RECURRENCE`` steps of
+backward recurrence (``check_recurrence``, which the zero tables apply to
+each query too).  The internal passes skip these checks.
 
 Evaluation strategy, one rule for all four evaluators and every order:
   * below x = 1e-3, where the recurrence's c/x overflows: the ascending
@@ -34,13 +34,14 @@ J' and j' (spherical j, which no finder needs, reads the same recurrence).
 Since every derivative of J_m and j_p is at most 1 in size, the cubic Taylor
 model from f through f''' bounds the error of its own root, which is
 accepted as soon as that bound proves the zero within a quarter ulp of it;
-from the zero tables' guesses most zeros take one pass (about 1.15 per zero
-for a 3000-mode disk).  The order-(m + 1) value of a zero's last pass lets
-the zero tables check the sign of f_{m+1} at that zero without a pass of its
-own.
+from the zero tables' guesses most zeros take one pass (about 1.13 per zero
+for a 3000-mode disk, sign passes included).  The order-(m + 1) value of a
+zero's last pass lets the zero tables check the sign of f_{m+1} at that
+zero without a pass of its own.
 """
 
 import math
+import operator
 
 BACKEND = "python"
 
@@ -144,16 +145,28 @@ def check_recurrence(x, lo):
         )
 
 
+def check_integer(name, value):
+    """value as an int (from an int or a numpy integer); ValueError for
+    anything else, a float of integral value included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check(order, x, closed):
-    # the public evaluators' input: order >= 0 and a finite x, >= 0 if closed
-    # and > 0 otherwise; and from the series seam on, where the pass recurs
-    # backward, a recurrence of at most MAX_RECURRENCE steps
+    # the public evaluators' input, and their order as an int: an integer
+    # order >= 0 and a finite x, >= 0 if closed and > 0 otherwise; and from
+    # the series seam on, where the pass recurs backward, a recurrence of at
+    # most MAX_RECURRENCE steps
+    order = check_integer("order", order)
     if order < 0:
         raise ValueError("order must be >= 0")
     if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
         raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
     if x >= _SERIES_SEAM:
         check_recurrence(x, max(order - 1, 0))
+    return order
 
 
 def bessel_j(order, x):
@@ -162,7 +175,7 @@ def bessel_j(order, x):
     For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, True)
+    order = _check(order, x, True)
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
     return _pass(KIND_BESSEL, order, x)[0]
@@ -174,7 +187,7 @@ def bessel_j_prime(order, x):
     For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, True)
+    order = _check(order, x, True)
     if x == 0.0:
         return 0.5 if order == 1 else 0.0
     return _pass(KIND_BESSEL_PRIME, order, x)[0]
@@ -222,7 +235,7 @@ def spherical_j(order, x):
     For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, False)
+    order = _check(order, x, False)
     if x < _SERIES_SEAM:
         return _series(order, x, 1, 0)
     return _sph_miller(x, max(order - 1, 0))[min(order, 1)]
@@ -234,7 +247,7 @@ def spherical_j_prime(order, x):
     For x >= 1e-3 the backward recurrence takes about max(order, x) steps;
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
-    _check(order, x, False)
+    order = _check(order, x, False)
     return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
 
 
@@ -293,7 +306,8 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
     """Refine the one zero of the kind's function inside (lo, hi).
 
     f has the sign ``sign_lo`` on (lo, zero) and the opposite sign on
-    (zero, hi).  The passes start at ``guess``.  Each pass at x gives f
+    (zero, hi).  The passes start at ``guess``, or at the midpoint of
+    (lo, hi) where the guess is not inside it.  Each pass at x gives f
     through f''' there, and from them the cubic Taylor step x + t: t solves
     the model p(t) = f + f' t + f'' t^2/2 + f''' t^3/6 = 0 near -f/f' (one
     Newton step on p from there).  Every derivative of J_m and j_p is at

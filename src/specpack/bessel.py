@@ -51,11 +51,11 @@ fixed range: any x can be reached, at the cost of the zeros below it.
 Inside its bracket each zero is refined by ``kernels.next_zero``: a cubic
 Taylor step from each pass, with a safeguarded Newton step as the fallback.
 Its first pass is at a guess: from order 4 on, the zeros of orders m-1 .. m-4
-extrapolated in the order by a cubic; for orders 0-2 of J and J',
-McMahon's expansion (DLMF 10.21.19, 10.21.20); otherwise, or where that
-guess leaves the bracket, the zeros of orders m-1 .. m-3 extrapolated by a
-quadratic (by a line for order 2, the bracket's midpoint for orders 0 and
-1).  A step is accepted once an error bound puts the zero within a quarter
+extrapolated in the order by a cubic; below order 4, an asymptotic expansion
+(McMahon's, DLMF 10.21.19 and 10.21.20, for J and J'; for j', one Newton
+step from McMahon's zero of J'_{p+1/2}, see ``_mcmahon``).  Where the guess
+is not inside the bracket the first pass is at the bracket's midpoint.
+A step is accepted once an error bound puts the zero within a quarter
 ulp of it, and the bound on |f| there is checked against ``RESIDUAL_TOL``.
 The table reports that zero on a grid of its own: as the midpoint of a
 bisection to width 1e-12, steered by that zero alone, from the cell of the
@@ -83,8 +83,8 @@ RESIDUAL_TOL = 1e-9
 _GRID_STEP = 0.05
 _BISECT_WIDTH = 1e-12
 # The most recurrence steps, by the estimate in ``_check_query``, that a
-# query may take to grow a fresh table: about 2 minutes at the 1.2e-7 s a
-# step measured on one core of a 2-core Xeon.
+# query may take to grow a fresh table: about 1.5 minutes at the 8e-8 to
+# 1.1e-7 s a step measured on one core of a 2-core Xeon (Python 3.11).
 MAX_QUERY_STEPS = 10**9
 
 
@@ -98,6 +98,8 @@ class ZeroIndex(namedtuple("ZeroIndex", "order rank")):
     __slots__ = ()
 
     def __new__(cls, order, rank):
+        order = kernels.check_integer("order", order)
+        rank = kernels.check_integer("rank", rank)
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         if rank < 1:
@@ -134,20 +136,28 @@ def _grid_value(zero, lo):
 def _mcmahon(kind, m, s):
     # McMahon's expansion of the s-th zero of J_m (DLMF 10.21.19) or of J'_m
     # (10.21.20, which counts the zero of J'_0 at x = 0 as its first), to
-    # four terms
-    mu = 4.0 * m * m
+    # four terms.  For j'_p it is one Newton step from the s-th zero b of
+    # J'_nu, nu = p + 1/2: j_p = sqrt(pi/2x) J_nu (DLMF 10.47.3), so j'_p
+    # vanishes where J'_nu - J_nu/(2x) does, and at b, where J'_nu = 0 and
+    # J''_nu = -(1 - nu^2/b^2) J_nu, the step is -b/(2 (b^2 - nu^2 - 1/2)).
+    # The first zero of J'_{1/2}, 1.166, stands for the trivial zero of j'_0
+    nu = m + 0.5 if kind == "spherical_prime" else m
+    mu = 4.0 * nu * nu
     if kind == "bessel":
-        a = (s + 0.5 * m - 0.25) * math.pi
+        a = (s + 0.5 * nu - 0.25) * math.pi
         c1 = mu - 1.0
         c2 = (mu - 1.0) * (7.0 * mu - 31.0)
         c3 = (mu - 1.0) * ((83.0 * mu - 982.0) * mu + 3779.0)
     else:
-        a = (s + 0.5 * m - 0.75) * math.pi
+        a = (s + 0.5 * nu - 0.75) * math.pi
         c1 = mu + 3.0
         c2 = (7.0 * mu + 82.0) * mu - 9.0
         c3 = ((83.0 * mu + 2075.0) * mu - 3039.0) * mu + 3537.0
-    b = 1.0 / (8.0 * a)
-    return a - b * (c1 + b * b * (4.0 / 3.0 * c2 + b * b * 32.0 / 15.0 * c3))
+    t = 1.0 / (8.0 * a)
+    b = a - t * (c1 + t * t * (4.0 / 3.0 * c2 + t * t * 32.0 / 15.0 * c3))
+    if kind == "spherical_prime":
+        b -= b / (2.0 * (b * b - nu * nu - 0.5))
+    return b
 
 
 def _check_query(order, x):
@@ -156,7 +166,7 @@ def _check_query(order, x):
     # orders 0 .. order is allowed 5 passes for each of its about x/pi zeros,
     # none longer than the top order's, and x/2.4 + 2 more for its sign
     # passes at x and the sign checks that fall back to an evaluation.  A
-    # zero takes about 1.15 passes, so the 2.4 passes a zero once took, kept
+    # zero takes about 1.13 passes, so the 2.4 passes a zero once took, kept
     # in x/2.4, are now a pad, to be sized anew when one work budget per
     # command replaces this estimate
     kernels.check_recurrence(x, order)
@@ -193,7 +203,7 @@ class ZeroTable:
     than the kernels' ``MAX_RECURRENCE`` (10^6) steps
     (``kernels.check_recurrence``, as in the public evaluators), or when its
     whole work from an empty table could take more than ``MAX_QUERY_STEPS``
-    (10^9 steps, about 2 minutes).
+    (10^9 steps, about 1.5 minutes).
 
     Construction is single-writer; once the needed zeros are in, lookups are
     pure reads and safe to share.
@@ -393,27 +403,17 @@ class ZeroTable:
     def _bracket(self, m, i):
         # (lo, hi, first guess) of the i-th zero of order m, counting the
         # trivial zero: between the i-th and (i+1)-th zeros of order m-1
-        # (for m = 0 the multiples of pi, see _node), and below the reach of m
+        # (for m = 0 the multiples of pi, see _node), and below the reach of
+        # m.  The guess: below order 4 the asymptotic one, else the zeros of
+        # the same place in the orders m-1 .. m-4 extrapolated by a cubic
         lo = self._node(m - 1, i)
         hi = self._node(m - 1, i + 1)
         reach = self._reach_x(m)
         hi = reach if hi is None else min(hi, reach)
-        # the zeros of the same place in the orders m-2 .. m-4 (those >= 0)
-        z = [self._node(m - d, i) for d in range(2, min(m, 4) + 1)]
-        # from order 4 on, a cubic extrapolation in the order from m-1 .. m-4;
-        # for orders 0-2 of J and J', McMahon's expansion
-        if len(z) == 3:
-            guess = 4.0 * (lo + z[1]) - 6.0 * z[0] - z[2]
-        elif m <= 2 and self.kind != "spherical_prime":
-            guess = _mcmahon(self.kind, m, i + 1)
-        else:
-            guess = math.nan
-        # otherwise, or where that guess leaves the bracket, a quadratic from
-        # m-1 .. m-3 (a line from m-1, m-2; the midpoint for orders 0 and 1)
-        if not lo < guess < hi:
-            guess = (3.0 * (lo - z[0]) + z[1] if len(z) >= 2 else
-                     2.0 * lo - z[0] if z else 0.5 * (lo + hi))
-        return lo, hi, guess
+        if m < 4:
+            return lo, hi, _mcmahon(self.kind, m, i + 1)
+        z2, z3, z4 = (self._node(m - d, i) for d in (2, 3, 4))
+        return lo, hi, 4.0 * (lo + z3) - 6.0 * z2 - z4
 
 
 bessel_j = kernels.bessel_j
