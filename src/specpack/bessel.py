@@ -228,6 +228,8 @@ class ZeroTable:
         zeros.  Queries in ascending order, as the spectra make them, pay
         for each zero once.
         """
+        order = kernels.check_integer("order", order)
+        k = kernels.check_integer("k", k)
         if order < 0 or k < 1:
             raise ValueError(f"need order >= 0 and k >= 1, got ({order}, {k})")
         while self._count.get(order, 0) < k:
@@ -238,6 +240,7 @@ class ZeroTable:
 
     def zeros_below(self, order, x):
         """All strictly positive zeros of the given order below x, ascending."""
+        order = kernels.check_integer("order", order)
         if order < 0 or not math.isfinite(x):
             raise ValueError(f"need order >= 0 and a finite x, got ({order}, {x})")
         self._settle(order, x)

@@ -36,6 +36,7 @@ from collections import namedtuple
 from operator import attrgetter
 
 from . import bessel
+from ._kernels_py import check_integer
 
 PI = math.pi
 BALL_RADIUS = (3.0 / (4.0 * PI)) ** (1.0 / 3.0)  # unit-volume ball
@@ -280,6 +281,7 @@ def _weyl_ceiling(shape, k):
 def _spectrum(shape, k, enumerate_below):
     """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
     starting from a padded two-term Weyl ceiling."""
+    k = check_integer("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
@@ -379,6 +381,7 @@ def union_spectrum(parts, k):
     merged in ascending order.  Every part must carry at least k nonzero
     eigenvalues so the merged prefix is complete.
     """
+    k = check_integer("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not parts:

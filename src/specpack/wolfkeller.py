@@ -8,14 +8,17 @@ scaled disjoint unions, the extremal n-th nonzero eigenvalue satisfies
 
 where conn[n] is the best connected candidate (the n-th nonzero eigenvalue of
 a base shape) and N is the dimension.  Maximization is the Neumann problem;
-the Dirichlet mirror minimizes with the same additive combination.
+the Dirichlet mirror minimizes with the same additive combination.  The
+objective is a sign (``DomainClass.sign``, -1.0 to minimize) and the
+recursion stores sign * best[n]^(N/2): negation is exact in floating point,
+so the split search and the margin rule only maximize, bit for bit.
 
 The recursion also yields the optimal packing: a split at n into (i, n-i)
 gives the two sides volumes (best[i]/best[n])^(N/2) and
 (best[n-i]/best[n])^(N/2), which telescope down to the Connected leaves.
 
 Every decision the layer makes goes through one margin rule, ``_beats``: new
-beats old when it is better under the objective by more than a relative
+beats old when sign * new exceeds sign * old by more than a relative
 tolerance of max(|new|, |old|).  At each n the connected candidate is kept
 if it beats the best split by REL_TIE_TOL, the split is kept if it beats the
 candidate, and otherwise the two tie: the stored provenance is Connected
@@ -34,6 +37,7 @@ import operator
 from collections import namedtuple
 
 from . import spectra
+from ._kernels_py import check_integer
 from .spectra import _power, _unpower, csv_text, spectrum_of
 
 REL_TIE_TOL = 1e-12
@@ -45,18 +49,11 @@ REL_SCAN_TOL = 1e-9
 SPLIT_BLOCK = 16
 SPLIT_SLACK = 1e-12
 
-# the better of two values under each objective
-_PICK = {"maximize": max, "minimize": min}
 
-# per pick: when a block's top reaches the threshold, and the side of the
-# threshold the slack widens toward
-_REACHES = {max: (operator.ge, -1.0), min: (operator.le, 1.0)}
-
-
-def _beats(pick, new, old, tol):
-    """True iff new is better than old under pick (max or min) by more than
-    tol relative to max(|new|, |old|)."""
-    return pick(new, old) != old and abs(new - old) > tol * max(abs(new), abs(old))
+def _beats(new, old, tol):
+    """True iff new exceeds old by more than tol relative to max(|new|, |old|);
+    callers pass values times the objective's sign."""
+    return new - old > tol * max(abs(new), abs(old))
 
 
 class DomainClass(namedtuple("DomainClass", "name shape objective")):
@@ -66,7 +63,7 @@ class DomainClass(namedtuple("DomainClass", "name shape objective")):
     __slots__ = ()
 
     def __new__(cls, name, shape, objective):
-        if objective not in _PICK:
+        if objective not in ("maximize", "minimize"):
             raise ValueError(f"unknown objective {objective!r}")
         return super().__new__(cls, name, shape, objective)
 
@@ -75,9 +72,9 @@ class DomainClass(namedtuple("DomainClass", "name shape objective")):
         return self.shape.dimension
 
     @property
-    def pick(self):
-        """max or min: the better of two values under the objective."""
-        return _PICK[self.objective]
+    def sign(self):
+        """+1.0 to maximize, -1.0 to minimize: the class maximizes sign * value."""
+        return 1.0 if self.objective == "maximize" else -1.0
 
 
 def disks_class():
@@ -232,17 +229,16 @@ def _sums(powers, n, a, b):
     return list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
 
 
-def _best_split(powers, n, pick):
-    """pick (max or min) of powers[j] + powers[n - j] over 1 <= j <= n/2, and
-    the smallest j that attains it: the exhaustive result, from a search that
-    sums only the blocks of j a bound cannot rule out, each at most once.
+def _best_split(powers, n):
+    """max of powers[j] + powers[n - j] over 1 <= j <= n/2, and the smallest j
+    that attains it: the exhaustive result, from a search that sums only the
+    blocks of j a bound cannot rule out, each at most once.
 
     The bound.  A stored power dominates every split sum at its own index
-    (powers[m] >= powers[i] + powers[m - i] when maximizing, <= when
-    minimizing), so with c = powers[1], the split (1, i) at i + 1 gives
-    powers[i + 1] >= powers[i] + c.  Hence g(j) = powers[j] - c*j is
-    monotone, and every sum in a block a <= j <= b is at most (when
-    minimizing: at least) powers[b] + powers[n - a] - (b - a)*c.  Below
+    (powers[m] >= powers[i] + powers[m - i]), so with c = powers[1], the
+    split (1, i) at i + 1 gives powers[i + 1] >= powers[i] + c.  Hence
+    g(j) = powers[j] - c*j is nondecreasing, and every sum in a block
+    a <= j <= b is at most powers[b] + powers[n - a] - (b - a)*c.  Below
     2*SPLIT_BLOCK there is no whole block and the one block is summed.
     Otherwise the best sum of the whole block with the best top is the seed.
     Then, in ascending order, every block whose top, widened by SPLIT_SLACK
@@ -254,7 +250,7 @@ def _best_split(powers, n, pick):
     (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
     which the tests keep below SPLIT_SLACK/1000 relative.  One bound chains
     at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), each off by that defect plus one
-    rounding, on positive powers (extremal_sequence admits no others) that
+    rounding, on powers of one sign (extremal_sequence admits no others) that
     stay within |seed| + SPLIT_BLOCK*|c| wherever a top is near the
     threshold.  So a bound is off by under a tenth of the slack, and no
     block that can hold the best sum, the seed's own included, is skipped.
@@ -263,26 +259,25 @@ def _best_split(powers, n, pick):
     full = h - h % SPLIT_BLOCK  # j <= full lie in whole blocks
     if not full:
         sums = _sums(powers, n, 1, h)
-        best = pick(sums)
+        best = max(sums)
         return best, 1 + sums.index(best)
     starts = range(1, full + 1, SPLIT_BLOCK)
     tops = list(map(operator.add, powers[SPLIT_BLOCK:full + 1:SPLIT_BLOCK],
                     powers[n - 1:n - 1 - full:-SPLIT_BLOCK]))
-    seed_a = starts[tops.index(pick(tops))]
+    seed_a = starts[tops.index(max(tops))]
     seed_sums = _sums(powers, n, seed_a, seed_a + SPLIT_BLOCK - 1)
-    seed = pick(seed_sums)
+    seed = max(seed_sums)
     c = powers[1]
-    reaches, sign = _REACHES[pick]
-    slack = sign * SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
-    threshold = seed + (SPLIT_BLOCK - 1) * c + slack
-    starts = itertools.compress(starts, map(reaches, tops, itertools.repeat(threshold)))
-    if full < h and reaches(powers[h] + powers[n - full - 1], seed + (h - full - 1) * c + slack):
+    slack = SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
+    threshold = seed + (SPLIT_BLOCK - 1) * c - slack
+    starts = itertools.compress(starts, map(operator.ge, tops, itertools.repeat(threshold)))
+    if full < h and powers[h] + powers[n - full - 1] >= seed + (h - full - 1) * c - slack:
         starts = itertools.chain(starts, (full + 1,))
     best = None
     for a in starts:  # ascending, so the first block to attain best has the smallest j
         sums = seed_sums if a == seed_a else _sums(powers, n, a, min(a + SPLIT_BLOCK - 1, h))
-        s = pick(sums)
-        if best is None or pick(s, best) != best:
+        s = max(sums)
+        if best is None or s > best:
             best, best_j = s, a + sums.index(s)
     return best, best_j
 
@@ -293,10 +288,11 @@ def extremal_sequence(domain_class, K, base_values=None):
     ``base_values`` overrides the connected candidates (the ascending nonzero
     eigenvalues of the base shape); by default they come from spectrum_of.
     """
+    K = check_integer("K", K)
     if K < 1:
         raise ValueError("K must be >= 1")
     N = domain_class.dimension
-    pick = domain_class.pick
+    sign = domain_class.sign
 
     if base_values is None:
         base_values = spectrum_of(domain_class.shape, K).nonzero_values()
@@ -304,7 +300,7 @@ def extremal_sequence(domain_class, K, base_values=None):
         raise ValueError(
             f"base spectrum for {domain_class.shape.kind} shorter than K={K}")
     conn = [None, *base_values[:K]]
-    # the split search (see _best_split) needs positive powers, and every
+    # the split search (see _best_split) needs powers of one sign, and every
     # power, split sum and bound it forms is at most 2*K times the largest
     if not (all(v > 0.0 for v in conn[1:]) and 4 * K * _power(max(conn[1:]), N) < math.inf):
         raise ValueError("base values must be positive, with 4*K times their largest power finite")
@@ -316,25 +312,25 @@ def extremal_sequence(domain_class, K, base_values=None):
     split_indices = [None] * (K + 1)
 
     values[1] = conn[1]
-    powers[1] = _power(conn[1], N)
+    powers[1] = sign * _power(conn[1], N)
     provenance[1] = Connected(1)
 
     for n in range(2, K + 1):
-        best_s, best_i = _best_split(powers, n, pick)
-        split_v = _unpower(best_s, N)
+        best_s, best_i = _best_split(powers, n)
+        split_v = _unpower(sign * best_s, N)
         split_values[n] = split_v
         split_indices[n] = best_i
         cv = conn[n]
-        if _beats(pick, cv, split_v, REL_TIE_TOL):
+        if _beats(sign * cv, sign * split_v, REL_TIE_TOL):
             values[n] = cv
             provenance[n] = Connected(n)
-        elif _beats(pick, split_v, cv, REL_TIE_TOL):
+        elif _beats(sign * split_v, sign * cv, REL_TIE_TOL):
             values[n] = split_v
             provenance[n] = Split(best_i)
         else:
-            values[n] = pick(cv, split_v)
+            values[n] = cv if sign * cv >= sign * split_v else split_v
             provenance[n] = Connected(n, tie=True)
-        powers[n] = _power(values[n], N)
+        powers[n] = sign * _power(values[n], N)
 
     return ExtremalSequence(
         domain_class, K, values, provenance, conn, split_values, split_indices
@@ -365,10 +361,10 @@ def connectedness_certificate(candidate_value, seq, n):
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
     N = seq.dimension
-    pick = seq.domain_class.pick
-    powers = [None] + [_power(seq.value(i), N) for i in range(1, n)]
-    s, _ = _best_split(powers, n, pick)
-    return _beats(pick, _power(candidate_value, N), s, REL_TIE_TOL)
+    sign = seq.domain_class.sign
+    powers = [None] + [sign * _power(seq.value(i), N) for i in range(1, n)]
+    s, _ = _best_split(powers, n)
+    return _beats(sign * _power(candidate_value, N), s, REL_TIE_TOL)
 
 
 def crossover_scan(seq_a, seq_b, K):
@@ -379,9 +375,9 @@ def crossover_scan(seq_a, seq_b, K):
         raise ValueError("sequences must share objective")
     if seq_a.K < K or seq_b.K < K:
         raise ValueError(f"both sequences must reach K={K}")
-    pick = seq_a.domain_class.pick
+    sign = seq_a.domain_class.sign
     return [n for n in range(1, K + 1)
-            if _beats(pick, seq_b.value(n), seq_a.value(n), REL_SCAN_TOL)]
+            if _beats(sign * seq_b.value(n), sign * seq_a.value(n), REL_SCAN_TOL)]
 
 
 class DirichletCheck(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import oracle_positive_zeros, oracle_zeros
 
-from specpack import bessel, spectra
+from specpack import bessel, spectra, wolfkeller
 from specpack.spectra import (
     ball_spectrum,
     box_spectrum,
@@ -418,6 +418,34 @@ class TestSpectrumChecks:
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             disk_spectrum("neumann", 0)
+
+    @pytest.mark.parametrize("call, name, bad", [
+        (lambda t, v: t.positive_zero(v, 1), "order", 1.5),
+        (lambda t, v: t.positive_zero(1, v), "k", 2.0),
+        (lambda t, v: t.zeros_below(v, 10.0), "order", 2.0),
+        (lambda t, v: disk_spectrum("neumann", v), "k", 2.5),
+        (lambda t, v: ball_spectrum("neumann", v), "k", 3.0),
+        (lambda t, v: rectangle_spectrum(1.0, 1.0, "neumann", v), "k", 2.5),
+        (lambda t, v: box_spectrum(1.0, 1.0, 1.0, "dirichlet", v), "k", "3"),
+        (lambda t, v: union_spectrum([(rectangle_spectrum(1.0, 1.0, "neumann", 3), 1.0)], v),
+         "k", 2.5),
+        (lambda t, v: wolfkeller.extremal_sequence(wolfkeller.disks_class(), v), "K", 3.0),
+    ], ids=["zero-order", "zero-rank", "zeros-below-order", "disk", "ball", "rectangle",
+            "box", "union", "recursion"])
+    def test_counts_orders_and_ranks_are_integers(self, call, name, bad):
+        # one rule for every count, order and rank: a ValueError before any
+        # work for anything but an int or a numpy integer
+        table = bessel.ZeroTable("bessel")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(table, bad)
+        assert table._zeros == table._count == {}
+        plain, numpy = call(table, 3), call(table, np.int64(3))
+        if isinstance(plain, wolfkeller.ExtremalSequence):
+            assert type(numpy.K) is int
+            plain, numpy = plain.to_csv(), numpy.to_csv()
+        elif isinstance(plain, spectra.Spectrum):
+            assert type(numpy.count) is int
+        assert numpy == plain
 
 
 class TestCsvExport:

@@ -32,6 +32,7 @@ CSV_3000_SHA256 = {
     "squares": "6a61cfec495f1a9ea4a7932fc8ef5f89e7192711fd47066825110358a6a290e9",
     "balls": "7d19ff5120753b6674da3d2d00958c6f4de4aca3089ad485f4562f93898ae197",
     "cubes": "a8fa03e2b683ba3183d4c94685fb1e4f3bfd17bd90357729bb0af993139c2ce2",
+    "dirichlet-disks": "2ed011ee773a862bddc0ce59c341663d3bb9bdb9bf325d92268e00735cd99922",
 }
 
 
@@ -57,25 +58,24 @@ def _better_worse(cls, tol):
 
 @pytest.fixture(scope="module")
 def sequences_3000():
-    classes = (disks_class(), squares_class(), balls_class(), cubes_class())
+    classes = (disks_class(), squares_class(), balls_class(), cubes_class(),
+               dirichlet_disks_class())
     return {cls.name: extremal_sequence(cls, 3000) for cls in classes}
 
 
-@pytest.fixture(scope="module")
-def dirichlet_3000():
-    return extremal_sequence(dirichlet_disks_class(), 3000)
-
-
 def _powers(seq):
-    # the powers the recursion stores: _power of every value, recomputed
-    return [None] + [spectra._power(seq.value(n), seq.dimension) for n in range(1, seq.K + 1)]
+    # the powers the recursion stores: the sign times _power of every value,
+    # recomputed
+    sign = seq.domain_class.sign
+    return [None] + [sign * spectra._power(seq.value(n), seq.dimension)
+                     for n in range(1, seq.K + 1)]
 
 
-def _exhaustive_split(powers, n, pick):
+def _exhaustive_split(powers, n):
     # reference: every split sum at n, and the smallest j attaining the best
     h = n // 2
     sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
-    best = pick(sums)
+    best = max(sums)
     return best, sums.index(best) + 1
 
 
@@ -92,20 +92,20 @@ def _record_sums(monkeypatch):
     return summed
 
 
-def _partial_reaches(powers, n, pick):
+def _partial_reaches(powers, n):
     # the partial block's bound against the seed, widened by the slack:
-    # every sum at full < j <= h is at most (when minimizing: at least)
+    # every sum at full < j <= h is at most
     # powers[h] + powers[n - full - 1] - (h - full - 1)*c
     B = wolfkeller.SPLIT_BLOCK
     h = n // 2
     full = h - h % B
     tops = [powers[a + B - 1] + powers[n - a] for a in range(1, full + 1, B)]
-    a = 1 + B * tops.index(pick(tops))
-    seed = pick(powers[i] + powers[n - i] for i in range(a, a + B))
+    a = 1 + B * tops.index(max(tops))
+    seed = max(powers[i] + powers[n - i] for i in range(a, a + B))
     c = powers[1]
     bound = powers[h] + powers[n - full - 1] - (h - full - 1) * c
     slack = wolfkeller.SPLIT_SLACK * (abs(seed) + B * abs(c))
-    return bound >= seed - slack if pick is max else bound <= seed + slack
+    return bound >= seed - slack
 
 
 class TestSequenceValues:
@@ -250,43 +250,41 @@ class TestSequenceValues:
 class TestSplitSearch:
     """The bounded split search returns the exhaustive (value, smallest j)."""
 
-    @pytest.mark.parametrize("name", [*sorted(CSV_3000_SHA256), "dirichlet-disks"])
-    def test_equals_exhaustive_through_3000(self, sequences_3000, dirichlet_3000, name):
-        # the Dirichlet disks minimize, where the slack widens the other way
-        seq = dirichlet_3000 if name == "dirichlet-disks" else sequences_3000[name]
-        powers, pick = _powers(seq), seq.domain_class.pick
+    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
+    def test_equals_exhaustive_through_3000(self, sequences_3000, name):
+        # the Dirichlet disks minimize: their signed powers are negative
+        seq = sequences_3000[name]
+        powers = _powers(seq)
         for n in range(2, seq.K + 1):
-            assert wolfkeller._best_split(powers, n, pick) == _exhaustive_split(powers, n, pick)
+            assert wolfkeller._best_split(powers, n) == _exhaustive_split(powers, n)
 
-    def test_superadditivity_defect_below_slack(self, sequences_3000, dirichlet_3000):
+    def test_superadditivity_defect_below_slack(self, sequences_3000):
         # the bound's premise: a stored power dominates every split sum at its
         # own index, up to a defect far inside the search's slack
-        for seq in (*sequences_3000.values(), dirichlet_3000):
-            powers, pick = _powers(seq), seq.domain_class.pick
-            sign = 1.0 if seq.objective == "maximize" else -1.0
+        for seq in sequences_3000.values():
+            powers = _powers(seq)
             worst = max(
-                sign * (_exhaustive_split(powers, m, pick)[0] - powers[m]) / powers[m]
+                (_exhaustive_split(powers, m)[0] - powers[m]) / abs(powers[m])
                 for m in range(2, seq.K + 1)
             )
             assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
 
     @pytest.mark.parametrize("n", [20, 31, 2000, 2015, 2016, 2999])
-    def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000,
-                                              dirichlet_3000, n):
+    def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000, n):
         # h < 16 sums its one block; larger n sums each block at most once and
         # skips most whole blocks under either objective
         summed = _record_sums(monkeypatch)
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
-        for seq in (sequences_3000["disks"], dirichlet_3000):
-            powers, pick = _powers(seq), seq.domain_class.pick
+        for seq in (sequences_3000["disks"], sequences_3000["dirichlet-disks"]):
+            powers = _powers(seq)
             summed.clear()
-            assert wolfkeller._best_split(powers, n, pick) == _exhaustive_split(powers, n, pick)
+            assert wolfkeller._best_split(powers, n) == _exhaustive_split(powers, n)
             if h < wolfkeller.SPLIT_BLOCK:
                 assert summed == [(1, h)]
                 continue
             assert len(set(summed)) == len(summed)
-            assert ((full + 1, h) in summed) == (full < h and _partial_reaches(powers, n, pick))
+            assert ((full + 1, h) in summed) == (full < h and _partial_reaches(powers, n))
             whole = [a for a, b in summed if b - a == wolfkeller.SPLIT_BLOCK - 1]
             assert len(whole) < full // wolfkeller.SPLIT_BLOCK / 2
 
@@ -295,21 +293,20 @@ class TestSplitSearch:
         ("balls", 50, True), ("cubes", 87, True),
     ])
     def test_partial_block_summed_when_its_bound_reaches(
-            self, monkeypatch, sequences_3000, dirichlet_3000, name, n, reaches):
+            self, monkeypatch, sequences_3000, name, n, reaches):
         # a skipped partial block holds no sum as good as the best; at these
         # balls and cubes n it holds the best j itself
         summed = _record_sums(monkeypatch)
-        seq = dirichlet_3000 if name == "dirichlet-disks" else sequences_3000[name]
-        powers, pick = _powers(seq), seq.domain_class.pick
+        powers = _powers(sequences_3000[name])
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
-        best, j = wolfkeller._best_split(powers, n, pick)
-        assert (best, j) == _exhaustive_split(powers, n, pick)
-        assert _partial_reaches(powers, n, pick) == reaches
+        best, j = wolfkeller._best_split(powers, n)
+        assert (best, j) == _exhaustive_split(powers, n)
+        assert _partial_reaches(powers, n) == reaches
         assert ((full + 1, h) in summed) == reaches
         partial = [powers[i] + powers[n - i] for i in range(full + 1, h + 1)]
         assert (j > full) == reaches
-        assert (pick(partial) == best) == reaches
+        assert (max(partial) == best) == reaches
 
 
 class TestGeometry:
