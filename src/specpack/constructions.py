@@ -18,6 +18,7 @@ not assumed: a filler at or below t raises AccuracyError.
 
 import math
 
+from ._kernels_py import check_integer
 from .bessel import AccuracyError, ZeroIndex, bessel_j_zero, bessel_jprime_zero
 from .spectra import disk, rectangle, spectrum_of, union_spectrum
 from .wolfkeller import PackedComponent, PackedDomain
@@ -89,6 +90,7 @@ def verified_mu2(domain):
 def kroger_bound(m, diameter):
     """Upper bound (2 j_{0,1} + (m-1) pi)^2 / diameter^2 for the m-th nonzero
     Neumann eigenvalue of a bounded convex planar domain."""
+    m = check_integer("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 < diameter < math.inf:

@@ -154,7 +154,7 @@ class Spectrum(
 
     def nonzero_values(self, k=None):
         """The first k (default: count) nonzero eigenvalues."""
-        k = self.count if k is None else k
+        k = self.count if k is None else check_integer("k", k)
         expanded = self.expanded
         if k > len(expanded):
             raise IndexError(
@@ -165,12 +165,14 @@ class Spectrum(
 
     def nonzero(self, i):
         """The i-th nonzero eigenvalue, i >= 1."""
+        i = check_integer("i", i)
         if i < 1:
             raise IndexError("nonzero eigenvalue index starts at 1")
         return self.nonzero_values(i)[i - 1]
 
     def eigenvalue(self, i):
         """mu_i (Neumann, zeros included) or lambda_i (Dirichlet)."""
+        i = check_integer("i", i)
         if self.bc == "neumann":
             if i < 0:
                 raise IndexError("mu index starts at 0")

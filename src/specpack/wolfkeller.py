@@ -7,11 +7,11 @@ scaled disjoint unions, the extremal n-th nonzero eigenvalue satisfies
                          max/min over 1 <= j <= n/2 of best[j]^(N/2) + best[n-j]^(N/2) )
 
 where conn[n] is the best connected candidate (the n-th nonzero eigenvalue of
-a base shape) and N is the dimension.  Maximization is the Neumann problem;
-the Dirichlet mirror minimizes with the same additive combination.  The
-objective is a sign (``DomainClass.sign``, -1.0 to minimize) and the
-recursion stores sign * best[n]^(N/2): negation is exact in floating point,
-so the split search and the margin rule only maximize, bit for bit.
+a base shape) and N is the dimension.  The boundary condition sets the
+objective: Neumann classes maximize, and the Dirichlet mirror minimizes with
+the same additive combination.  The recursion stores sign * best[n]^(N/2),
+with ``DomainClass.sign`` -1.0 to minimize: negation is exact in floating
+point, so the split search and the margin rule only maximize, bit for bit.
 
 The recursion also yields the optimal packing: a split at n into (i, n-i)
 gives the two sides volumes (best[i]/best[n])^(N/2) and
@@ -28,7 +28,8 @@ REL_SCAN_TOL decides ``crossover_scan``.
 
 The split search behind the recursion and the certificate, ``_best_split``,
 returns exactly what a scan over every j would, but skips the blocks of j
-that a superadditivity bound on the stored powers rules out.
+that a superadditivity bound on the stored powers rules out.  The
+certificate searches the signed powers an ``ExtremalSequence`` stores.
 """
 
 import itertools
@@ -56,16 +57,11 @@ def _beats(new, old, tol):
     return new - old > tol * max(abs(new), abs(old))
 
 
-class DomainClass(namedtuple("DomainClass", "name shape objective")):
-    """Scaled disjoint unions of one unit-volume base shape (a DomainShape),
-    with the objective: "maximize" (Neumann) or "minimize" (Dirichlet)."""
+class DomainClass(namedtuple("DomainClass", "name shape")):
+    """Scaled disjoint unions of one unit-volume base shape (a DomainShape);
+    its boundary condition sets the objective."""
 
     __slots__ = ()
-
-    def __new__(cls, name, shape, objective):
-        if objective not in ("maximize", "minimize"):
-            raise ValueError(f"unknown objective {objective!r}")
-        return super().__new__(cls, name, shape, objective)
 
     @property
     def dimension(self):
@@ -73,28 +69,29 @@ class DomainClass(namedtuple("DomainClass", "name shape objective")):
 
     @property
     def sign(self):
-        """+1.0 to maximize, -1.0 to minimize: the class maximizes sign * value."""
-        return 1.0 if self.objective == "maximize" else -1.0
+        """+1.0 to maximize (Neumann), -1.0 to minimize (Dirichlet): the class
+        maximizes sign * value."""
+        return 1.0 if self.shape.bc == "neumann" else -1.0
 
 
 def disks_class():
-    return DomainClass("disks", spectra.disk("neumann"), "maximize")
+    return DomainClass("disks", spectra.disk("neumann"))
 
 
 def squares_class():
-    return DomainClass("squares", spectra.square("neumann"), "maximize")
+    return DomainClass("squares", spectra.square("neumann"))
 
 
 def balls_class():
-    return DomainClass("balls", spectra.ball(), "maximize")
+    return DomainClass("balls", spectra.ball())
 
 
 def cubes_class():
-    return DomainClass("cubes", spectra.cube("neumann"), "maximize")
+    return DomainClass("cubes", spectra.cube("neumann"))
 
 
 def dirichlet_disks_class():
-    return DomainClass("dirichlet-disks", spectra.disk("dirichlet"), "minimize")
+    return DomainClass("dirichlet-disks", spectra.disk("dirichlet"))
 
 
 class Connected(namedtuple("Connected", "index tie", defaults=(False,))):
@@ -128,47 +125,42 @@ class PackedDomain(namedtuple("PackedDomain", "components")):
         return math.fsum(c.volume for c in self.components)
 
 
-class ExtremalSequence:
-    """best[n] for n = 1..K in one domain class, with provenance."""
+class ExtremalSequence(namedtuple(
+    "ExtremalSequence", "domain_class K values powers connected split_indices provenance"
+)):
+    """best[n] for n = 1..K in one domain class, with provenance: tuples
+    indexed by n (None at 0), powers[n] = sign * best[n]^(N/2)."""
 
-    def __init__(self, domain_class, K, values, provenance, connected_values,
-                 split_values, split_indices):
-        self.domain_class = domain_class
-        self.K = K
-        self._values = values
-        self._provenance = provenance
-        self._connected = connected_values
-        self._split_values = split_values
-        self._split_indices = split_indices
+    __slots__ = ()
 
     @property
     def dimension(self):
         return self.domain_class.dimension
 
-    @property
-    def objective(self):
-        return self.domain_class.objective
-
     def _check_index(self, n):
+        n = check_integer("n", n)
         if not 1 <= n <= self.K:
             raise IndexError(f"index {n} outside computed range 1..{self.K}")
+        return n
 
     def value(self, n):
-        self._check_index(n)
-        return self._values[n]
+        return self.values[self._check_index(n)]
 
     def connected_value(self, n):
-        self._check_index(n)
-        return self._connected[n]
+        return self.connected[self._check_index(n)]
 
     def split_value(self, n):
-        """Best pure-split value at n (None for n = 1)."""
-        self._check_index(n)
-        return self._split_values[n]
+        """Best pure-split value at n (None for n = 1), from the stored split
+        index and signed powers."""
+        n = self._check_index(n)
+        j = self.split_indices[n]
+        if j is None:
+            return None
+        return _unpower(self.domain_class.sign * (self.powers[j] + self.powers[n - j]),
+                        self.dimension)
 
     def decomposition(self, n):
-        self._check_index(n)
-        return self._provenance[n]
+        return self.provenance[self._check_index(n)]
 
     def leaf_counts(self, n, tie_as_split=False):
         """Multiset of Connected leaf indices under the stored provenance.
@@ -176,17 +168,17 @@ class ExtremalSequence:
         With tie_as_split=True, tie nodes unroll through their equal-value
         split instead (the packing the split side of the tie denotes).
         """
-        self._check_index(n)
+        n = self._check_index(n)
         counts = {}
         # an explicit stack: a chain of splits can be n deep
         stack = [n]
         while stack:
             idx = stack.pop()
-            dec = self._provenance[idx]
+            dec = self.provenance[idx]
             if isinstance(dec, Connected) and not (dec.tie and tie_as_split):
                 counts[idx] = counts.get(idx, 0) + 1
             else:
-                i = self._split_indices[idx]  # a Split's own index, or a tie's split
+                i = self.split_indices[idx]  # a Split's own index, or a tie's split
                 stack += (i, idx - i)
         return counts
 
@@ -199,7 +191,7 @@ class ExtremalSequence:
         itself renders both sides, e.g. `9μ_1 = μ_9`.
         """
         text = _format_terms(self.leaf_counts(n, tie_as_split=True), ascii_form)
-        dec = self._provenance[n]
+        dec = self.provenance[n]
         if isinstance(dec, Connected) and dec.tie:
             text += ("=" if ascii_form else " = ") + _format_terms({n: 1}, ascii_form)
         return text
@@ -208,7 +200,7 @@ class ExtremalSequence:
         """CSV export: n,value,provenance (full precision)."""
         return csv_text(
             ["n", "value", "provenance"],
-            ([n, repr(self._values[n]), self.expression(n, ascii_form=True)]
+            ([n, repr(self.values[n]), self.expression(n, ascii_form=True)]
              for n in range(1, self.K + 1)),
         )
 
@@ -305,10 +297,9 @@ def extremal_sequence(domain_class, K, base_values=None):
     if not (all(v > 0.0 for v in conn[1:]) and 4 * K * _power(max(conn[1:]), N) < math.inf):
         raise ValueError("base values must be positive, with 4*K times their largest power finite")
 
-    values = [math.nan] * (K + 1)
-    powers = [math.nan] * (K + 1)
+    values = [None] * (K + 1)
+    powers = [None] * (K + 1)
     provenance = [None] * (K + 1)
-    split_values = [None] * (K + 1)
     split_indices = [None] * (K + 1)
 
     values[1] = conn[1]
@@ -318,7 +309,6 @@ def extremal_sequence(domain_class, K, base_values=None):
     for n in range(2, K + 1):
         best_s, best_i = _best_split(powers, n)
         split_v = _unpower(sign * best_s, N)
-        split_values[n] = split_v
         split_indices[n] = best_i
         cv = conn[n]
         if _beats(sign * cv, sign * split_v, REL_TIE_TOL):
@@ -332,9 +322,8 @@ def extremal_sequence(domain_class, K, base_values=None):
             provenance[n] = Connected(n, tie=True)
         powers[n] = sign * _power(values[n], N)
 
-    return ExtremalSequence(
-        domain_class, K, values, provenance, conn, split_values, split_indices
-    )
+    return ExtremalSequence(domain_class, K, tuple(values), tuple(powers), tuple(conn),
+                            tuple(split_indices), tuple(provenance))
 
 
 def unpack_geometry(seq, n):
@@ -354,24 +343,24 @@ def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
     must be connected: ``_beats`` at REL_TIE_TOL, on the powered values.
 
-    Only the best split is tested: the margin test is monotone in the split
-    value, so the best split passes iff every split does."""
+    Only the best split is tested, by the split search over the sequence's
+    stored signed powers: the margin test is monotone in the split value, so
+    the best split passes iff every split does."""
+    n = check_integer("n", n)
     if n < 2:
         return True
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
-    N = seq.dimension
-    sign = seq.domain_class.sign
-    powers = [None] + [sign * _power(seq.value(i), N) for i in range(1, n)]
-    s, _ = _best_split(powers, n)
-    return _beats(sign * _power(candidate_value, N), s, REL_TIE_TOL)
+    s, _ = _best_split(seq.powers, n)
+    return _beats(seq.domain_class.sign * _power(candidate_value, seq.dimension), s, REL_TIE_TOL)
 
 
 def crossover_scan(seq_a, seq_b, K):
     """Indices n <= K where seq_b beats seq_a: ``_beats`` at REL_SCAN_TOL."""
+    K = check_integer("K", K)
     if seq_a.dimension != seq_b.dimension:
         raise ValueError("sequences must share dimension")
-    if seq_a.objective != seq_b.objective:
+    if seq_a.domain_class.sign != seq_b.domain_class.sign:
         raise ValueError("sequences must share objective")
     if seq_a.K < K or seq_b.K < K:
         raise ValueError(f"both sequences must reach K={K}")

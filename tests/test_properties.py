@@ -25,11 +25,12 @@ from specpack.wolfkeller import (
 
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
+# the boundary condition sets the objective: Neumann maximizes, Dirichlet minimizes
 CLASSES = {
-    (2, "maximize"): DomainClass("disks", spectra.disk("neumann"), "maximize"),
-    (2, "minimize"): DomainClass("dirichlet-disks", spectra.disk("dirichlet"), "minimize"),
-    (3, "maximize"): DomainClass("balls", spectra.ball(), "maximize"),
-    (3, "minimize"): DomainClass("dirichlet-cubes", spectra.cube("dirichlet"), "minimize"),
+    (2, "maximize"): DomainClass("disks", spectra.disk("neumann")),
+    (2, "minimize"): DomainClass("dirichlet-disks", spectra.disk("dirichlet")),
+    (3, "maximize"): DomainClass("balls", spectra.ball()),
+    (3, "minimize"): DomainClass("dirichlet-cubes", spectra.cube("dirichlet")),
 }
 
 values = st.one_of(st.integers(1, 40).map(float), st.floats(1.0, 1e4))
@@ -37,12 +38,23 @@ base_spectra = st.lists(values, min_size=1, max_size=40).map(sorted)
 classes = st.sampled_from(sorted(CLASSES))
 
 
+def sorted_lists(elements, lengths):
+    # the length is drawn first, since a list strategy's own sizes average a
+    # handful
+    return lengths.flatmap(lambda k: st.lists(elements, min_size=k, max_size=k)).map(sorted)
+
+
+# long enough for several whole blocks of the split search (the first at
+# n = 32) and a partial one
+long_spectra = sorted_lists(values, st.integers(1, 120))
+
+
 def run(key, base):
     return extremal_sequence(CLASSES[key], len(base), base_values=base)
 
 
 @PROPERTY
-@given(classes, base_spectra)
+@given(classes, long_spectra)
 def test_recursion_equals_exhaustive_split(key, base):
     # best[n] = opt(conn[n], opt over every j in 1..n-1 of the j | n-j split)
     dim, objective = key
@@ -64,23 +76,15 @@ def test_recursion_equals_exhaustive_split(key, base):
             assert seq.value(n) == pytest.approx(best[n], rel=1e-12)
 
 
-# long enough for several whole blocks of the split search and a partial
-# one: the length is drawn first, since a list strategy's own sizes average
-# a handful.  A first value v and a plateau r*v bend best[n] near n = r,
-# where the minimizing search can rule blocks out; r = 1 makes every split
-# sum at n tie exactly
+# a first value v and a plateau r*v bend best[n] near n = r, where the
+# minimizing search can rule blocks out; r = 1 makes every split sum at n
+# tie exactly
 lengths = st.integers(1, 200)
-
-
-def sorted_lists(elements):
-    return lengths.flatmap(lambda k: st.lists(elements, min_size=k, max_size=k)).map(sorted)
-
-
 wide_spectra = st.one_of(
     st.tuples(st.floats(1e-3, 1e6), st.just(1.0) | st.floats(1.0, 100.0), lengths).map(
         lambda t: [t[0]] + [t[0] * t[1]] * (t[2] - 1)),
-    sorted_lists(st.floats(1e-3, 1e6)),
-    sorted_lists(values),
+    sorted_lists(st.floats(1e-3, 1e6), lengths),
+    sorted_lists(values, lengths),
 )
 
 
@@ -93,7 +97,9 @@ def test_best_split_equals_exhaustive(base):
     for key in sorted(CLASSES):
         seq = run(key, base)
         sign = seq.domain_class.sign
-        powers = [None] + [sign * _power(seq.value(n), key[0]) for n in range(1, len(base) + 1)]
+        powers = seq.powers
+        assert powers[1:] == tuple(sign * _power(seq.value(n), key[0])
+                                   for n in range(1, len(base) + 1))
         for n in range(2, len(base) + 1):
             h = n // 2
             sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
@@ -103,7 +109,7 @@ def test_best_split_equals_exhaustive(base):
 
 def all_splits_certificate(candidate_value, seq, n):
     # reference: the candidate must clear every split j | n-j, 1 <= j <= n/2
-    maximize = seq.objective == "maximize"
+    maximize = seq.domain_class.shape.bc == "neumann"
     cp = _power(candidate_value, seq.dimension)
     for j in range(1, n // 2 + 1):
         s = _power(seq.value(j), seq.dimension) + _power(seq.value(n - j), seq.dimension)
@@ -114,7 +120,7 @@ def all_splits_certificate(candidate_value, seq, n):
 
 
 @PROPERTY
-@given(classes, base_spectra.filter(lambda b: len(b) > 1), st.data())
+@given(classes, sorted_lists(values, st.integers(2, 120)), st.data())
 def test_certificate_equals_all_splits_loop(key, base, data):
     seq = run(key, base)
     for _ in range(10):

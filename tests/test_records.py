@@ -10,6 +10,7 @@ from specpack.wolfkeller import (
     Connected,
     DirichletCheck,
     DomainClass,
+    ExtremalSequence,
     PackedComponent,
     PackedDomain,
     Split,
@@ -18,6 +19,7 @@ from specpack.wolfkeller import (
 DISK = DomainShape("disk")
 MODE = Mode((1, 0), 3.39, 2)
 COMPONENT = PackedComponent(DISK, 0.5, 2)
+DISKS = DomainClass("disks", DISK)
 
 # each record type with its fields, in order, by keyword
 RECORDS = [
@@ -26,9 +28,13 @@ RECORDS = [
     (Mode, {"label": (1, 0), "value": 3.39, "multiplicity": 2}),
     (Spectrum, {"bc": "neumann", "dimension": 2, "volume": 1.0,
                 "n_components": 1, "modes": (MODE,), "count": 2}),
-    (DomainClass, {"name": "disks", "shape": DISK, "objective": "maximize"}),
+    (DomainClass, {"name": "disks", "shape": DISK}),
     (Connected, {"index": 3, "tie": True}),
     (Split, {"i": 4}),
+    (ExtremalSequence, {"domain_class": DISKS, "K": 2, "values": (None, 3.39, 6.78),
+                        "powers": (None, 3.39, 6.78), "connected": (None, 3.39, 5.33),
+                        "split_indices": (None, None, 1),
+                        "provenance": (None, Connected(1), Split(1))}),
     (PackedComponent, {"shape": DISK, "volume": 0.5, "support_index": 2}),
     (PackedDomain, {"components": (COMPONENT,)}),
     (DirichletCheck, {"square_value": 1.0, "disks_value": 2.0,

@@ -1,5 +1,6 @@
 """Spectrum generators: values, multiplicities, completeness, unions."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import oracle_positive_zeros, oracle_zeros
 
-from specpack import bessel, spectra, wolfkeller
+from specpack import bessel, constructions, spectra, wolfkeller
 from specpack.spectra import (
     ball_spectrum,
     box_spectrum,
@@ -397,6 +398,11 @@ class TestUnionSpectrum:
             union_spectrum([(d, 0.5), (d, 0.5)], 10)
 
 
+@functools.lru_cache(maxsize=None)
+def _small_sequence(cls):
+    return wolfkeller.extremal_sequence(cls(), 5)
+
+
 class TestSpectrumChecks:
     def test_bad_indices_rejected(self):
         neumann = disk_spectrum("neumann", 3)
@@ -430,8 +436,25 @@ class TestSpectrumChecks:
         (lambda t, v: union_spectrum([(rectangle_spectrum(1.0, 1.0, "neumann", 3), 1.0)], v),
          "k", 2.5),
         (lambda t, v: wolfkeller.extremal_sequence(wolfkeller.disks_class(), v), "K", 3.0),
+        (lambda t, v: wolfkeller.crossover_scan(_small_sequence(wolfkeller.disks_class),
+                                                _small_sequence(wolfkeller.squares_class), v),
+         "K", 3.0),
+        (lambda t, v: wolfkeller.connectedness_certificate(
+            30.0, _small_sequence(wolfkeller.disks_class), v), "n", 3.0),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).value(v), "n", 2.0),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).split_value(v), "n", 2.0),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).leaf_counts(v), "n", 2.0),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).expression(v), "n", 2.0),
+        (lambda t, v: wolfkeller.unpack_geometry(_small_sequence(wolfkeller.disks_class), v),
+         "n", 2.0),
+        (lambda t, v: disk_spectrum("neumann", 5).nonzero_values(v), "k", 2.5),
+        (lambda t, v: disk_spectrum("neumann", 5).nonzero(v), "i", 2.0),
+        (lambda t, v: disk_spectrum("neumann", 5).eigenvalue(v), "i", 2.0),
+        (lambda t, v: constructions.kroger_bound(v, 1.0), "m", 2.5),
     ], ids=["zero-order", "zero-rank", "zeros-below-order", "disk", "ball", "rectangle",
-            "box", "union", "recursion"])
+            "box", "union", "recursion", "scan", "certificate", "value", "split-value",
+            "leaf-counts", "expression", "geometry", "nonzero-values", "nonzero",
+            "eigenvalue", "kroger"])
     def test_counts_orders_and_ranks_are_integers(self, call, name, bad):
         # one rule for every count, order and rank: a ValueError before any
         # work for anything but an int or a numpy integer

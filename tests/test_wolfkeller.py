@@ -35,6 +35,16 @@ CSV_3000_SHA256 = {
     "dirichlet-disks": "2ed011ee773a862bddc0ce59c341663d3bb9bdb9bf325d92268e00735cd99922",
 }
 
+# sha256 of the repr of split_value(n), one a line, for n = 1..3000: the best
+# pure split at every n, past the rows the golden table shows
+SPLIT_3000_SHA256 = {
+    "disks": "36cfca66d86d32973036b85e427db722a5deb9e88042a6b24749bfb3bb0fd9e7",
+    "squares": "c3f9531fe1bd8d3fc0a9cfa6b865f6f90d6a4fdaeb84c11648b89e73352194ca",
+    "balls": "5c03a275b03a7245d0acd25def52485c4fd91bb1b36d185ce44b19154e9e15a3",
+    "cubes": "8a0562c2fa87b97f86a9006ad20dde12caee3c8bd984be591204b546837ad81c",
+    "dirichlet-disks": "de43d349c780c1c411d24e632047d64de61bac261395e32ea10dbb53d86de5a8",
+}
+
 
 def _margin_pair(tol):
     """(big, small) with big - small == tol * big exactly in floats: the two
@@ -51,7 +61,7 @@ def _better_worse(cls, tol):
     # the margin pair ordered by the class's objective, and the direction in
     # which a value gets better
     big, small = _margin_pair(tol)
-    if cls().objective == "maximize":
+    if cls().sign > 0:
         return big, small, math.inf
     return small, big, -math.inf
 
@@ -436,7 +446,7 @@ class TestCrossoverScan:
     def test_objective_mismatch_rejected(self, disks_sequence):
         # a maximizing and a minimizing sequence, either way round
         seq = extremal_sequence(dirichlet_disks_class(), 5)
-        assert (disks_sequence.objective, seq.objective) == ("maximize", "minimize")
+        assert (disks_sequence.domain_class.sign, seq.domain_class.sign) == (1.0, -1.0)
         for a, b in ((disks_sequence, seq), (seq, disks_sequence)):
             with pytest.raises(ValueError, match="^sequences must share objective$"):
                 crossover_scan(a, b, 5)
@@ -484,6 +494,12 @@ class TestExport:
         text = sequences_3000[name].to_csv()
         assert hashlib.sha256(text.encode()).hexdigest() == CSV_3000_SHA256[name]
 
+    @pytest.mark.parametrize("name", sorted(SPLIT_3000_SHA256))
+    def test_split_values_3000_pinned(self, sequences_3000, name):
+        seq = sequences_3000[name]
+        text = "".join(f"{seq.split_value(n)!r}\n" for n in range(1, seq.K + 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == SPLIT_3000_SHA256[name]
+
     def test_csv_shape(self, disks_sequence):
         lines = disks_sequence.to_csv().splitlines()
         assert lines[0] == "n,value,provenance"
@@ -496,8 +512,14 @@ class TestExport:
         assert lines[9].endswith(",9*mu1=mu9")
 
     def test_class_validation(self):
-        with pytest.raises(ValueError, match=r"^unknown objective 'extremize'$"):
-            wolfkeller.DomainClass("bad", spectra.disk(), "extremize")
+        # the boundary condition alone sets the objective: Neumann maximizes,
+        # Dirichlet minimizes, and a class takes no objective of its own
+        for bc, sign in (("neumann", 1.0), ("dirichlet", -1.0)):
+            for shape in (spectra.disk(bc), spectra.square(bc), spectra.cube(bc)):
+                assert wolfkeller.DomainClass("any", shape).sign == sign
+        assert wolfkeller.DomainClass("balls", spectra.ball()).sign == 1.0
+        with pytest.raises(TypeError):
+            wolfkeller.DomainClass("bad", spectra.disk(), "maximize")
 
 
 class TestThreeDimensional:
