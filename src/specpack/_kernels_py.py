@@ -145,13 +145,18 @@ def check_recurrence(x, lo):
         )
 
 
-def check_integer(name, value):
-    """value as an int (from an int or a numpy integer); ValueError for
-    anything else, a float of integral value included."""
+def check_integer(name, value, low):
+    """value as an int (from an int or a numpy integer) that is at least low,
+    the base of what it names: 0 for an order or a Neumann mu_i, 1 for a rank
+    or a Dirichlet lambda_i.  ValueError for anything else, a float of
+    integral value included, and for an int below low."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _check(order, x, closed):
@@ -159,9 +164,7 @@ def _check(order, x, closed):
     # order >= 0 and a finite x, >= 0 if closed and > 0 otherwise; and from
     # the series seam on, where the pass recurs backward, a recurrence of at
     # most MAX_RECURRENCE steps
-    order = check_integer("order", order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = check_integer("order", order, 0)
     if not (math.isfinite(x) and (x >= 0 if closed else x > 0)):
         raise ValueError(f"x must be finite and {'>=' if closed else '>'} 0")
     if x >= _SERIES_SEAM:

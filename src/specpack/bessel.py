@@ -98,13 +98,8 @@ class ZeroIndex(namedtuple("ZeroIndex", "order rank")):
     __slots__ = ()
 
     def __new__(cls, order, rank):
-        order = kernels.check_integer("order", order)
-        rank = kernels.check_integer("rank", rank)
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        return super().__new__(cls, order, rank)
+        return super().__new__(cls, kernels.check_integer("order", order, 0),
+                               kernels.check_integer("rank", rank, 1))
 
 
 def rank_offset(kind, order):
@@ -228,10 +223,8 @@ class ZeroTable:
         zeros.  Queries in ascending order, as the spectra make them, pay
         for each zero once.
         """
-        order = kernels.check_integer("order", order)
-        k = kernels.check_integer("k", k)
-        if order < 0 or k < 1:
-            raise ValueError(f"need order >= 0 and k >= 1, got ({order}, {k})")
+        order = kernels.check_integer("order", order, 0)
+        k = kernels.check_integer("k", k, 1)
         while self._count.get(order, 0) < k:
             missing = k - self._count.get(order, 0)
             self._settle(order, max(self._reach_x(order), order) + (missing + 1) * math.pi)
@@ -240,9 +233,9 @@ class ZeroTable:
 
     def zeros_below(self, order, x):
         """All strictly positive zeros of the given order below x, ascending."""
-        order = kernels.check_integer("order", order)
-        if order < 0 or not math.isfinite(x):
-            raise ValueError(f"need order >= 0 and a finite x, got ({order}, {x})")
+        order = kernels.check_integer("order", order, 0)
+        if not math.isfinite(x):
+            raise ValueError(f"need a finite x, got {x}")
         self._settle(order, x)
         n = self._count.get(order, 0)
         if n > len(self._zeros.get(order, ())):
@@ -273,7 +266,7 @@ class ZeroTable:
     def zero(self, idx):
         """Zero addressed by a ZeroIndex, honoring the rank convention."""
         off = rank_offset(self.kind, idx.order)
-        if idx.rank - off < 1:
+        if idx.rank == off:
             raise ValueError(
                 f"{self.kind} order 0 rank 1 denotes the trivial stationary "
                 f"point at x = 0 and is not tabulated; ranks start at 2"

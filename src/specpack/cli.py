@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 
 from . import constructions, spectra, wolfkeller
+from ._kernels_py import check_integer
 from .bessel import AccuracyError
 from .svgfig import packing_svg
 
@@ -144,9 +145,7 @@ def render_table_csv(rows):
 
 
 def cmd_table(args):
-    if args.rows < 1:
-        raise ValueError("--rows must be >= 1")
-    rows = build_table_rows(args.rows)
+    rows = build_table_rows(check_integer("--rows", args.rows, 1))
     if args.format == "md":
         sys.stdout.write(render_table_markdown(rows))
     else:
@@ -155,9 +154,7 @@ def cmd_table(args):
 
 
 def cmd_certify(args):
-    n = args.n
-    if n < 1:
-        raise ValueError("--n must be >= 1")
+    n = check_integer("--n", args.n, 1)
     disks = wolfkeller.extremal_sequence(wolfkeller.disks_class(), n)
     squares = wolfkeller.extremal_sequence(wolfkeller.squares_class(), n)
     d = disks.value(n)
@@ -172,12 +169,11 @@ def cmd_certify(args):
 
 
 def cmd_figure(args):
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
+    n = check_integer("--n", args.n, 1)
     cls = wolfkeller.disks_class() if args.shape_class == "disks" else wolfkeller.squares_class()
-    seq = wolfkeller.extremal_sequence(cls, args.n)
-    domain = wolfkeller.unpack_geometry(seq, args.n)
-    annotation = f"mu_{args.n} = {seq.value(args.n):.2f} ({args.shape_class})"
+    seq = wolfkeller.extremal_sequence(cls, n)
+    domain = wolfkeller.unpack_geometry(seq, n)
+    annotation = f"mu_{n} = {seq.value(n):.2f} ({args.shape_class})"
     svg = packing_svg(domain, annotation)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -186,9 +182,7 @@ def cmd_figure(args):
 
 
 def cmd_scan(args):
-    K = args.max_n
-    if K < 1:
-        raise ValueError("--max-n must be >= 1")
+    K = check_integer("--max-n", args.max_n, 1)
     if args.dim == 2:
         a = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
         b = wolfkeller.extremal_sequence(wolfkeller.squares_class(), K)
@@ -253,10 +247,8 @@ _SHAPES = {
 
 
 def cmd_spectrum(args):
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
     shape = _SHAPES[args.shape](args.bc)
-    spec = spectra.spectrum_of(shape, args.count)
+    spec = spectra.spectrum_of(shape, check_integer("--count", args.count, 1))
     sys.stdout.write(spec.to_csv())
     return 0
 

@@ -90,9 +90,7 @@ def verified_mu2(domain):
 def kroger_bound(m, diameter):
     """Upper bound (2 j_{0,1} + (m-1) pi)^2 / diameter^2 for the m-th nonzero
     Neumann eigenvalue of a bounded convex planar domain."""
-    m = check_integer("m", m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_integer("m", m, 1)
     if not 0 < diameter < math.inf:
         raise ValueError("diameter must be positive and finite")
     j01 = bessel_j_zero(ZeroIndex(0, 1))

@@ -153,35 +153,35 @@ class Spectrum(
         return out
 
     def nonzero_values(self, k=None):
-        """The first k (default: count) nonzero eigenvalues."""
-        k = self.count if k is None else check_integer("k", k)
-        expanded = self.expanded
-        if k > len(expanded):
+        """The first k >= 0 (default: count) nonzero eigenvalues, read from
+        ``modes`` only as far as they reach; IndexError past what the
+        spectrum holds."""
+        k = self.count if k is None else check_integer("k", k, 0)
+        out = []
+        for m in self.modes:
+            if len(out) >= k:
+                break
+            out += [m.value] * m.multiplicity
+        if len(out) < k:
             raise IndexError(
-                f"spectrum holds {len(expanded)} nonzero eigenvalues, "
-                f"asked for {k}"
+                f"spectrum holds {len(out)} nonzero eigenvalues, asked for {k}"
             )
-        return [v for v, _ in expanded[:k]]
+        del out[k:]
+        return out
 
     def nonzero(self, i):
         """The i-th nonzero eigenvalue, i >= 1."""
-        i = check_integer("i", i)
-        if i < 1:
-            raise IndexError("nonzero eigenvalue index starts at 1")
-        return self.nonzero_values(i)[i - 1]
+        return self.nonzero_values(check_integer("i", i, 1))[-1]
 
     def eigenvalue(self, i):
-        """mu_i (Neumann, zeros included) or lambda_i (Dirichlet)."""
-        i = check_integer("i", i)
-        if self.bc == "neumann":
-            if i < 0:
-                raise IndexError("mu index starts at 0")
-            if i < self.n_components:
-                return 0.0
-            return self.nonzero(i - self.n_components + 1)
-        if i < 1:
-            raise IndexError("lambda index starts at 1")
-        return self.nonzero(i)
+        """mu_i (Neumann: i >= 0, a zero for each component first) or
+        lambda_i (Dirichlet: i >= 1, the i-th nonzero eigenvalue)."""
+        if self.bc != "neumann":
+            return self.nonzero(i)
+        i = check_integer("i", i, 0)
+        if i < self.n_components:
+            return 0.0
+        return self.nonzero(i - self.n_components + 1)
 
     def rescaled(self, volume):
         """Same domain scaled to the given total volume."""
@@ -283,9 +283,7 @@ def _weyl_ceiling(shape, k):
 def _spectrum(shape, k, enumerate_below):
     """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
     starting from a padded two-term Weyl ceiling."""
-    k = check_integer("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_integer("k", k, 1)
     lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
     modes = _adaptive_modes(enumerate_below, k, lam0)
     return Spectrum(shape.bc, shape.dimension, shape.volume, 1, tuple(modes), k)
@@ -383,9 +381,7 @@ def union_spectrum(parts, k):
     merged in ascending order.  Every part must carry at least k nonzero
     eigenvalues so the merged prefix is complete.
     """
-    k = check_integer("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = check_integer("k", k, 1)
     if not parts:
         raise ValueError("parts must be nonempty")
     bc = parts[0][0].bc

@@ -138,8 +138,8 @@ class ExtremalSequence(namedtuple(
         return self.domain_class.dimension
 
     def _check_index(self, n):
-        n = check_integer("n", n)
-        if not 1 <= n <= self.K:
+        n = check_integer("n", n, 1)
+        if n > self.K:
             raise IndexError(f"index {n} outside computed range 1..{self.K}")
         return n
 
@@ -280,9 +280,7 @@ def extremal_sequence(domain_class, K, base_values=None):
     ``base_values`` overrides the connected candidates (the ascending nonzero
     eigenvalues of the base shape); by default they come from spectrum_of.
     """
-    K = check_integer("K", K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_integer("K", K, 1)
     N = domain_class.dimension
     sign = domain_class.sign
 
@@ -346,8 +344,8 @@ def connectedness_certificate(candidate_value, seq, n):
     Only the best split is tested, by the split search over the sequence's
     stored signed powers: the margin test is monotone in the split value, so
     the best split passes iff every split does."""
-    n = check_integer("n", n)
-    if n < 2:
+    n = check_integer("n", n, 1)
+    if n == 1:
         return True
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
@@ -357,7 +355,7 @@ def connectedness_certificate(candidate_value, seq, n):
 
 def crossover_scan(seq_a, seq_b, K):
     """Indices n <= K where seq_b beats seq_a: ``_beats`` at REL_SCAN_TOL."""
-    K = check_integer("K", K)
+    K = check_integer("K", K, 1)
     if seq_a.dimension != seq_b.dimension:
         raise ValueError("sequences must share dimension")
     if seq_a.domain_class.sign != seq_b.domain_class.sign:

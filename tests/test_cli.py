@@ -370,6 +370,7 @@ class TestSpectrumCommand:
     (["figure", "--n", "0", "--class", "disks", "--out", "x.svg"], "--n"),
     (["scan", "--dim", "2", "--max-n", "0"], "--max-n"),
     (["spectrum", "--shape", "disk", "--count", "0"], "--count"),
+    (["table", "--rows", "0"], "--rows"),
 ])
 def test_count_below_one_is_input_error(capsys, argv, option):
     from specpack import cli
@@ -377,7 +378,7 @@ def test_count_below_one_is_input_error(capsys, argv, option):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {option} must be >= 1\n"
+    assert err == f"error: {option} must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -395,11 +396,13 @@ def test_oversized_walk_refused_before_any_pass(args):
 
 
 def test_import_set():
-    # every command pays for this import; -S keeps site .pth files from
-    # preloading (and so hiding) any of the modules
+    # every command pays for this import, and the package never imports the
+    # numeric and test libraries; -S keeps site .pth files from preloading
+    # (and so hiding) any of the modules
     code = (
         "import specpack, specpack.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy', 'scipy', 'mpmath', "
+        "'hypothesis'} & set(sys.modules)))"
     )
     cp = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import oracle_positive_zeros, oracle_zeros
 
+import specpack
 from specpack import bessel, constructions, spectra, wolfkeller
 from specpack.spectra import (
     ball_spectrum,
@@ -409,12 +410,27 @@ class TestSpectrumChecks:
         held = len(neumann.expanded)
         with pytest.raises(IndexError, match=f"holds {held} nonzero eigenvalues, asked for {held + 1}"):
             neumann.nonzero_values(held + 1)
-        with pytest.raises(IndexError, match="nonzero eigenvalue index starts at 1"):
+        # below an index's base a ValueError, past what is held an IndexError
+        with pytest.raises(ValueError, match="^i must be >= 1, got 0$"):
             neumann.nonzero(0)
-        with pytest.raises(IndexError, match="mu index starts at 0"):
+        with pytest.raises(ValueError, match="^i must be >= 0, got -1$"):
             neumann.eigenvalue(-1)
-        with pytest.raises(IndexError, match="lambda index starts at 1"):
+        with pytest.raises(ValueError, match="^i must be >= 1, got 0$"):
             disk_spectrum("dirichlet", 3).eigenvalue(0)
+
+    def test_index_queries_read_modes_only_as_far_as_asked(self):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"mode read past the query: .{name}")
+
+        modes = (spectra.Mode("a", 1.0, 1), spectra.Mode("b", 2.0, 2), Unreadable())
+        spec = spectra.Spectrum("neumann", 2, 1.0, 1, modes, 4)
+        assert spec.nonzero(1) == 1.0
+        assert spec.nonzero_values(2) == [1.0, 2.0]
+        assert spec.nonzero(3) == 2.0
+        assert spec.eigenvalue(1) == 1.0
+        assert spec.eigenvalue(0) == 0.0
+        assert spec.nonzero_values(0) == []
 
     @pytest.mark.parametrize("volume", [0.0, -1.0, math.nan, math.inf])
     def test_rescaled_needs_positive_finite_volume(self, volume):
@@ -469,6 +485,50 @@ class TestSpectrumChecks:
         elif isinstance(plain, spectra.Spectrum):
             assert type(numpy.count) is int
         assert numpy == plain
+
+    @pytest.mark.parametrize("call, name, low", [
+        *[(lambda t, v, f=f: f(v, 1.0), "order", 0) for f in (
+            specpack.bessel_j, specpack.bessel_j_prime,
+            specpack.spherical_bessel_j, specpack.spherical_bessel_j_prime)],
+        (lambda t, v: bessel.ZeroIndex(v, 1), "order", 0),
+        (lambda t, v: bessel.ZeroIndex(0, v), "rank", 1),
+        (lambda t, v: t.positive_zero(v, 1), "order", 0),
+        (lambda t, v: t.positive_zero(1, v), "k", 1),
+        (lambda t, v: t.zeros_below(v, 10.0), "order", 0),
+        (lambda t, v: disk_spectrum("neumann", v), "k", 1),
+        (lambda t, v: ball_spectrum("neumann", v), "k", 1),
+        (lambda t, v: rectangle_spectrum(1.0, 1.0, "neumann", v), "k", 1),
+        (lambda t, v: box_spectrum(1.0, 1.0, 1.0, "dirichlet", v), "k", 1),
+        (lambda t, v: union_spectrum([(rectangle_spectrum(1.0, 1.0, "neumann", 3), 1.0)], v),
+         "k", 1),
+        (lambda t, v: disk_spectrum("neumann", 5).nonzero_values(v), "k", 0),
+        (lambda t, v: disk_spectrum("neumann", 5).nonzero(v), "i", 1),
+        (lambda t, v: disk_spectrum("neumann", 5).eigenvalue(v), "i", 0),
+        (lambda t, v: disk_spectrum("dirichlet", 5).eigenvalue(v), "i", 1),
+        (lambda t, v: wolfkeller.extremal_sequence(wolfkeller.disks_class(), v), "K", 1),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).value(v), "n", 1),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).split_value(v), "n", 1),
+        (lambda t, v: _small_sequence(wolfkeller.disks_class).leaf_counts(v), "n", 1),
+        (lambda t, v: wolfkeller.unpack_geometry(_small_sequence(wolfkeller.disks_class), v),
+         "n", 1),
+        (lambda t, v: wolfkeller.connectedness_certificate(
+            30.0, _small_sequence(wolfkeller.disks_class), v), "n", 1),
+        (lambda t, v: wolfkeller.crossover_scan(_small_sequence(wolfkeller.disks_class),
+                                                _small_sequence(wolfkeller.squares_class), v),
+         "K", 1),
+        (lambda t, v: constructions.kroger_bound(v, 1.0), "m", 1),
+    ], ids=["bessel-j", "bessel-j-prime", "spherical-j", "spherical-j-prime",
+            "index-order", "index-rank", "zero-order", "zero-rank", "zeros-below-order",
+            "disk", "ball", "rectangle", "box", "union", "nonzero-values", "nonzero",
+            "mu", "lambda", "recursion", "value", "split-value", "leaf-counts", "geometry",
+            "certificate", "scan", "kroger"])
+    def test_indices_below_their_base_rejected(self, call, name, low):
+        # one rule for the base of every index (mu_0, lambda_1, order 0,
+        # rank 1, ...): a ValueError before any work one below it
+        table = bessel.ZeroTable("bessel")
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+            call(table, low - 1)
+        assert table._zeros == table._count == {}
 
 
 class TestCsvExport:

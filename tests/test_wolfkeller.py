@@ -233,9 +233,10 @@ class TestSequenceValues:
         K = disks_sequence.K
         for read in ("value", "connected_value", "split_value", "decomposition",
                      "leaf_counts"):
-            for n in (0, K + 1):
-                with pytest.raises(IndexError, match=f"index {n} outside computed range 1..{K}"):
-                    getattr(disks_sequence, read)(n)
+            with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+                getattr(disks_sequence, read)(0)
+            with pytest.raises(IndexError, match=f"^index {K + 1} outside computed range 1..{K}$"):
+                getattr(disks_sequence, read)(K + 1)
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="K must be >= 1"):
