@@ -28,14 +28,17 @@ REL_SCAN_TOL decides ``crossover_scan``.
 
 The split search behind the recursion and the certificate, ``_best_split``,
 returns exactly what a scan over every j would, but skips the blocks of j
-that a superadditivity bound on the stored powers rules out.  The
-certificate searches the signed powers an ``ExtremalSequence`` stores.
+that a superadditivity bound on the stored powers rules out.  The recursion
+keeps a ruled-out block asleep across n until its bound can reach the best
+split again, so each n bounds only the blocks whose sleep has ended (3 to 5
+tops per n at K = 3000 for the Neumann classes, not n/32).  The certificate
+bounds every block of the signed powers an ``ExtremalSequence`` stores.
 """
 
-import itertools
 import math
 import operator
-from collections import namedtuple
+from bisect import bisect_left
+from collections import defaultdict, namedtuple
 
 from . import spectra
 from ._kernels_py import check_integer
@@ -221,7 +224,7 @@ def _sums(powers, n, a, b):
     return list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
 
 
-def _best_split(powers, n):
+def _best_split(powers, n, starts=None, g=None, wake=None):
     """max of powers[j] + powers[n - j] over 1 <= j <= n/2, and the smallest j
     that attains it: the exhaustive result, from a search that sums only the
     blocks of j a bound cannot rule out, each at most once.
@@ -229,23 +232,37 @@ def _best_split(powers, n):
     The bound.  A stored power dominates every split sum at its own index
     (powers[m] >= powers[i] + powers[m - i]), so with c = powers[1], the
     split (1, i) at i + 1 gives powers[i + 1] >= powers[i] + c.  Hence
-    g(j) = powers[j] - c*j is nondecreasing, and every sum in a block
-    a <= j <= b is at most powers[b] + powers[n - a] - (b - a)*c.  Below
-    2*SPLIT_BLOCK there is no whole block and the one block is summed.
-    Otherwise the best sum of the whole block with the best top is the seed.
-    Then, in ascending order, every block whose top, widened by SPLIT_SLACK
-    relative to |seed| + SPLIT_BLOCK*|c|, reaches seed + (b - a)*c is summed:
-    the whole blocks of SPLIT_BLOCK indices, then the last partial block
-    full + 1 <= j <= h.  The seed's block keeps the sums that made the seed.
+    g[m] = powers[m] - c*m is nondecreasing, and every sum in a block
+    a <= j <= b is at most its top, powers[b] + powers[n - a], minus
+    (b - a)*c.  Below 2*SPLIT_BLOCK there is no whole block and the one
+    block is summed.  Otherwise the tops of the whole blocks of SPLIT_BLOCK
+    indices that start at ``starts`` (by default every one) are formed, and
+    the best sum of the block with the best top is the seed.  Then, in
+    ascending order, every block whose top, widened by SPLIT_SLACK relative
+    to |seed| + SPLIT_BLOCK*|c|, reaches seed + (b - a)*c is summed: those
+    whole blocks, then the last partial block full + 1 <= j <= h.  The
+    seed's block keeps the sums that made the seed.
+
+    The sleeps.  The recursion passes ``starts`` with ``g`` (g[m] for the
+    known m < n) and ``wake``, and puts each block it bounds in wake at the n
+    where its top must be formed again: n + 1 if it reaches the threshold;
+    if it misses by M, n + d for the first d at which g[n - a + d] - g[n - a],
+    the growth of the top beyond d*c, can reach M - slack (the first unknown
+    d if no known g does), and at most 2*SPLIT_BLOCK.  Until then its sums
+    stay twice the slack under seed + d*c, and the seed's split
+    (j, n + d - j) does not fall below that.
 
     Why the slack is safe.  The premise holds up to the recursion's defect
     (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
     which the tests keep below SPLIT_SLACK/1000 relative.  One bound chains
-    at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), each off by that defect plus one
-    rounding, on powers of one sign (extremal_sequence admits no others) that
-    stay within |seed| + SPLIT_BLOCK*|c| wherever a top is near the
-    threshold.  So a bound is off by under a tenth of the slack, and no
-    block that can hold the best sum, the seed's own included, is skipped.
+    at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
+    2*SPLIT_BLOCK more and as many in its bisect, on a g that may fall by
+    the defect per step; each step is off by that defect plus one rounding,
+    on powers of one sign (extremal_sequence admits no others) that stay
+    within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near the best
+    split.  So a bound is off by under half the slack, and no block that can
+    hold the best sum, the seed's own included, is skipped or left asleep.
+    Uncapped, a sleep could chain a/2 steps, past the slack at large K.
     """
     h = n // 2
     full = h - h % SPLIT_BLOCK  # j <= full lie in whole blocks
@@ -253,20 +270,26 @@ def _best_split(powers, n):
         sums = _sums(powers, n, 1, h)
         best = max(sums)
         return best, 1 + sums.index(best)
-    starts = range(1, full + 1, SPLIT_BLOCK)
-    tops = list(map(operator.add, powers[SPLIT_BLOCK:full + 1:SPLIT_BLOCK],
-                    powers[n - 1:n - 1 - full:-SPLIT_BLOCK]))
+    if starts is None:
+        starts = range(1, full + 1, SPLIT_BLOCK)
+    tops = [powers[a + SPLIT_BLOCK - 1] + powers[n - a] for a in starts]
     seed_a = starts[tops.index(max(tops))]
     seed_sums = _sums(powers, n, seed_a, seed_a + SPLIT_BLOCK - 1)
     seed = max(seed_sums)
     c = powers[1]
     slack = SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
     threshold = seed + (SPLIT_BLOCK - 1) * c - slack
-    starts = itertools.compress(starts, map(operator.ge, tops, itertools.repeat(threshold)))
+    reached = [a for a, top in zip(starts, tops) if top >= threshold]
+    if wake is not None:
+        wake[n + 1] += reached
+        for a, top in zip(starts, tops):
+            if top < threshold:
+                d = bisect_left(g, g[n - a] + threshold - top - slack, n - a + 1) - n + a
+                wake[n + min(d, 2 * SPLIT_BLOCK)].append(a)
     if full < h and powers[h] + powers[n - full - 1] >= seed + (h - full - 1) * c - slack:
-        starts = itertools.chain(starts, (full + 1,))
+        reached.append(full + 1)
     best = None
-    for a in starts:  # ascending, so the first block to attain best has the smallest j
+    for a in reached:  # ascending, so the first block to attain best has the smallest j
         sums = seed_sums if a == seed_a else _sums(powers, n, a, min(a + SPLIT_BLOCK - 1, h))
         s = max(sums)
         if best is None or s > best:
@@ -303,9 +326,14 @@ def extremal_sequence(domain_class, K, base_values=None):
     values[1] = conn[1]
     powers[1] = sign * _power(conn[1], N)
     provenance[1] = Connected(1)
+    g = [0.0, 0.0]  # g[m] = powers[m] - powers[1]*m for the known m
+    wake = defaultdict(list)  # n -> the whole blocks whose sleep ends at n
 
     for n in range(2, K + 1):
-        best_s, best_i = _best_split(powers, n)
+        starts = sorted(wake.pop(n, ()))
+        if n % (2 * SPLIT_BLOCK) == 0:  # the whole block new at n
+            starts.append(n // 2 - SPLIT_BLOCK + 1)
+        best_s, best_i = _best_split(powers, n, starts, g, wake)
         split_v = _unpower(sign * best_s, N)
         split_indices[n] = best_i
         cv = conn[n]
@@ -319,6 +347,7 @@ def extremal_sequence(domain_class, K, base_values=None):
             values[n] = cv if sign * cv >= sign * split_v else split_v
             provenance[n] = Connected(n, tie=True)
         powers[n] = sign * _power(values[n], N)
+        g.append(powers[n] - powers[1] * n)
 
     return ExtremalSequence(domain_class, K, tuple(values), tuple(powers), tuple(conn),
                             tuple(split_indices), tuple(provenance))
@@ -363,8 +392,8 @@ def crossover_scan(seq_a, seq_b, K):
     if seq_a.K < K or seq_b.K < K:
         raise ValueError(f"both sequences must reach K={K}")
     sign = seq_a.domain_class.sign
-    return [n for n in range(1, K + 1)
-            if _beats(sign * seq_b.value(n), sign * seq_a.value(n), REL_SCAN_TOL)]
+    a, b = seq_a.values, seq_b.values
+    return [n for n in range(1, K + 1) if _beats(sign * b[n], sign * a[n], REL_SCAN_TOL)]
 
 
 class DirichletCheck(

@@ -107,6 +107,42 @@ def test_best_split_equals_exhaustive(base):
             assert _best_split(powers, n) == (best, sums.index(best) + 1)
 
 
+def late_spectrum(k, scale, exponent, p, factor, plateau, rounded):
+    # k values scale*n^exponent that stay flat from index p on (a plateau) or
+    # grow by factor there (a late efficiency jump), rounded to integers (for
+    # exact ties) or not
+    vals = [scale * (min(n, p) ** exponent if plateau else
+                     n ** exponent * (factor if n >= p else 1.0)) for n in range(1, k + 1)]
+    return sorted(float(max(1, round(v))) if rounded else v for v in vals)
+
+
+# 200 to 600 indices, where whole blocks of the split search sleep the full
+# cap and wake on their bisect bound: a late change in the base values moves
+# the best splits, and the spectra of r-by-1/r rectangles bring the
+# irregular gaps and multiplicities of a real spectrum
+late_spectra = st.one_of(
+    st.builds(late_spectrum, st.integers(200, 600), st.floats(0.5, 50.0), st.floats(0.2, 1.5),
+              st.integers(1, 600), st.floats(1.0, 8.0), st.booleans(), st.booleans()),
+    st.builds(lambda r, bc, k: spectra.rectangle_spectrum(r, 1 / r, bc, k).nonzero_values(),
+              st.floats(1.0, 4.0), st.sampled_from(("neumann", "dirichlet")), st.integers(200, 600)),
+)
+
+
+@PROPERTY
+@given(late_spectra)
+def test_long_recursion_splits_equal_exhaustive(base):
+    # the recursion's split search, which bounds only the blocks whose sleep
+    # has ended, against a sum over every j at every n, for every
+    # (dimension, objective) key
+    for key in sorted(CLASSES):
+        seq = run(key, base)
+        powers = seq.powers
+        for n in range(2, len(base) + 1):
+            h = n // 2
+            sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
+            assert seq.split_indices[n] == sums.index(max(sums)) + 1
+
+
 def all_splits_certificate(candidate_value, seq, n):
     # reference: the candidate must clear every split j | n-j, 1 <= j <= n/2
     maximize = seq.domain_class.shape.bc == "neumann"

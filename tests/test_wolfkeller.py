@@ -1,5 +1,6 @@
 """Extremal recursion: values, provenance, packings, certificates, scans."""
 
+import collections
 import hashlib
 import math
 import operator
@@ -102,10 +103,8 @@ def _record_sums(monkeypatch):
     return summed
 
 
-def _partial_reaches(powers, n):
-    # the partial block's bound against the seed, widened by the slack:
-    # every sum at full < j <= h is at most
-    # powers[h] + powers[n - full - 1] - (h - full - 1)*c
+def _seed(powers, n):
+    # the seed over every whole block, c and the slack
     B = wolfkeller.SPLIT_BLOCK
     h = n // 2
     full = h - h % B
@@ -113,9 +112,78 @@ def _partial_reaches(powers, n):
     a = 1 + B * tops.index(max(tops))
     seed = max(powers[i] + powers[n - i] for i in range(a, a + B))
     c = powers[1]
+    return seed, c, wolfkeller.SPLIT_SLACK * (abs(seed) + B * abs(c))
+
+
+def _partial_reaches(powers, n):
+    # the partial block's bound against the seed, widened by the slack:
+    # every sum at full < j <= h is at most
+    # powers[h] + powers[n - full - 1] - (h - full - 1)*c
+    B = wolfkeller.SPLIT_BLOCK
+    h = n // 2
+    full = h - h % B
+    seed, c, slack = _seed(powers, n)
     bound = powers[h] + powers[n - full - 1] - (h - full - 1) * c
-    slack = wolfkeller.SPLIT_SLACK * (abs(seed) + B * abs(c))
     return bound >= seed - slack
+
+
+def _sleeps(powers, n, blocks):
+    # reference for the sleep of each whole block (its first index a) bounded
+    # at n, and its kind: 1 if its top reaches the threshold, else the first d
+    # at which g[m] = powers[m] - c*m grows from n - a by the miss less the
+    # slack, by a scan of the known g (m < n; d = a if none does), at most 2*B
+    if not blocks:
+        return {}
+    B = wolfkeller.SPLIT_BLOCK
+    seed, c, slack = _seed(powers, n)
+    threshold = seed + (B - 1) * c - slack
+    sleeps = {}
+    for a in blocks:
+        top = powers[a + B - 1] + powers[n - a]
+        target = powers[n - a] - c * (n - a) + threshold - top - slack
+        crossing = (d for d in range(1, min(a, 2 * B))
+                    if powers[n - a + d] - c * (n - a + d) >= target)
+        if top >= threshold:
+            sleeps[a] = 1, "reached"
+        elif (d := next(crossing, None)) is not None:
+            sleeps[a] = d, "cut by the bisect"
+        elif a < 2 * B:
+            sleeps[a] = a, "no known crossing"
+        else:
+            sleeps[a] = 2 * B, "capped"
+    return sleeps
+
+
+def _schedule(monkeypatch, seq):
+    # the recursion rerun on seq's base values: per n, the whole blocks whose
+    # tops the split search forms, the sleep it gives each of them, and the
+    # number of blocks of sums it forms
+    bounded, sleeps, summed = {}, {}, collections.Counter()
+    best_split, sums = wolfkeller._best_split, wolfkeller._sums
+
+    def recording_split(powers, n, starts=None, g=None, wake=None):
+        before = {m: len(v) for m, v in wake.items()}
+        result = best_split(powers, n, starts, g, wake)
+        bounded[n] = list(starts)
+        sleeps[n] = {a: m - n for m, v in wake.items() for a in v[before.get(m, 0):]}
+        return result
+
+    def recording_sums(powers, n, a, b):
+        summed[n] += 1
+        return sums(powers, n, a, b)
+
+    monkeypatch.setattr(wolfkeller, "_best_split", recording_split)
+    monkeypatch.setattr(wolfkeller, "_sums", recording_sums)
+    again = extremal_sequence(seq.domain_class, seq.K, base_values=seq.connected[1:])
+    monkeypatch.undo()
+    assert again == seq
+    return bounded, sleeps, summed
+
+
+@pytest.fixture(scope="module")
+def schedules_3000(sequences_3000):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return {name: _schedule(monkeypatch, seq) for name, seq in sequences_3000.items()}
 
 
 class TestSequenceValues:
@@ -279,6 +347,60 @@ class TestSplitSearch:
                 for m in range(2, seq.K + 1)
             )
             assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+
+    def test_g_nondecreasing_within_slack(self, sequences_3000):
+        # the sleeps' premise: g[m] = powers[m] - c*m, as the recursion forms
+        # it, falls by no more than a defect far inside the search's slack
+        for seq in sequences_3000.values():
+            powers = seq.powers
+            g = [powers[m] - powers[1] * m for m in range(1, seq.K + 1)]
+            worst = max((g[i] - g[i + 1]) / abs(powers[i + 2]) for i in range(seq.K - 1))
+            assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+
+    @pytest.mark.parametrize("name, most", [
+        ("disks", 6), ("squares", 6), ("balls", 6), ("cubes", 6), ("dirichlet-disks", 12),
+    ])
+    def test_recursion_bounds_few_blocks_per_n(
+            self, monkeypatch, sequences_3000, schedules_3000, name, most):
+        # the sleeps keep the tops formed per n at a few (3.2-4.8 for the
+        # Neumann classes, 10.4 for the Dirichlet disks) where bounding every
+        # whole block forms 46.4, and sum no block the full search would not
+        seq = sequences_3000[name]
+        bounded, _, summed = schedules_3000[name]
+        K, B = seq.K, wolfkeller.SPLIT_BLOCK
+        assert sum(n // 2 // B for n in range(2, K + 1)) / (K - 1) > 46
+        assert sum(map(len, bounded.values())) / (K - 1) <= most
+        every = _record_sums(monkeypatch)
+        for n in range(2, K + 1):
+            every.clear()
+            wolfkeller._best_split(seq.powers, n)
+            assert summed[n] <= len(every), n
+
+    def test_sleeps_follow_the_rule_and_hold_no_best_sum(self, sequences_3000, schedules_3000):
+        # every bounded block sleeps as the reference rule says; while it
+        # sleeps, each of its sums stays below the best split; and every kind
+        # of sleep occurs
+        B = wolfkeller.SPLIT_BLOCK
+        kinds = collections.Counter()
+        for name, seq in sequences_3000.items():
+            bounded, sleeps, _ = schedules_3000[name]
+            powers = seq.powers
+            for n in range(2, seq.K + 1):
+                assert sorted(sleeps[n]) == bounded[n], (name, n)
+                for a, (d, kind) in _sleeps(powers, n, bounded[n]).items():
+                    assert sleeps[n][a] == d, (name, n, a, kind)
+                    kinds[kind] += 1
+                h = n // 2
+                sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
+                best, j = max(sums), -1
+                for _ in range(sums.count(best)):
+                    j = sums.index(best, j + 1)  # j + 1 is a best split; its block
+                    a = j + 1 - j % B  # is the partial one or a bounded one
+                    assert a > h - h % B or a in bounded[n], (name, n, j + 1)
+        assert kinds.keys() == {"reached", "cut by the bisect", "capped", "no known crossing"}
+        # no block is whole below n = 2*B, and at 2*B only the new one is
+        bounded = schedules_3000["disks"][0]
+        assert [bounded[n] for n in range(2, 2 * B + 1)] == [[]] * (2 * B - 2) + [[1]]
 
     @pytest.mark.parametrize("n", [20, 31, 2000, 2015, 2016, 2999])
     def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000, n):
