@@ -26,19 +26,18 @@ with the tie flag set.  Among equal splits the smallest left index wins.
 The same rule at REL_TIE_TOL decides ``connectedness_certificate`` and at
 REL_SCAN_TOL decides ``crossover_scan``.
 
-The split search behind the recursion and the certificate, ``_best_split``,
-returns exactly what a scan over every j would, but skips the blocks of j
-that a superadditivity bound on the stored powers rules out.  The recursion
-keeps a ruled-out block asleep across n until its bound can reach the best
-split again, so each n bounds only the blocks whose sleep has ended (3 to 5
-tops per n at K = 3000 for the Neumann classes, not n/32).  The certificate
-bounds every block of the signed powers an ``ExtremalSequence`` stores.
+The split search runs in the recursion's loop: it returns exactly what a
+scan over every j would, but sums only the blocks of j that a
+superadditivity bound on the stored powers cannot rule out, and a ruled-out
+block sleeps across n, in a ring of 2*SPLIT_BLOCK + 1 lists, until its bound
+can reach the best split again (the proof is in ``extremal_sequence``).  The
+certificate takes the plain maximum over every split of the stored powers.
 """
 
 import math
 import operator
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from . import spectra
 from ._kernels_py import check_integer
@@ -47,9 +46,8 @@ from .spectra import _power, _unpower, csv_text, spectrum_of
 REL_TIE_TOL = 1e-12
 REL_SCAN_TOL = 1e-9
 
-# the split search sums powers in blocks of SPLIT_BLOCK consecutive left
-# indices, and skips a block whose bound, widened by SPLIT_SLACK, cannot
-# reach the best sum found first (see _best_split)
+# the split search sums blocks of SPLIT_BLOCK left indices and skips a block
+# whose bound, widened by SPLIT_SLACK, cannot reach the best sum found first
 SPLIT_BLOCK = 16
 SPLIT_SLACK = 1e-12
 
@@ -224,10 +222,15 @@ def _sums(powers, n, a, b):
     return list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
 
 
-def _best_split(powers, n, starts=None, g=None, wake=None):
-    """max of powers[j] + powers[n - j] over 1 <= j <= n/2, and the smallest j
-    that attains it: the exhaustive result, from a search that sums only the
-    blocks of j a bound cannot rule out, each at most once.
+def extremal_sequence(domain_class, K, base_values=None):
+    """Run the recursion up to index K.
+
+    ``base_values`` overrides the connected candidates (the ascending nonzero
+    eigenvalues of the base shape); by default they come from spectrum_of.
+
+    The split search at each n returns the max of powers[j] + powers[n - j]
+    over 1 <= j <= h = n/2 and the smallest j attaining it, as a scan over
+    every j would, but sums only the blocks of j a bound cannot rule out.
 
     The bound.  A stored power dominates every split sum at its own index
     (powers[m] >= powers[i] + powers[m - i]), so with c = powers[1], the
@@ -236,21 +239,23 @@ def _best_split(powers, n, starts=None, g=None, wake=None):
     a <= j <= b is at most its top, powers[b] + powers[n - a], minus
     (b - a)*c.  Below 2*SPLIT_BLOCK there is no whole block and the one
     block is summed.  Otherwise the tops of the whole blocks of SPLIT_BLOCK
-    indices that start at ``starts`` (by default every one) are formed, and
-    the best sum of the block with the best top is the seed.  Then, in
-    ascending order, every block whose top, widened by SPLIT_SLACK relative
-    to |seed| + SPLIT_BLOCK*|c|, reaches seed + (b - a)*c is summed: those
-    whole blocks, then the last partial block full + 1 <= j <= h.  The
-    seed's block keeps the sums that made the seed.
+    indices awake at n are formed, and the best sum of the block with the
+    best top (the smallest start among equal tops) is the seed.  Every awake
+    block whose top, widened by SPLIT_SLACK relative to |seed| +
+    SPLIT_BLOCK*|c|, reaches the threshold seed + (SPLIT_BLOCK - 1)*c is
+    summed, the seed's own block once, and so is the last partial block
+    full + 1 <= j <= h if its top reaches seed + (h - full - 1)*c.  The
+    larger sum wins, and the smaller j among equal sums.
 
-    The sleeps.  The recursion passes ``starts`` with ``g`` (g[m] for the
-    known m < n) and ``wake``, and puts each block it bounds in wake at the n
-    where its top must be formed again: n + 1 if it reaches the threshold;
-    if it misses by M, n + d for the first d at which g[n - a + d] - g[n - a],
-    the growth of the top beyond d*c, can reach M - slack (the first unknown
-    d if no known g does), and at most 2*SPLIT_BLOCK.  Until then its sums
-    stay twice the slack under seed + d*c, and the seed's split
-    (j, n + d - j) does not fall below that.
+    The sleeps.  Each awake block wakes again at n + 1 if it reaches the
+    threshold; if it misses by M, at n + d for the first d at which
+    g[n - a + d] - g[n - a], the growth of its top beyond d*c, can reach
+    M - slack (the first unknown d if no known g does), and at most
+    2*SPLIT_BLOCK.  Until then its sums stay twice the slack under
+    seed + d*c, and the seed's split (j, n + d - j) does not fall below
+    that.  A block is first awake where it becomes whole.  A sleep lasts 1
+    to 2*SPLIT_BLOCK steps, so the blocks awake at m wait in slot
+    m % (2*SPLIT_BLOCK + 1) of a ring, which is read and cleared at m.
 
     Why the slack is safe.  The premise holds up to the recursion's defect
     (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
@@ -258,50 +263,12 @@ def _best_split(powers, n, starts=None, g=None, wake=None):
     at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
     2*SPLIT_BLOCK more and as many in its bisect, on a g that may fall by
     the defect per step; each step is off by that defect plus one rounding,
-    on powers of one sign (extremal_sequence admits no others) that stay
-    within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near the best
-    split.  So a bound is off by under half the slack, and no block that can
-    hold the best sum, the seed's own included, is skipped or left asleep.
-    Uncapped, a sleep could chain a/2 steps, past the slack at large K.
-    """
-    h = n // 2
-    full = h - h % SPLIT_BLOCK  # j <= full lie in whole blocks
-    if not full:
-        sums = _sums(powers, n, 1, h)
-        best = max(sums)
-        return best, 1 + sums.index(best)
-    if starts is None:
-        starts = range(1, full + 1, SPLIT_BLOCK)
-    tops = [powers[a + SPLIT_BLOCK - 1] + powers[n - a] for a in starts]
-    seed_a = starts[tops.index(max(tops))]
-    seed_sums = _sums(powers, n, seed_a, seed_a + SPLIT_BLOCK - 1)
-    seed = max(seed_sums)
-    c = powers[1]
-    slack = SPLIT_SLACK * (abs(seed) + SPLIT_BLOCK * abs(c))
-    threshold = seed + (SPLIT_BLOCK - 1) * c - slack
-    reached = [a for a, top in zip(starts, tops) if top >= threshold]
-    if wake is not None:
-        wake[n + 1] += reached
-        for a, top in zip(starts, tops):
-            if top < threshold:
-                d = bisect_left(g, g[n - a] + threshold - top - slack, n - a + 1) - n + a
-                wake[n + min(d, 2 * SPLIT_BLOCK)].append(a)
-    if full < h and powers[h] + powers[n - full - 1] >= seed + (h - full - 1) * c - slack:
-        reached.append(full + 1)
-    best = None
-    for a in reached:  # ascending, so the first block to attain best has the smallest j
-        sums = seed_sums if a == seed_a else _sums(powers, n, a, min(a + SPLIT_BLOCK - 1, h))
-        s = max(sums)
-        if best is None or s > best:
-            best, best_j = s, a + sums.index(s)
-    return best, best_j
-
-
-def extremal_sequence(domain_class, K, base_values=None):
-    """Run the recursion up to index K.
-
-    ``base_values`` overrides the connected candidates (the ascending nonzero
-    eigenvalues of the base shape); by default they come from spectrum_of.
+    on powers of one sign (the check on the base values admits no others)
+    that stay within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near
+    the best split.  So a bound is off by under half the slack, and no
+    block that can hold the best sum, the seed's own included, is skipped
+    or left asleep.  Uncapped, a sleep could chain a/2 steps, past the
+    slack at large K.
     """
     K = check_integer("K", K, 1)
     N = domain_class.dimension
@@ -313,28 +280,57 @@ def extremal_sequence(domain_class, K, base_values=None):
         raise ValueError(
             f"base spectrum for {domain_class.shape.kind} shorter than K={K}")
     conn = [None, *base_values[:K]]
-    # the split search (see _best_split) needs powers of one sign, and every
-    # power, split sum and bound it forms is at most 2*K times the largest
+    # the split search needs powers of one sign, and every power, split sum
+    # and bound it forms is at most 2*K times the largest
     if not (all(v > 0.0 for v in conn[1:]) and 4 * K * _power(max(conn[1:]), N) < math.inf):
         raise ValueError("base values must be positive, with 4*K times their largest power finite")
 
-    values = [None] * (K + 1)
-    powers = [None] * (K + 1)
-    provenance = [None] * (K + 1)
-    split_indices = [None] * (K + 1)
-
+    values, powers, split_indices, provenance = ([None] * (K + 1) for _ in range(4))
     values[1] = conn[1]
-    powers[1] = sign * _power(conn[1], N)
+    powers[1] = c = sign * _power(conn[1], N)
     provenance[1] = Connected(1)
-    g = [0.0, 0.0]  # g[m] = powers[m] - powers[1]*m for the known m
-    wake = defaultdict(list)  # n -> the whole blocks whose sleep ends at n
+    g = [0.0, 0.0]  # g[m] = powers[m] - c*m for the known m
+    B, R = SPLIT_BLOCK, 2 * SPLIT_BLOCK + 1
+    ring = [[] for _ in range(R)]  # slot m % R: the whole blocks awake at m
 
     for n in range(2, K + 1):
-        starts = sorted(wake.pop(n, ()))
-        if n % (2 * SPLIT_BLOCK) == 0:  # the whole block new at n
-            starts.append(n // 2 - SPLIT_BLOCK + 1)
-        best_s, best_i = _best_split(powers, n, starts, g, wake)
-        split_v = _unpower(sign * best_s, N)
+        h = n // 2
+        full = h - h % B  # j <= full lie in whole blocks
+        if not full:
+            sums = _sums(powers, n, 1, h)
+            best = max(sums)
+            best_i = 1 + sums.index(best)
+        else:
+            awake, ring[n % R] = ring[n % R], []
+            if n % (2 * B) == 0:  # the whole block new at n
+                awake.append(h - B + 1)
+            tops = [powers[a + B - 1] + powers[n - a] for a in awake]
+            top = max(tops)
+            seed_a = awake[tops.index(top)] if tops.count(top) == 1 else min(
+                a for a, t in zip(awake, tops) if t == top)
+            sums = _sums(powers, n, seed_a, seed_a + B - 1)
+            best = seed = max(sums)
+            best_i = seed_a + sums.index(seed)
+            slack = SPLIT_SLACK * (abs(seed) + B * abs(c))
+            threshold = seed + (B - 1) * c - slack
+            woken = ring[(n + 1) % R]
+            for a, top in zip(awake, tops):
+                if top < threshold:
+                    d = bisect_left(g, g[n - a] + threshold - top - slack, n - a + 1) - n + a
+                    ring[(n + (d if d < 2 * B else 2 * B)) % R].append(a)
+                    continue
+                woken.append(a)
+                if a != seed_a:
+                    sums = _sums(powers, n, a, a + B - 1)
+                    s = max(sums)
+                    if s > best or s == best and a < best_i:
+                        best, best_i = s, a + sums.index(s)
+            if full < h and powers[h] + powers[n - full - 1] >= seed + (h - full - 1) * c - slack:
+                sums = _sums(powers, n, full + 1, h)
+                s = max(sums)
+                if s > best:
+                    best, best_i = s, full + 1 + sums.index(s)
+        split_v = _unpower(sign * best, N)
         split_indices[n] = best_i
         cv = conn[n]
         if _beats(sign * cv, sign * split_v, REL_TIE_TOL):
@@ -347,7 +343,7 @@ def extremal_sequence(domain_class, K, base_values=None):
             values[n] = cv if sign * cv >= sign * split_v else split_v
             provenance[n] = Connected(n, tie=True)
         powers[n] = sign * _power(values[n], N)
-        g.append(powers[n] - powers[1] * n)
+        g.append(powers[n] - c * n)
 
     return ExtremalSequence(domain_class, K, tuple(values), tuple(powers), tuple(conn),
                             tuple(split_indices), tuple(provenance))
@@ -370,15 +366,19 @@ def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
     must be connected: ``_beats`` at REL_TIE_TOL, on the powered values.
 
-    Only the best split is tested, by the split search over the sequence's
-    stored signed powers: the margin test is monotone in the split value, so
-    the best split passes iff every split does."""
+    Only the best split is tested, the plain maximum over every split of the
+    sequence's stored signed powers: the margin test is monotone in the
+    split value, so the best split passes iff every split does.  The
+    candidate must be positive with a finite power, as the recursion's base
+    values must."""
     n = check_integer("n", n, 1)
+    if not (candidate_value > 0.0 and _power(candidate_value, seq.dimension) < math.inf):
+        raise ValueError(f"candidate must be positive with a finite power, got {candidate_value}")
     if n == 1:
         return True
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
-    s, _ = _best_split(seq.powers, n)
+    s = max(_sums(seq.powers, n, 1, n // 2))
     return _beats(seq.domain_class.sign * _power(candidate_value, seq.dimension), s, REL_TIE_TOL)
 
 

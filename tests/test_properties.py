@@ -18,7 +18,6 @@ from specpack.wolfkeller import (
     REL_TIE_TOL,
     DomainClass,
     Split,
-    _best_split,
     connectedness_certificate,
     extremal_sequence,
 )
@@ -91,9 +90,9 @@ wide_spectra = st.one_of(
 @PROPERTY
 @given(wide_spectra)
 def test_best_split_equals_exhaustive(base):
-    # the bounded search against a sum over every j, bit for bit, at every n,
-    # on the signed powers the recursion stores (negative when minimizing),
-    # for every (dimension, objective) key
+    # the recursion's stored split, its sum and its index, against a sum over
+    # every j, bit for bit, at every n, on the signed powers it stores
+    # (negative when minimizing), for every (dimension, objective) key
     for key in sorted(CLASSES):
         seq = run(key, base)
         sign = seq.domain_class.sign
@@ -104,7 +103,8 @@ def test_best_split_equals_exhaustive(base):
             h = n // 2
             sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
             best = max(sums)
-            assert _best_split(powers, n) == (best, sums.index(best) + 1)
+            j = seq.split_indices[n]
+            assert (powers[j] + powers[n - j], j) == (best, sums.index(best) + 1)
 
 
 def late_spectrum(k, scale, exponent, p, factor, plateau, rounded):

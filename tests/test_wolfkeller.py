@@ -90,19 +90,6 @@ def _exhaustive_split(powers, n):
     return best, sums.index(best) + 1
 
 
-def _record_sums(monkeypatch):
-    # the (a, b) of every block of split sums the search forms, in order
-    summed = []
-    sums = wolfkeller._sums
-
-    def recording(powers, n, a, b):
-        summed.append((a, b))
-        return sums(powers, n, a, b)
-
-    monkeypatch.setattr(wolfkeller, "_sums", recording)
-    return summed
-
-
 def _seed(powers, n):
     # the seed over every whole block, c and the slack
     B = wolfkeller.SPLIT_BLOCK
@@ -154,29 +141,51 @@ def _sleeps(powers, n, blocks):
     return sleeps
 
 
-def _schedule(monkeypatch, seq):
-    # the recursion rerun on seq's base values: per n, the whole blocks whose
-    # tops the split search forms, the sleep it gives each of them, and the
-    # number of blocks of sums it forms
-    bounded, sleeps, summed = {}, {}, collections.Counter()
-    best_split, sums = wolfkeller._best_split, wolfkeller._sums
+def _every_block_summed(powers, n):
+    # the number of blocks of sums a search that bounds every whole block
+    # forms at n: the whole blocks whose tops reach the threshold, and the
+    # partial block if its bound reaches (the one block below n = 2*B)
+    B = wolfkeller.SPLIT_BLOCK
+    h = n // 2
+    full = h - h % B
+    if not full:
+        return 1
+    seed, c, slack = _seed(powers, n)
+    threshold = seed + (B - 1) * c - slack
+    whole = sum(powers[a + B - 1] + powers[n - a] >= threshold for a in range(1, full + 1, B))
+    return whole + (full < h and _partial_reaches(powers, n))
 
-    def recording_split(powers, n, starts=None, g=None, wake=None):
-        before = {m: len(v) for m, v in wake.items()}
-        result = best_split(powers, n, starts, g, wake)
-        bounded[n] = list(starts)
-        sleeps[n] = {a: m - n for m, v in wake.items() for a in v[before.get(m, 0):]}
-        return result
+
+def _schedule(monkeypatch, seq):
+    # the recursion rerun on seq's base values, read from the blocks it sums
+    # (_sums) and the blocks it puts to sleep (bisect_left, at a = n - lo + 1
+    # with n = len(g)): per n, the whole blocks whose tops it forms, the
+    # sleep it gives each of them (1 for a summed whole block, whose top
+    # reached the threshold; the bisect's, capped at 2*B, for the rest) and
+    # the blocks of sums (a, b) it forms, in order
+    B = wolfkeller.SPLIT_BLOCK
+    sleeps, summed = collections.defaultdict(dict), collections.defaultdict(list)
+    sums, bisect_left = wolfkeller._sums, wolfkeller.bisect_left
 
     def recording_sums(powers, n, a, b):
-        summed[n] += 1
+        summed[n].append((a, b))
+        if b - a == B - 1:
+            sleeps[n][a] = 1
         return sums(powers, n, a, b)
 
-    monkeypatch.setattr(wolfkeller, "_best_split", recording_split)
+    def recording_bisect(g, x, lo):
+        m = bisect_left(g, x, lo)
+        n = len(g)
+        a = n - lo + 1
+        sleeps[n][a] = min(m - n + a, 2 * B)
+        return m
+
     monkeypatch.setattr(wolfkeller, "_sums", recording_sums)
+    monkeypatch.setattr(wolfkeller, "bisect_left", recording_bisect)
     again = extremal_sequence(seq.domain_class, seq.K, base_values=seq.connected[1:])
     monkeypatch.undo()
     assert again == seq
+    bounded = {n: sorted(sleeps[n]) for n in range(2, seq.K + 1)}
     return bounded, sleeps, summed
 
 
@@ -331,11 +340,14 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
     def test_equals_exhaustive_through_3000(self, sequences_3000, name):
-        # the Dirichlet disks minimize: their signed powers are negative
+        # the stored split, its index and its sum, at every n; the Dirichlet
+        # disks minimize: their signed powers are negative
         seq = sequences_3000[name]
         powers = _powers(seq)
+        assert tuple(powers) == seq.powers
         for n in range(2, seq.K + 1):
-            assert wolfkeller._best_split(powers, n) == _exhaustive_split(powers, n)
+            j = seq.split_indices[n]
+            assert (powers[j] + powers[n - j], j) == _exhaustive_split(powers, n)
 
     def test_superadditivity_defect_below_slack(self, sequences_3000):
         # the bound's premise: a stored power dominates every split sum at its
@@ -361,32 +373,36 @@ class TestSplitSearch:
         ("disks", 6), ("squares", 6), ("balls", 6), ("cubes", 6), ("dirichlet-disks", 12),
     ])
     def test_recursion_bounds_few_blocks_per_n(
-            self, monkeypatch, sequences_3000, schedules_3000, name, most):
+            self, sequences_3000, schedules_3000, name, most):
         # the sleeps keep the tops formed per n at a few (3.2-4.8 for the
         # Neumann classes, 10.4 for the Dirichlet disks) where bounding every
-        # whole block forms 46.4, and sum no block the full search would not
+        # whole block forms 46.4, and sum no more blocks than a search that
+        # bounds every whole block
         seq = sequences_3000[name]
         bounded, _, summed = schedules_3000[name]
         K, B = seq.K, wolfkeller.SPLIT_BLOCK
         assert sum(n // 2 // B for n in range(2, K + 1)) / (K - 1) > 46
         assert sum(map(len, bounded.values())) / (K - 1) <= most
-        every = _record_sums(monkeypatch)
         for n in range(2, K + 1):
-            every.clear()
-            wolfkeller._best_split(seq.powers, n)
-            assert summed[n] <= len(every), n
+            assert len(summed[n]) <= _every_block_summed(seq.powers, n), n
 
     def test_sleeps_follow_the_rule_and_hold_no_best_sum(self, sequences_3000, schedules_3000):
-        # every bounded block sleeps as the reference rule says; while it
-        # sleeps, each of its sums stays below the best split; and every kind
-        # of sleep occurs
+        # every bounded block sleeps as the reference rule says and is bounded
+        # again exactly where its sleep ends, and no other block is bounded
+        # but the one new at n; while it sleeps, each of its sums stays below
+        # the best split; and every kind of sleep occurs
         B = wolfkeller.SPLIT_BLOCK
         kinds = collections.Counter()
         for name, seq in sequences_3000.items():
             bounded, sleeps, _ = schedules_3000[name]
             powers = seq.powers
+            awake = collections.defaultdict(set)
             for n in range(2, seq.K + 1):
-                assert sorted(sleeps[n]) == bounded[n], (name, n)
+                if n % (2 * B) == 0:
+                    awake[n].add(n // 2 - B + 1)
+                assert set(bounded[n]) == awake.pop(n, set()), (name, n)
+                for a, d in sleeps[n].items():
+                    awake[n + d].add(a)
                 for a, (d, kind) in _sleeps(powers, n, bounded[n]).items():
                     assert sleeps[n][a] == d, (name, n, a, kind)
                     kinds[kind] += 1
@@ -403,16 +419,17 @@ class TestSplitSearch:
         assert [bounded[n] for n in range(2, 2 * B + 1)] == [[]] * (2 * B - 2) + [[1]]
 
     @pytest.mark.parametrize("n", [20, 31, 2000, 2015, 2016, 2999])
-    def test_blocks_cut_under_both_objectives(self, monkeypatch, sequences_3000, n):
+    def test_blocks_cut_under_both_objectives(self, sequences_3000, schedules_3000, n):
         # h < 16 sums its one block; larger n sums each block at most once and
         # skips most whole blocks under either objective
-        summed = _record_sums(monkeypatch)
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
-        for seq in (sequences_3000["disks"], sequences_3000["dirichlet-disks"]):
+        for name in ("disks", "dirichlet-disks"):
+            seq = sequences_3000[name]
             powers = _powers(seq)
-            summed.clear()
-            assert wolfkeller._best_split(powers, n) == _exhaustive_split(powers, n)
+            summed = schedules_3000[name][2][n]
+            j = seq.split_indices[n]
+            assert (powers[j] + powers[n - j], j) == _exhaustive_split(powers, n)
             if h < wolfkeller.SPLIT_BLOCK:
                 assert summed == [(1, h)]
                 continue
@@ -426,20 +443,36 @@ class TestSplitSearch:
         ("balls", 50, True), ("cubes", 87, True),
     ])
     def test_partial_block_summed_when_its_bound_reaches(
-            self, monkeypatch, sequences_3000, name, n, reaches):
+            self, sequences_3000, schedules_3000, name, n, reaches):
         # a skipped partial block holds no sum as good as the best; at these
         # balls and cubes n it holds the best j itself
-        summed = _record_sums(monkeypatch)
-        powers = _powers(sequences_3000[name])
+        seq = sequences_3000[name]
+        summed = schedules_3000[name][2][n]
+        powers = _powers(seq)
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
-        best, j = wolfkeller._best_split(powers, n)
+        j = seq.split_indices[n]
+        best = powers[j] + powers[n - j]
         assert (best, j) == _exhaustive_split(powers, n)
         assert _partial_reaches(powers, n) == reaches
         assert ((full + 1, h) in summed) == reaches
         partial = [powers[i] + powers[n - i] for i in range(full + 1, h + 1)]
         assert (j > full) == reaches
         assert (max(partial) == best) == reaches
+
+    def test_recursion_bit_identical_at_10000(self):
+        # sha256 over repr((values, powers, split_indices, provenance)) of the
+        # five classes at K = 10,000, in this order, as the block search gave
+        # them before it moved into extremal_sequence's loop: the search's bit
+        # identity past the K = 3000 pins
+        digest = hashlib.sha256()
+        for cls in (disks_class, squares_class, balls_class, cubes_class,
+                    dirichlet_disks_class):
+            seq = extremal_sequence(cls(), 10_000)
+            digest.update(repr((seq.values, seq.powers, seq.split_indices,
+                                seq.provenance)).encode())
+        assert digest.hexdigest() == (
+            "d338b485a3c1bcf46070b98eb3efe4f01ba34509cc2f3adc4e971f706a23f009")
 
 
 class TestGeometry:
@@ -534,6 +567,40 @@ class TestCertificates:
 
     def test_n1_is_always_connected(self, disks_sequence):
         assert connectedness_certificate(disks_sequence.value(1), disks_sequence, 1)
+
+    @pytest.mark.parametrize("cls, bad", [
+        (disks_class, 0.0), (disks_class, -1.0), (disks_class, math.nan),
+        (disks_class, math.inf), (balls_class, -1.0), (balls_class, math.nan),
+        (balls_class, math.inf), (balls_class, 1e308),
+    ])
+    def test_candidate_positive_with_finite_power(self, cls, bad):
+        # as the recursion's base values: a ValueError before any work, at
+        # n = 1 too; 1e308 is finite, but its 3D power overflows to inf
+        seq = extremal_sequence(cls(), 3)
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="^candidate must be positive with a finite power"):
+                connectedness_certificate(bad, seq, n)
+
+    @pytest.mark.parametrize("name", ["disks", "squares", "dirichlet-disks"])
+    def test_agrees_with_the_recursion(self, sequences_3000, name):
+        # in 2D the power is the value, so the connected candidate is
+        # certified exactly where the recursion stored it without the tie
+        # flag, at every n <= K; at K + 1, candidates on both sides of the
+        # margin are certified exactly where they beat every split
+        seq = sequences_3000[name]
+        for n in range(1, seq.K + 1):
+            dec = seq.decomposition(n)
+            certified = isinstance(dec, Connected) and not dec.tie
+            assert connectedness_certificate(seq.connected_value(n), seq, n) == certified, n
+        n, sign, tol = seq.K + 1, seq.domain_class.sign, wolfkeller.REL_TIE_TOL
+        splits = [seq.powers[j] + seq.powers[n - j] for j in range(1, n // 2 + 1)]
+        outcomes = set()
+        for d in range(-30, 31):
+            cp = sign * max(splits) * (1 + d * 1e-13)
+            every = all(sign * cp - s > tol * max(abs(cp), abs(s)) for s in splits)
+            assert connectedness_certificate(cp, seq, n) == every, d
+            outcomes.add(every)
+        assert outcomes == {False, True}
 
 
 class TestCrossoverScan:
