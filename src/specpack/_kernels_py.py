@@ -15,7 +15,7 @@ Evaluation strategy, one rule for all four evaluators and every order:
   * below x = 1e-3, where the recurrence's c/x overflows: the ascending
     series that J_m and j_p share, a leading power times
     0F1(; nu + 1; -x^2/4) with nu = m or p + 1/2, differentiated term by
-    term for j';
+    term for J' and j';
   * from x = 1e-3 on: one backward-recurrence loop, ``_backward``, started
     well above max(order, x): v_{k-1} = (2k + shift)/x v_k - v_{k+1}, with
     shift 0 for J (from an even start, normalized with the even-order sum
@@ -24,11 +24,11 @@ Evaluation strategy, one rule for all four evaluators and every order:
     Backward recurrence keeps relative accuracy even deep in the evanescent
     zone.
 
-One such pass (``_pass``) yields J_{m-1}, J_m and J_{m+1} (or j_{p-1}, j_p
-and j_{p+1}), and from them one formula set gives f, the function a kind
-tabulates (J'_m = (J_{m-1} - J_{m+1})/2, J_m or j'_p), f', f'' and f'''
-through the Bessel ODE and its derivatives, and the same function of order
-m + 1.  That pass is the only evaluator: it serves each iterate of
+One such pass (``_pass``) yields y = J_m or j_p, its derivative and the
+order above, and from them one formula set, the same for all three kinds,
+gives f, the function a kind tabulates (J'_m, J_m or j'_p), f', f'' and
+f''' through the Bessel ODE and its derivatives, and the same function of
+order m + 1.  That pass is the only evaluator: it serves each iterate of
 ``next_zero``, the zero tables' sign checks (``evaluate``) and the public J,
 J' and j' (spherical j, which no finder needs, reads the same recurrence).
 Since every derivative of J_m and j_p is at most 1 in size, the cubic Taylor
@@ -255,49 +255,42 @@ def spherical_j_prime(order, x):
 
 
 def _pass(kind, order, x):
-    # (f, f', f'', f''', g) at x > 0 from one series or Miller pass over the
-    # orders lo .. lo + 2, lo = max(order - 1, 0): f is the function the kind
-    # tabulates at this order and g the same function of order + 1.
-    # J'_m = (J_{m-1} - J_{m+1})/2 (J'_0 = -J_1) and
-    # j'_p = j_{p-1} - (p+1)/x j_p (j'_0 = -j_1); the higher derivatives come
-    # from the ODE and its derivatives, e.g. J''_m = -J'_m/x - (1 - m^2/x^2) J_m,
-    # J'''_m = J'_m/x^2 - J''_m/x - 2m^2/x^3 J_m - (1 - m^2/x^2) J'_m and
-    # J''''_m = 2/x^2 (J''_m - J'_m/x) - J'''_m/x - 4m^2/x^3 J'_m
-    #           + 6m^2/x^4 J_m - (1 - m^2/x^2) J''_m
-    # (for j_p, with q = p(p+1)/x^2: j'''' = 4/x^2 (j'' - j'/x) - 2j'''/x
-    # + 6q/x^2 j - 4q/x j' - (1 - q) j'').  x * x underflows to 0 below
-    # x = 1.6e-162, far below every zero: the ODE's terms are nan there, and
-    # f (the sign passes') stays exact
-    xx = x * x or math.nan
-    lo = order - 1 if order else 0
-    if kind == KIND_SPHERICAL_PRIME:
-        if x < _SERIES_SEAM:
-            j = _series(order, x, 1, 0)
-            d = _series(order, x, 1, 1) if order else -_series(1, x, 1, 0)
-            up = _series(order + 1, x, 1, 1)
-        else:
-            a, b, c = _sph_miller(x, lo)
-            j, d, above = (b, a - (order + 1.0) / x * b, c) if order else (a, -b, b)
-            up = j - (order + 2.0) / x * above
-        q = order * (order + 1.0) / xx
-        d2 = -2.0 / x * d - (1.0 - q) * j
-        d3 = 2.0 / xx * d - 2.0 / x * d2 - 2.0 * q / x * j - (1.0 - q) * d
-        d4 = (4.0 / xx * (d2 - d / x) - 2.0 / x * d3 + 6.0 * q / xx * j
-              - 4.0 * q / x * d - (1.0 - q) * d2)
-        return d, d2, d3, d4, up
+    # (f, f', f'', f''', g) at x > 0: f is the function the kind tabulates at
+    # order m and g the same function of order m + 1.  One formula set serves
+    # all three kinds.  With y = J_m (w = 1, shift 0) or j_m (w = 2, shift 1)
+    # and q = m(m + shift)/x^2, one Miller pass over the orders
+    # max(m - 1, 0) .. m + 1 gives y, y_{m+1} and y' = (J_{m-1} - J_{m+1})/2
+    # or j_{m-1} - (m + 1)/x j_m (y'_0 = -y_1 in both), and below the series
+    # seam y, y_{m+1} and y' are their own series.  The ODE
+    # y'' = -w y'/x - (1 - q) y and its two derivatives
+    # y''' = w y'/x^2 - w y''/x - 2q/x y - (1 - q) y' and
+    # y'''' = 2w/x^2 (y'' - y'/x) - w y'''/x - 4q/x y' + 6q/x^2 y - (1 - q) y''
+    # give the rest, and y'_{m+1} = y_m - (m + w)/x y_{m+1}.  x * x
+    # underflows to 0 below x = 1.6e-162, far below every zero: the ODE's
+    # terms are nan there, and f (the sign passes') stays exact
+    spherical = kind == KIND_SPHERICAL_PRIME
+    w = 2.0 if spherical else 1.0
+    shift = w - 1.0
     if x < _SERIES_SEAM:
-        a, b, c = (_series(lo + i, x, 0, 0) for i in range(3))
+        y = _series(order, x, shift, 0)
+        d = _series(order, x, shift, 1) if order else -_series(1, x, shift, 0)
+        above = _series(order + 1, x, shift, 0)
     else:
-        a, b, c = _miller(x, lo)
-    j, d, above = (b, 0.5 * (a - c), c) if order else (a, -b, b)
-    q = order * order / xx
-    d2 = -d / x - (1.0 - q) * j
-    d3 = d / xx - d2 / x - 2.0 * q / x * j - (1.0 - q) * d
+        a, b, c = (_sph_miller if spherical else _miller)(x, order - 1 if order else 0)
+        if order:
+            y, above = b, c
+            d = a - (order + 1.0) / x * b if spherical else 0.5 * (a - c)
+        else:
+            y, d, above = a, -b, b
+    xx = x * x or math.nan
+    q = order * (order + shift) / xx
+    d2 = -w * d / x - (1.0 - q) * y
+    d3 = w * d / xx - w * d2 / x - 2.0 * q / x * y - (1.0 - q) * d
     if kind == KIND_BESSEL:
-        return j, d, d2, d3, above
-    d4 = (2.0 / xx * (d2 - d / x) - d3 / x - 4.0 * q / x * d + 6.0 * q / xx * j
+        return y, d, d2, d3, above
+    d4 = (2.0 * w / xx * (d2 - d / x) - w * d3 / x - 4.0 * q / x * d + 6.0 * q / xx * y
           - (1.0 - q) * d2)
-    return d, d2, d3, d4, j - (order + 1.0) / x * above
+    return d, d2, d3, d4, y - (order + w) / x * above
 
 
 def evaluate(kind, order, x):

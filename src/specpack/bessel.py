@@ -184,7 +184,7 @@ class ZeroTable:
     """Lazily grown cache of positive zeros for one kind.
 
     Per order the table keeps the zeros found so far and its reach: the x
-    below which every zero of the order is counted, with f(reach).  A count
+    below which every zero of the order is counted.  A count
     below x rests on the order below (its zeros below x plus the sign of f
     at x), so growing one order grows every lower order to the same x.
     Each zero is checked when it is found: its residual, and the sign that
@@ -211,7 +211,7 @@ class ZeroTable:
         self._code = _KIND_CODE[kind]
         self._zeros = {}  # order -> positive zeros found, ascending
         self._count = {}  # order -> positive zeros counted below the reach
-        self._reach = {}  # order -> (x, f(x)); f is None when no sign was needed
+        self._reach = {}  # order -> x below which its zeros are counted
         self._resume = {}  # order -> where the reporting grid resumes
 
     def positive_zero(self, order, k):
@@ -227,7 +227,7 @@ class ZeroTable:
         k = kernels.check_integer("k", k, 1)
         while self._count.get(order, 0) < k:
             missing = k - self._count.get(order, 0)
-            self._settle(order, max(self._reach_x(order), order) + (missing + 1) * math.pi)
+            self._settle(order, max(self._reach.get(order, 0.0), order) + (missing + 1) * math.pi)
         self._find(order, k)
         return self._zeros[order][k - 1]
 
@@ -292,28 +292,17 @@ class ZeroTable:
         # the interlacing with order 1 but is not stored
         return 1 if (order == 0 and self.kind != "bessel") else 0
 
-    def _reach_x(self, order):
-        return self._reach.get(order, (0.0, None))[0]
-
     def _settle(self, order, x):
         _check_query(order, x)
         # count every zero of orders <= order below x; find the lower orders'
         low = order
-        while low > 0 and self._reach_x(low - 1) < x:
+        while low > 0 and self._reach.get(low - 1, 0.0) < x:
             low -= 1
         for m in range(low, order + 1):
             if m:
                 self._find(m - 1, self._count.get(m - 1, 0))
-            if self._reach_x(m) < x:
+            if self._reach.get(m, 0.0) < x:
                 self._count_from_below(m, x)
-
-    def _check_sign(self, order, x, f, crossings):
-        if f is not None and f * _parity(crossings) < 0.0:
-            raise AccuracyError(
-                f"{self.kind} order {order}: f({x!r}) = {f:.3e} has the wrong "
-                f"sign for {crossings} zeros below it; interlacing is broken "
-                f"(a zero is missing or extra)"
-            )
 
     def _count_from_below(self, m, x):
         # the zeros of order m-1 bracket those of order m (see _bracket), one
@@ -323,11 +312,7 @@ class ZeroTable:
         # below x if f_m(x) has the sign (-1)^n, and n - 1 otherwise, the
         # trivial zeros of both orders counted
         if m:
-            below = self._zeros.get(m - 1, [])
-            shift = self._trivial(m - 1)
-            low_x, low_f = self._reach[m - 1]
-            self._check_sign(m - 1, low_x, low_f, shift + len(below))
-            n = shift + bisect.bisect_left(below, x)
+            n = self._trivial(m - 1) + bisect.bisect_left(self._zeros.get(m - 1, []), x)
         else:
             n = 0  # the multiples of pi below x, 0 included
             while self._node(-1, n) < x:
@@ -336,13 +321,10 @@ class ZeroTable:
         # derivative kinds, x <= pi), it is the only zero below x too, as the
         # next one lies above pi: no sign is read, which at x = 5e-324, where
         # f_0(x) underflows to -0.0, would miscount
-        fx = None
-        count = n
-        if n > self._trivial(m):
-            fx = kernels.evaluate(self._code, m, x)
-            count = n if fx * _parity(n) > 0.0 else n - 1
-        self._reach[m] = (x, fx)
-        self._count[m] = count - self._trivial(m)
+        if n > self._trivial(m) and not kernels.evaluate(self._code, m, x) * _parity(n) > 0.0:
+            n -= 1
+        self._reach[m] = x
+        self._count[m] = n - self._trivial(m)
 
     def _find(self, order, k):
         # find the counted zeros up to rank k, one bracketed refinement each
@@ -380,7 +362,12 @@ class ZeroTable:
             # has it too when |f_up| > |x - zero|, as slopes are at most 1
             if not abs(f_up) > abs(x - zero):
                 f_up = kernels.evaluate(self._code, order + 1, zero)
-            self._check_sign(order + 1, zero, f_up, i)
+            if f_up * _parity(i) < 0.0:
+                raise AccuracyError(
+                    f"{self.kind} order {order + 1}: f({zero!r}) = {f_up:.3e} has the "
+                    f"wrong sign for {i} zeros below it; interlacing is broken "
+                    f"(a zero is missing or extra)"
+                )
             zs.append(zero)
             self._resume[order] = resume
 
@@ -404,7 +391,7 @@ class ZeroTable:
         # the same place in the orders m-1 .. m-4 extrapolated by a cubic
         lo = self._node(m - 1, i)
         hi = self._node(m - 1, i + 1)
-        reach = self._reach_x(m)
+        reach = self._reach.get(m, 0.0)
         hi = reach if hi is None else min(hi, reach)
         if m < 4:
             return lo, hi, _mcmahon(self.kind, m, i + 1)

@@ -89,9 +89,16 @@ def verified_mu2(domain):
 
 def kroger_bound(m, diameter):
     """Upper bound (2 j_{0,1} + (m-1) pi)^2 / diameter^2 for the m-th nonzero
-    Neumann eigenvalue of a bounded convex planar domain."""
+    Neumann eigenvalue of a bounded convex planar domain; ValueError where
+    that is not a positive finite float (0.0 would be no bound at all)."""
     m = check_integer("m", m, 1)
     if not 0 < diameter < math.inf:
         raise ValueError("diameter must be positive and finite")
     j01 = bessel_j_zero(ZeroIndex(0, 1))
-    return (2.0 * j01 + (m - 1) * PI) ** 2 / (diameter * diameter)
+    try:
+        bound = (2.0 * j01 + (m - 1) * PI) ** 2 / (diameter * diameter)
+        if 0.0 < bound < math.inf:
+            return bound
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError("the bound is not a positive finite float")

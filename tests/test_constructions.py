@@ -162,3 +162,8 @@ class TestKrogerBound:
         for diameter in (math.nan, math.inf):
             with pytest.raises(ValueError, match="diameter must be positive and finite"):
                 kroger_bound(3, diameter)
+        # a bound that underflows to 0.0 (no bound at all) or overflows, or a
+        # diameter whose square underflows to 0.0
+        for m, diameter in ((2, 1e200), (1, 1e-160), (2, 1e-200), (10**300, 1.0)):
+            with pytest.raises(ValueError, match="^the bound is not a positive finite float$"):
+                kroger_bound(m, diameter)
