@@ -33,7 +33,8 @@ order m + 1.  That pass is the only evaluator: it serves each iterate of
 J' and j' (spherical j, which no finder needs, reads the same recurrence).
 Since every derivative of J_m and j_p is at most 1 in size, the cubic Taylor
 model from f through f''' bounds the error of its own root, which is
-accepted as soon as that bound proves the zero within a quarter ulp of it;
+accepted as soon as that bound proves the zero within a quarter ulp of it
+(proven for the computed f, whose own error is not yet bounded);
 from the zero tables' guesses most zeros take one pass (about 1.13 per zero
 for a 3000-mode disk, sign passes included).  The order-(m + 1) value of a
 zero's last pass lets the zero tables check the sign of f_{m+1} at that
@@ -314,7 +315,8 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
 
     and |f(x + t)| <= R = |p(t)| + t^4/24.  If d > 0 and R <= d q, f is
     monotone there and changes sign, so the zero lies within q of x + t,
-    which is accepted if it lies inside (lo, hi).  Otherwise the next pass
+    which is accepted if it lies inside (lo, hi).  The proof holds for the
+    computed f through f''', whose own error is not yet bounded.  Otherwise the next pass
     is at the Newton step x - f/f', or at the midpoint of the bracket that
     the signs of f have narrowed when that leaves it.  That step needs no
     test of its own: Newton's bound proves x - f/f' within q only where

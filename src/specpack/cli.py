@@ -8,11 +8,15 @@ Subcommands:
   construct build a unit-area domain with a prescribed second eigenvalue
   spectrum  print the spectrum of a canonical shape as CSV
 
+An argv COMMAND (--flag VALUE)* whose flags are the command's, each in full
+and once, and whose values pass their checks is parsed from the option table
+(plain_args). argparse parses every other argv (help, usage errors,
+abbreviations, --flag=value, repeated flags) and is imported only for them.
+
 Exit codes: 0 success/certified, 1 input error, 2 certification
 contradiction, 3 internal accuracy failure.
 """
 
-import argparse
 import math
 import sys
 from collections import namedtuple
@@ -145,8 +149,8 @@ def render_table_csv(rows):
 
 
 def cmd_table(args):
-    rows = build_table_rows(check_integer("--rows", args.rows, 1))
-    if args.format == "md":
+    rows = build_table_rows(check_integer("--rows", args["rows"], 1))
+    if args["format"] == "md":
         sys.stdout.write(render_table_markdown(rows))
     else:
         sys.stdout.write(render_table_csv(rows))
@@ -154,7 +158,7 @@ def cmd_table(args):
 
 
 def cmd_certify(args):
-    n = check_integer("--n", args.n, 1)
+    n = check_integer("--n", args["n"], 1)
     disks = wolfkeller.extremal_sequence(wolfkeller.disks_class(), n)
     squares = wolfkeller.extremal_sequence(wolfkeller.squares_class(), n)
     d = disks.value(n)
@@ -169,21 +173,22 @@ def cmd_certify(args):
 
 
 def cmd_figure(args):
-    n = check_integer("--n", args.n, 1)
-    cls = wolfkeller.disks_class() if args.shape_class == "disks" else wolfkeller.squares_class()
+    n = check_integer("--n", args["n"], 1)
+    shape_class = args["shape_class"]
+    cls = wolfkeller.disks_class() if shape_class == "disks" else wolfkeller.squares_class()
     seq = wolfkeller.extremal_sequence(cls, n)
     domain = wolfkeller.unpack_geometry(seq, n)
-    annotation = f"mu_{n} = {seq.value(n):.2f} ({args.shape_class})"
+    annotation = f"mu_{n} = {seq.value(n):.2f} ({shape_class})"
     svg = packing_svg(domain, annotation)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args["out"], "w", encoding="utf-8") as fh:
         fh.write(svg)
-    print(f"wrote {args.out}: {len(domain.components)} components, {annotation}")
+    print(f"wrote {args['out']}: {len(domain.components)} components, {annotation}")
     return 0
 
 
 def cmd_scan(args):
-    K = check_integer("--max-n", args.max_n, 1)
-    if args.dim == 2:
+    K = check_integer("--max-n", args["max_n"], 1)
+    if args["dim"] == 2:
         a = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
         b = wolfkeller.extremal_sequence(wolfkeller.squares_class(), K)
         names = ("disks", "squares")
@@ -193,7 +198,7 @@ def cmd_scan(args):
         names = ("balls", "cubes")
     cross = wolfkeller.crossover_scan(a, b, K)
     if not cross:
-        if args.dim == 3:
+        if args["dim"] == 3:
             print(
                 f"no crossover: for all n <= {K} a disjoint union of balls "
                 f"beats the cube"
@@ -209,23 +214,24 @@ def cmd_scan(args):
 
 
 def cmd_construct(args):
-    domain = constructions.mu2_range_domain(args.t)
+    t = args["t"]
+    domain = constructions.mu2_range_domain(t)
     mu1, mu2, mu3 = constructions.verified_mu2(domain)
-    if not abs(mu2 - args.t) <= 1e-9 * args.t:
+    if not abs(mu2 - t) <= 1e-9 * t:
         # below t ~ 1e-314 mu_2 lies deep among the subnormal floats, whose
         # few significant bits cannot hold it to a relative 1e-9
-        raise AccuracyError(f"verified mu_2 = {mu2!r} does not match t = {args.t!r}")
-    print(f"target t = {args.t!r}")
+        raise AccuracyError(f"verified mu_2 = {mu2!r} does not match t = {t!r}")
+    print(f"target t = {t!r}")
     for c in domain.components:
         role = "supporting" if c.support_index is not None else "filler"
         print(f"  {c.shape.describe()} area={c.volume:.10g} ({role})")
     print(f"verified: mu_1 = {mu1:.10g}, mu_2 = {mu2:.10g}, mu_3 = {mu3:.10g}")
     print(f"total area = {domain.total_volume:.15f}")
-    if args.svg:
+    if args["svg"]:
         svg = packing_svg(domain, f"mu_2 = {mu2:.4f}")
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with open(args["svg"], "w", encoding="utf-8") as fh:
             fh.write(svg)
-        print(f"wrote {args.svg}")
+        print(f"wrote {args['svg']}")
     return 0
 
 
@@ -234,6 +240,8 @@ def target(text):
     that underflows to 0.0 (1e-400), which would build the t = 0 domain."""
     t = float(text)
     if t == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"{text!r} underflows to 0.0")
     return t
 
@@ -247,60 +255,96 @@ _SHAPES = {
 
 
 def cmd_spectrum(args):
-    shape = _SHAPES[args.shape](args.bc)
-    spec = spectra.spectrum_of(shape, check_integer("--count", args.count, 1))
+    shape = _SHAPES[args["shape"]](args["bc"])
+    spec = spectra.spectrum_of(shape, check_integer("--count", args["count"], 1))
     sys.stdout.write(spec.to_csv())
     return 0
 
 
+# The one option table, which build_parser() and plain_args() both read: each
+# subcommand's help, handler and options, one (flag, dest, type, choices,
+# default) each, where the default REQUIRED marks an option that must be given.
+REQUIRED = object()
+COMMANDS = {
+    "table": ("render the extremal table", cmd_table, (
+        ("--rows", "rows", int, None, REQUIRED),
+        ("--format", "format", str, ("md", "csv"), "md"),
+    )),
+    "certify": ("certify a disks/squares crossover", cmd_certify, (
+        ("--n", "n", int, None, REQUIRED),
+    )),
+    "figure": ("draw an optimal packing as SVG", cmd_figure, (
+        ("--n", "n", int, None, REQUIRED),
+        ("--class", "shape_class", str, ("disks", "squares"), REQUIRED),
+        ("--out", "out", str, None, REQUIRED),
+    )),
+    "scan": ("scan for class crossovers", cmd_scan, (
+        ("--dim", "dim", int, (2, 3), REQUIRED),
+        ("--max-n", "max_n", int, None, REQUIRED),
+    )),
+    "construct": ("build a domain with prescribed mu_2", cmd_construct, (
+        ("--t", "t", target, None, REQUIRED),
+        ("--svg", "svg", str, None, None),
+    )),
+    "spectrum": ("print a canonical spectrum as CSV", cmd_spectrum, (
+        ("--shape", "shape", str, tuple(_SHAPES), REQUIRED),
+        ("--bc", "bc", str, ("neumann", "dirichlet"), "neumann"),
+        ("--count", "count", int, None, REQUIRED),
+    )),
+}
+
+
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="specpack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="render the extremal table")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("certify", help="certify a disks/squares crossover")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("figure", help="draw an optimal packing as SVG")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="shape_class", choices=("disks", "squares"),
-                   required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("scan", help="scan for class crossovers")
-    p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("construct", help="build a domain with prescribed mu_2")
-    p.add_argument("--t", type=target, required=True)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("spectrum", help="print a canonical spectrum as CSV")
-    p.add_argument("--shape", choices=tuple(_SHAPES), required=True)
-    p.add_argument("--bc", choices=("neumann", "dirichlet"), default="neumann")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_spectrum)
-
+    for command, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, dest, kind, choices, default in options:
+            how = {"required": True} if default is REQUIRED else {"default": default}
+            p.add_argument(flag, dest=dest, type=kind, choices=choices, **how)
+        p.set_defaults(func=func)
     return parser
 
 
+def plain_args(argv):
+    """vars() of the namespace argparse gives for argv, when argv is COMMAND
+    (--flag VALUE)* with each flag one of the command's, spelled in full and
+    given once, every required flag given, and each VALUE not starting with
+    "-" and passing its option's type and choices; None for any other argv."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    # a repeated flag or a flag without a value leaves fewer pairs than argv holds
+    if spec is None or 2 * len(given) + 1 != len(argv) or any(
+            value.startswith("-") for value in given.values()):
+        return None
+    args = {"command": argv[0], "func": spec[1]}
+    for flag, dest, kind, choices, default in spec[2]:
+        if flag not in given:
+            args[dest] = default
+            continue
+        try:
+            args[dest] = kind(given.pop(flag))
+        except Exception:  # argparse reports what a type raises, or raises it
+            return None
+        if choices is not None and args[dest] not in choices:
+            return None
+    # a flag left is not the command's; a REQUIRED left was not given
+    return None if given or REQUIRED in args.values() else args
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = plain_args(argv)
+    if args is None:
+        try:
+            args = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            # a usage error (argparse exits 2) is an input error here: exit 1
+            return 1 if exc.code else 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # a usage error (argparse exits 2) is an input error here: exit 1
-        return 1 if exc.code else 0
-    try:
-        return args.func(args)
+        return args["func"](args)
     except AccuracyError as exc:
         print(f"accuracy failure: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,6 @@ fixed lam).  It only sets how much is enumerated: a ceiling that falls short
 is raised by a factor 1.6 and the modes enumerated again.
 """
 
-import csv
 import io
 import math
 from collections import namedtuple
@@ -208,6 +207,8 @@ class Spectrum(
 def csv_text(header, rows):
     """The CSV text of a header and rows, each line ended by a newline: the
     one dialect of every CSV export."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

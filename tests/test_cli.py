@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output, exit codes, determinism, reference outputs."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -12,6 +14,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
@@ -396,23 +400,185 @@ def test_oversized_walk_refused_before_any_pass(args):
     assert cp.stderr.startswith("error: query too large: ") and "Traceback" not in cp.stderr
 
 
-def test_import_set():
-    # every command pays for this import, and the package never imports the
-    # numeric and test libraries; -S keeps site .pth files from preloading
-    # (and so hiding) any of the modules
-    code = (
-        "import specpack, specpack.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy', 'scipy', 'mpmath', "
-        "'hypothesis'} & set(sys.modules)))"
-    )
-    cp = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+CERTIFIED = "disks 241.56 < squares 246.74: certified\n"
+
+# the usage line of the top-level parser (None) and of each subcommand at 80
+# columns, recorded from the hand-written parser that the option table replaced
+USAGE = {
+    None: "usage: specpack [-h] {table,certify,figure,scan,construct,spectrum} ...\n",
+    "table": "usage: specpack table [-h] --rows ROWS [--format {md,csv}]\n",
+    "certify": "usage: specpack certify [-h] --n N\n",
+    "figure": "usage: specpack figure [-h] --n N --class {disks,squares} --out OUT\n",
+    "scan": "usage: specpack scan [-h] --dim {2,3} --max-n MAX_N\n",
+    "construct": "usage: specpack construct [-h] --t T [--svg SVG]\n",
+    "spectrum": "usage: specpack spectrum [-h] --shape {disk,square,ball,cube}\n"
+                "                         [--bc {neumann,dirichlet}] --count COUNT\n",
+}
+
+
+def _fresh_python(code, *args):
+    # -S keeps site .pth files from preloading (and so hiding) any module
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )
+
+
+def test_import_set():
+    # every command pays for this import: the package never imports the
+    # numeric and test libraries, nor argparse (with gettext) and csv, which
+    # only the commands that need them import
+    cp = _fresh_python(
+        "import specpack, specpack.cli, sys; "
+        "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'typing', "
+        "'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
+    )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n"
+    # a well-formed command is parsed without argparse; a usage error loads
+    # it and prints its text
+    run = "import sys; from specpack import cli; print(cli.main(sys.argv[1:]), 'argparse' in sys.modules)"
+    cp = _fresh_python(run, "certify", "--n", "22")
+    assert (cp.stdout, cp.stderr) == (CERTIFIED + "0 False\n", "")
+    cp = _fresh_python(run, "table", "--rows", "x")
+    assert (cp.stdout, cp.stderr) == (
+        "1 True\n",
+        USAGE["table"] + "specpack table: error: argument --rows: invalid int value: 'x'\n",
+    )
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_usage_pinned(capsys, monkeypatch, command):
+    # --help is parsed by argparse, exits 0 and opens with the usage line
+    from specpack import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(["--help"] if command is None else [command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(USAGE[command] + "\n") and err == ""
+
+
+# one well-formed argv per command and the options argparse gives for it
+PLAIN = [
+    (["table", "--rows", "3"], {"rows": 3, "format": "md"}),
+    (["certify", "--n", "22"], {"n": 22}),
+    (["figure", "--out", "x.svg", "--class", "squares", "--n", "9"],
+     {"n": 9, "shape_class": "squares", "out": "x.svg"}),
+    (["scan", "--max-n", "٨٣", "--dim", "2"], {"dim": 2, "max_n": 83}),
+    (["construct", "--t", "5"], {"t": 5.0, "svg": None}),
+    (["spectrum", "--count", "4", "--bc", "dirichlet", "--shape", "cube"],
+     {"shape": "cube", "bc": "dirichlet", "count": 4}),
+]
+
+
+@pytest.mark.parametrize("argv,options", PLAIN)
+def test_plain_args_match_argparse(argv, options):
+    from specpack import cli
+
+    expected = {"command": argv[0], "func": cli.COMMANDS[argv[0]][1], **options}
+    assert cli.plain_args(argv) == expected == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                                 # no command
+    ["tabulate", "--rows", "3"],                        # unknown command
+    ["certify", "--n"],                                 # a flag without a value
+    ["certify", "--n", "8", "--n", "9"],                # a repeated flag
+    ["certify", "--n", "-1"],                           # a value that starts with "-"
+    ["certify", "--", "--n", "3"],
+    ["certify", "--n", "x"],                            # a value its type refuses
+    ["construct", "--t", "1e-400"],
+    ["scan", "--dim", "4", "--max-n", "5"],             # a value outside the choices
+    ["certify", "--n=8", "--n", "8"],                   # a flag not the command's
+    ["spectrum", "--sha", "disk", "--count", "3"],
+    ["table", "--format", "csv"],                       # a required flag missing
+])
+def test_plain_args_refuse(argv):
+    from specpack import cli
+
+    assert cli.plain_args(argv) is None
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["certify", "--n=22"], 0, CERTIFIED, ""),
+    (["certify", "--n", "8", "--n", "22"], 0, CERTIFIED, ""),
+    (["certify", "--n", "-22"], 1, "", "error: --n must be >= 1, got -22\n"),
+])
+def test_argparse_fallback(capsys, argv, code, out, err):
+    # argv that only argparse parses: --flag=value, a repeated flag (the last
+    # one wins) and a negative value
+    from specpack import cli
+
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+# the vocabulary of the option table: each command's flags with values that
+# pass, and noise around them
+ARGV_OPTIONS = {
+    "table": ("--rows", "--format"),
+    "certify": ("--n",),
+    "figure": ("--n", "--class", "--out"),
+    "scan": ("--dim", "--max-n"),
+    "construct": ("--t", "--svg"),
+    "spectrum": ("--shape", "--bc", "--count"),
+}
+GOOD_VALUES = {
+    "--rows": ("1", "25", "٣"), "--format": ("md", "csv"), "--n": ("1", "22", "３"),
+    "--class": ("disks", "squares"), "--out": ("x.svg", "md"), "--dim": ("2", "3"),
+    "--max-n": ("10", " 7"), "--t": ("0", "5.0", "nan", "2_0"), "--svg": ("c.svg", ""),
+    "--shape": ("disk", "square", "ball", "cube"), "--bc": ("neumann", "dirichlet"),
+    "--count": ("4", "1_0"),
+}
+NOISE_FLAGS = ("--ro", "--c", "--max", "-n", "--rows=3", "--n=5", "--dim=2", "--format=csv",
+               "--unknown", "-h", "--help", "--", "-", "rows")
+NOISE_VALUES = ("-1", "-2.5", "-0", "", "x", "xml", "4", "sphere", "1e-400", "-1e-400",
+                "1e400", "2.0", "0x10", "-h", "--", "tabulate", "disks ", "Neumann")
+FLAGS = sorted(GOOD_VALUES) + list(NOISE_FLAGS)
+VALUES = sorted({v for vs in GOOD_VALUES.values() for v in vs}) + list(NOISE_VALUES)
+
+
+@st.composite
+def argvs(draw):
+    # a command (or not) with each of its flags once and a value that passes;
+    # then, in four of seven argv, one change: a flag left out, a value
+    # replaced, or a pair or a token inserted
+    command = draw(st.sampled_from(sorted(ARGV_OPTIONS) + ["tabulate", "-h", ""]))
+    argv = [command]
+    for flag in draw(st.permutations(ARGV_OPTIONS.get(command, ARGV_OPTIONS["table"]))):
+        argv += [flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+    change = draw(st.sampled_from(("none", "none", "none", "drop", "value", "pair", "token")))
+    if change == "drop":
+        del argv[-2:]
+    elif change == "value":
+        argv[2 * draw(st.integers(1, len(argv) // 2))] = draw(st.sampled_from(VALUES))
+    elif change == "pair":
+        at = 2 * draw(st.integers(0, len(argv) // 2)) + 1
+        argv[at:at] = [draw(st.sampled_from(FLAGS)), draw(st.sampled_from(VALUES))]
+    elif change == "token":
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(FLAGS + VALUES)))
+    return argv
+
+
+def _exact(options):
+    # by repr, nan equals nan and 0.0 differs from -0.0, which == does not give
+    return {name: repr(value) for name, value in options.items()}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(argvs())
+def test_plain_args_equal_argparse_or_none(argv):
+    from specpack import cli
+
+    plain = cli.plain_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = _exact(vars(cli.build_parser().parse_args(argv)))
+        except SystemExit:
+            parsed = None
+    assert plain is None or _exact(plain) == parsed
 
 
 def _argparse_error(option, value, **spec):
