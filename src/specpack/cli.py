@@ -237,13 +237,14 @@ def cmd_construct(args):
 
 def target(text):
     """The --t value: a float, refused when its text names a nonzero number
-    that underflows to 0.0 (1e-400), which would build the t = 0 domain."""
+    that underflows to 0.0 (1e-400), which would build the t = 0 domain; a
+    negative zero (-0, -0.0) is that target and reads as 0.0."""
     t = float(text)
     if t == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
         import argparse
 
         raise argparse.ArgumentTypeError(f"{text!r} underflows to 0.0")
-    return t
+    return t or 0.0
 
 
 _SHAPES = {

@@ -17,27 +17,28 @@ The recursion also yields the optimal packing: a split at n into (i, n-i)
 gives the two sides volumes (best[i]/best[n])^(N/2) and
 (best[n-i]/best[n])^(N/2), which telescope down to the Connected leaves.
 
-Every decision the layer makes goes through one margin rule, ``_beats``: new
-beats old when sign * new exceeds sign * old by more than a relative
-tolerance of max(|new|, |old|).  At each n the connected candidate is kept
-if it beats the best split by REL_TIE_TOL, the split is kept if it beats the
-candidate, and otherwise the two tie: the stored provenance is Connected
-with the tie flag set.  Among equal splits the smallest left index wins.
-The same rule at REL_TIE_TOL decides ``connectedness_certificate`` and at
-REL_SCAN_TOL decides ``crossover_scan``.
+Every decision the layer makes goes through one margin rule, ``_margin``:
+on signed values it is 1 when new exceeds old by more than a relative
+tolerance of max(|new|, |old|), -1 when old exceeds new so, else 0.  At
+each n one call at REL_TIE_TOL keeps the connected candidate (1), the best
+split (-1), or stores Connected with the tie flag set (0).  Among equal
+splits the smallest left index wins (equal as float sums, see
+``extremal_sequence``).  The same rule at REL_TIE_TOL decides
+``connectedness_certificate`` and at REL_SCAN_TOL decides ``crossover_scan``.
 
 The split search runs in the recursion's loop: it returns exactly what a
 scan over every j would, but sums only the blocks of j that a
 superadditivity bound on the stored powers cannot rule out, and a ruled-out
 block sleeps across n, in a ring of 2*SPLIT_BLOCK + 1 lists, until its bound
-can reach the best split again (the proof is in ``extremal_sequence``).  The
-certificate takes the plain maximum over every split of the stored powers.
+can reach the best split again (the proof is in ``extremal_sequence``).
+``_block_max`` reduces a block's sums to their maximum without a list; the
+certificate takes it over every split of the stored powers.
 """
 
 import math
-import operator
 from bisect import bisect_left
 from collections import namedtuple
+from operator import add
 
 from . import spectra
 from ._kernels_py import check_integer
@@ -52,10 +53,12 @@ SPLIT_BLOCK = 16
 SPLIT_SLACK = 1e-12
 
 
-def _beats(new, old, tol):
-    """True iff new exceeds old by more than tol relative to max(|new|, |old|);
-    callers pass values times the objective's sign."""
-    return new - old > tol * max(abs(new), abs(old))
+def _margin(new, old, tol):
+    """On signed values: 1 if new exceeds old by more than tol relative to
+    max(|new|, |old|), -1 if old exceeds new so, else 0 (a tie)."""
+    d = new - old
+    m = tol * max(abs(new), abs(old))
+    return 1 if d > m else -1 if d < -m else 0
 
 
 class DomainClass(namedtuple("DomainClass", "name shape")):
@@ -217,9 +220,16 @@ def _format_terms(counts, ascii_form):
     return ("+" if ascii_form else " + ").join(parts)
 
 
-def _sums(powers, n, a, b):
-    """powers[j] + powers[n - j] for a <= j <= b."""
-    return list(map(operator.add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
+def _block_max(powers, n, a, b):
+    """The largest powers[j] + powers[n - j] over a <= j <= b."""
+    return max(map(add, powers[a:b + 1], powers[n - a:n - b - 1:-1]))
+
+
+def _first(powers, n, a, s):
+    """The smallest j >= a with powers[j] + powers[n - j] == s."""
+    while powers[a] + powers[n - a] != s:
+        a += 1
+    return a
 
 
 def extremal_sequence(domain_class, K, base_values=None):
@@ -231,6 +241,11 @@ def extremal_sequence(domain_class, K, base_values=None):
     The split search at each n returns the max of powers[j] + powers[n - j]
     over 1 <= j <= h = n/2 and the smallest j attaining it, as a scan over
     every j would, but sums only the blocks of j a bound cannot rule out.
+    A summed block gives only its maximum (``_block_max``), and j is looked
+    up only in the seed's block and a block whose maximum wins.  Equal means
+    equal float sums: squares' exact ties (pi^2 times integers) round apart,
+    so at K = 3000 491 of the 2999 squares split indices are not the
+    smallest j in exact arithmetic, with equal values (ROADMAP item 17).
 
     The bound.  A stored power dominates every split sum at its own index
     (powers[m] >= powers[i] + powers[m - i]), so with c = powers[1], the
@@ -290,55 +305,54 @@ def extremal_sequence(domain_class, K, base_values=None):
     powers[1] = c = sign * _power(conn[1], N)
     provenance[1] = Connected(1)
     g = [0.0, 0.0]  # g[m] = powers[m] - c*m for the known m
-    B, R = SPLIT_BLOCK, 2 * SPLIT_BLOCK + 1
+    B, B2, R = SPLIT_BLOCK, 2 * SPLIT_BLOCK, 2 * SPLIT_BLOCK + 1
+    lead, width = (B - 1) * c, B * abs(c)  # the threshold's and the slack's terms in c
     ring = [[] for _ in range(R)]  # slot m % R: the whole blocks awake at m
+    splits = {}  # one Split record per left index
 
     for n in range(2, K + 1):
         h = n // 2
         full = h - h % B  # j <= full lie in whole blocks
         if not full:
-            sums = _sums(powers, n, 1, h)
-            best = max(sums)
-            best_i = 1 + sums.index(best)
+            best = _block_max(powers, n, 1, h)
+            best_i = _first(powers, n, 1, best)
         else:
             awake, ring[n % R] = ring[n % R], []
-            if n % (2 * B) == 0:  # the whole block new at n
+            if n % B2 == 0:  # the whole block new at n
                 awake.append(h - B + 1)
             tops = [powers[a + B - 1] + powers[n - a] for a in awake]
             top = max(tops)
             seed_a = awake[tops.index(top)] if tops.count(top) == 1 else min(
                 a for a, t in zip(awake, tops) if t == top)
-            sums = _sums(powers, n, seed_a, seed_a + B - 1)
-            best = seed = max(sums)
-            best_i = seed_a + sums.index(seed)
-            slack = SPLIT_SLACK * (abs(seed) + B * abs(c))
-            threshold = seed + (B - 1) * c - slack
+            best = seed = _block_max(powers, n, seed_a, seed_a + B - 1)
+            best_i = _first(powers, n, seed_a, seed)
+            slack = SPLIT_SLACK * (abs(seed) + width)
+            threshold = seed + lead - slack
             woken = ring[(n + 1) % R]
             for a, top in zip(awake, tops):
                 if top < threshold:
                     d = bisect_left(g, g[n - a] + threshold - top - slack, n - a + 1) - n + a
-                    ring[(n + (d if d < 2 * B else 2 * B)) % R].append(a)
+                    ring[(n + (d if d < B2 else B2)) % R].append(a)
                     continue
                 woken.append(a)
                 if a != seed_a:
-                    sums = _sums(powers, n, a, a + B - 1)
-                    s = max(sums)
+                    s = _block_max(powers, n, a, a + B - 1)
                     if s > best or s == best and a < best_i:
-                        best, best_i = s, a + sums.index(s)
+                        best, best_i = s, _first(powers, n, a, s)
             if full < h and powers[h] + powers[n - full - 1] >= seed + (h - full - 1) * c - slack:
-                sums = _sums(powers, n, full + 1, h)
-                s = max(sums)
+                s = _block_max(powers, n, full + 1, h)
                 if s > best:
-                    best, best_i = s, full + 1 + sums.index(s)
+                    best, best_i = s, _first(powers, n, full + 1, s)
         split_v = _unpower(sign * best, N)
         split_indices[n] = best_i
         cv = conn[n]
-        if _beats(sign * cv, sign * split_v, REL_TIE_TOL):
+        margin = _margin(sign * cv, sign * split_v, REL_TIE_TOL)
+        if margin > 0:
             values[n] = cv
             provenance[n] = Connected(n)
-        elif _beats(sign * split_v, sign * cv, REL_TIE_TOL):
+        elif margin < 0:
             values[n] = split_v
-            provenance[n] = Split(best_i)
+            provenance[n] = splits.get(best_i) or splits.setdefault(best_i, Split(best_i))
         else:
             values[n] = cv if sign * cv >= sign * split_v else split_v
             provenance[n] = Connected(n, tie=True)
@@ -364,7 +378,7 @@ def unpack_geometry(seq, n):
 
 def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
-    must be connected: ``_beats`` at REL_TIE_TOL, on the powered values.
+    must be connected: ``_margin`` is 1 at REL_TIE_TOL, on the powered values.
 
     Only the best split is tested, the plain maximum over every split of the
     sequence's stored signed powers: the margin test is monotone in the
@@ -378,12 +392,12 @@ def connectedness_certificate(candidate_value, seq, n):
         return True
     if n - 1 > seq.K:
         raise IndexError(f"sequence must be complete to {n - 1}")
-    s = max(_sums(seq.powers, n, 1, n // 2))
-    return _beats(seq.domain_class.sign * _power(candidate_value, seq.dimension), s, REL_TIE_TOL)
+    p = seq.domain_class.sign * _power(candidate_value, seq.dimension)
+    return _margin(p, _block_max(seq.powers, n, 1, n // 2), REL_TIE_TOL) > 0
 
 
 def crossover_scan(seq_a, seq_b, K):
-    """Indices n <= K where seq_b beats seq_a: ``_beats`` at REL_SCAN_TOL."""
+    """Indices n <= K where seq_b beats seq_a: ``_margin`` is 1 at REL_SCAN_TOL."""
     K = check_integer("K", K, 1)
     if seq_a.dimension != seq_b.dimension:
         raise ValueError("sequences must share dimension")
@@ -393,7 +407,7 @@ def crossover_scan(seq_a, seq_b, K):
         raise ValueError(f"both sequences must reach K={K}")
     sign = seq_a.domain_class.sign
     a, b = seq_a.values, seq_b.values
-    return [n for n in range(1, K + 1) if _beats(sign * b[n], sign * a[n], REL_SCAN_TOL)]
+    return [n for n in range(1, K + 1) if _margin(sign * b[n], sign * a[n], REL_SCAN_TOL) > 0]
 
 
 class DirichletCheck(

@@ -250,6 +250,15 @@ class TestConstruct:
         assert cp.returncode == 0
         assert cp.stdout.count("disk") == 3
 
+    @pytest.mark.parametrize("text", ["-0", "-0.0"])
+    def test_negative_zero_target_is_zero(self, capsys, text):
+        # argparse reads -0 as a negative number; it names the t = 0 target
+        from specpack import cli
+
+        assert cli.main(["construct", "--t", text]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("target t = 0.0\n") and out.count("disk") == 3
+
     def test_underflowing_target_is_input_error(self, capsys):
         # 1e-400 names a nonzero target but parses to 0.0; 0 is the t = 0 one
         from specpack import cli

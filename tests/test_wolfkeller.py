@@ -158,20 +158,20 @@ def _every_block_summed(powers, n):
 
 def _schedule(monkeypatch, seq):
     # the recursion rerun on seq's base values, read from the blocks it sums
-    # (_sums) and the blocks it puts to sleep (bisect_left, at a = n - lo + 1
-    # with n = len(g)): per n, the whole blocks whose tops it forms, the
-    # sleep it gives each of them (1 for a summed whole block, whose top
-    # reached the threshold; the bisect's, capped at 2*B, for the rest) and
-    # the blocks of sums (a, b) it forms, in order
+    # (_block_max) and the blocks it puts to sleep (bisect_left, at
+    # a = n - lo + 1 with n = len(g)): per n, the whole blocks whose tops it
+    # forms, the sleep it gives each of them (1 for a summed whole block,
+    # whose top reached the threshold; the bisect's, capped at 2*B, for the
+    # rest) and the blocks of sums (a, b) it forms, in order
     B = wolfkeller.SPLIT_BLOCK
     sleeps, summed = collections.defaultdict(dict), collections.defaultdict(list)
-    sums, bisect_left = wolfkeller._sums, wolfkeller.bisect_left
+    block_max, bisect_left = wolfkeller._block_max, wolfkeller.bisect_left
 
-    def recording_sums(powers, n, a, b):
+    def recording_block_max(powers, n, a, b):
         summed[n].append((a, b))
         if b - a == B - 1:
             sleeps[n][a] = 1
-        return sums(powers, n, a, b)
+        return block_max(powers, n, a, b)
 
     def recording_bisect(g, x, lo):
         m = bisect_left(g, x, lo)
@@ -180,7 +180,7 @@ def _schedule(monkeypatch, seq):
         sleeps[n][a] = min(m - n + a, 2 * B)
         return m
 
-    monkeypatch.setattr(wolfkeller, "_sums", recording_sums)
+    monkeypatch.setattr(wolfkeller, "_block_max", recording_block_max)
     monkeypatch.setattr(wolfkeller, "bisect_left", recording_bisect)
     again = extremal_sequence(seq.domain_class, seq.K, base_values=seq.connected[1:])
     monkeypatch.undo()
@@ -473,6 +473,37 @@ class TestSplitSearch:
                                 seq.provenance)).encode())
         assert digest.hexdigest() == (
             "d338b485a3c1bcf46070b98eb3efe4f01ba34509cc2f3adc4e971f706a23f009")
+
+
+class TestPolyaBound:
+    """Pólya's bound, an oracle for the recursion independent of its code.
+
+    Pólya (1961) proved the Dirichlet lambda_n >= 4 pi n for unit-area
+    domains that tile the plane, and the Neumann mu_n <= 4 pi n (mu_n the
+    n-th nonzero eigenvalue) for those that tile it periodically; Kellner
+    (1966) extended the Neumann bound to every tiling domain.  The argument
+    holds in every dimension, so squares and cubes satisfy it, and Filonov,
+    Levitin, Polterovich and Sher (Invent. Math., 2023) proved it for disks
+    and balls, both conditions.  In 3D the unit-volume bound is
+    (6 pi^2 n)^(2/3).  A union inherits it: in powers, best^(N/2) <= C*n
+    with C = 4 pi (2D) or 6 pi^2 (3D), and the power law is additive, so a
+    split (j, n - j) of two sides under C*j and C*(n - j) is under C*n (over
+    it for the Dirichlet mirror).  At K = 3000 the extremes of best[n] over
+    the bound are 0.9845 (disks, n = 2910), 0.9821 (squares, 2879), 0.9523
+    (balls, 2904), 0.9247 (cubes, 2893) and 1.0157 (Dirichlet disks, 2937).
+    """
+
+    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
+    def test_every_stored_value_within_the_bound(self, sequences_3000, name):
+        seq = sequences_3000[name]
+        if seq.dimension == 2:
+            bound = [4 * PI * n for n in range(seq.K + 1)]
+        else:
+            bound = [(6 * PI**2 * n) ** (2 / 3) for n in range(seq.K + 1)]
+        if seq.domain_class.sign > 0:
+            assert all(seq.values[n] <= bound[n] for n in range(1, seq.K + 1))
+        else:
+            assert all(seq.values[n] >= bound[n] for n in range(1, seq.K + 1))
 
 
 class TestGeometry:
