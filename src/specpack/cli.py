@@ -15,6 +15,10 @@ abbreviations, --flag=value, repeated flags) and is imported only for them.
 
 Exit codes: 0 success/certified, 1 input error, 2 certification
 contradiction, 3 internal accuracy failure.
+
+run(), the entry of ``python -m specpack`` and of the installed script, is
+main() then gc.freeze(), so the final collections skip the command's heap;
+atexit, flushing and module teardown run as before. main() freezes nothing.
 """
 
 import math
@@ -353,3 +357,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+def run():
+    import gc  # only the process entry needs it: `import specpack.cli` loads nothing new
+
+    status = main()
+    gc.freeze()
+    return status

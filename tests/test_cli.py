@@ -322,18 +322,35 @@ class TestExitCodes:
     def test_console_script_entry(self):
         # Run the declared target the way an installed script's wrapper does,
         # so a mistyped `[project.scripts]` entry fails without an install.
+        # The target is the process entry, which freezes the heap after the
+        # command but leaves the rest of shutdown alone: an atexit handler
+        # registered before it still prints after the command's output (an
+        # os._exit shortcut would drop that line).
         scripts = declared_scripts()
-        assert "specpack" in scripts
+        assert scripts.get("specpack") == "specpack.cli:run"
         module, _, func = scripts["specpack"].partition(":")
-        assert module and func, scripts["specpack"]
-        wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+        wrapper = (
+            "import atexit, sys; atexit.register(print, 'atexit ran'); "
+            f"from {module} import {func}; sys.exit({func}())"
+        )
         cp = subprocess.run(
             [sys.executable, "-c", wrapper, "certify", "--n", "22"],
             capture_output=True,
             text=True,
         )
-        assert cp.returncode == 0, cp.stderr
-        assert "certified" in cp.stdout
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, CERTIFIED + "atexit ran\n", "")
+
+    def test_run_freezes_and_main_does_not(self):
+        # in a fresh interpreter: main() leaves the collector as it was, run()
+        # freezes what the command built and returns the same status
+        cp = _fresh_python(
+            "import gc, sys; from specpack import cli; "
+            "print(cli.main(sys.argv[1:]), gc.get_freeze_count()); "
+            "print(cli.run(), gc.get_freeze_count() > 0)",
+            "certify", "--n", "22",
+        )
+        assert (cp.returncode, cp.stdout, cp.stderr) == (
+            0, CERTIFIED + "0 0\n" + CERTIFIED + "0 True\n", "")
 
     @pytest.mark.skipif(
         shutil.which("specpack") is None, reason="console script not installed"
@@ -438,10 +455,11 @@ def _fresh_python(code, *args):
 def test_import_set():
     # every command pays for this import: the package never imports the
     # numeric and test libraries, nor argparse (with gettext) and csv, which
-    # only the commands that need them import
+    # only the commands that need them import, nor gc, which only the process
+    # entry imports
     cp = _fresh_python(
         "import specpack, specpack.cli, sys; "
-        "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'typing', "
+        "print(sorted({'argparse', 'csv', 'dataclasses', 'gc', 'gettext', 'inspect', 'typing', "
         "'numpy', 'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
     )
     assert cp.returncode == 0, cp.stderr
@@ -460,13 +478,17 @@ def test_import_set():
 
 @pytest.mark.parametrize("command", USAGE)
 def test_usage_pinned(capsys, monkeypatch, command):
-    # --help is parsed by argparse, exits 0 and opens with the usage line
+    # --help is parsed by argparse, exits 0 and opens with the usage line;
+    # `python -m specpack` prints the same bytes
     from specpack import cli
 
     monkeypatch.setenv("COLUMNS", "80")
-    assert cli.main(["--help"] if command is None else [command, "--help"]) == 0
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert out.startswith(USAGE[command] + "\n") and err == ""
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (0, out, "")
 
 
 # one well-formed argv per command and the options argparse gives for it
@@ -611,7 +633,10 @@ def _argparse_error(option, value, **spec):
      f"{_argparse_error('--dim', '4', type=int, choices=(2, 3))}\n"),
 ])
 def test_usage_error_is_input_error(capsys, argv, err):
+    # in process and as `python -m specpack`
     from specpack import cli
 
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", err)
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", err)
