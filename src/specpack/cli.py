@@ -23,7 +23,6 @@ atexit, flushing and module teardown run as before. main() freezes nothing.
 
 import math
 import sys
-from collections import namedtuple
 
 from . import constructions, spectra, wolfkeller
 from ._kernels_py import check_integer
@@ -33,24 +32,9 @@ from .svgfig import packing_svg
 PI = math.pi
 
 
-class TableRow(namedtuple("TableRow", [
-    "n",
-    "disk_label",
-    "disk_value",
-    "disks_split_value",  # None at n = 1
-    "disks_expr",
-    "disks_class_value",
-    "square_label",
-    "squares_split_pi2",  # best split value / pi^2; None at n = 1
-    "squares_expr",
-    "squares_class_value",
-])):
-    """One row of the ten-column extremal table."""
-
-    __slots__ = ()
-
-
 def build_table_rows(K):
+    """The first K rows of the table, each a tuple of its values in the
+    order of TABLE_COLUMNS."""
     disk_spec = spectra.disk_spectrum("neumann", K)
     square_spec = spectra.rectangle_spectrum(1.0, 1.0, "neumann", K)
     disks_seq = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
@@ -59,22 +43,12 @@ def build_table_rows(K):
     for n, (d_val, d_label), (s_val, s_label) in zip(
         range(1, K + 1), disk_spec.expanded, square_spec.expanded
     ):
-        d_split = disks_seq.split_value(n)
-        s_split = squares_seq.split_value(n)
-        rows.append(
-            TableRow(
-                n=n,
-                disk_label=d_label,
-                disk_value=d_val,
-                disks_split_value=d_split,
-                disks_expr=disks_seq.expression(n),
-                disks_class_value=disks_seq.value(n),
-                square_label=s_label,
-                squares_split_pi2=None if s_split is None else s_split / PI**2,
-                squares_expr=squares_seq.expression(n),
-                squares_class_value=squares_seq.value(n),
-            )
-        )
+        s_split = squares_seq.split_value(n)  # the best split, None at n = 1
+        rows.append((
+            n, d_label, d_val, disks_seq.split_value(n), disks_seq.expression(n),
+            disks_seq.value(n), s_label, None if s_split is None else s_split / PI**2,
+            squares_seq.expression(n), squares_seq.value(n),
+        ))
     return rows
 
 
@@ -94,70 +68,54 @@ def _int_cell(x):
     return str(int(r)) if abs(x - r) < 1e-6 else f"{x:.2f}"
 
 
+def _or_none(cell, blank):
+    return lambda x: blank if x is None else cell(x)
+
+
+def _csv_expr(expr):
+    return expr.replace("μ_", "mu").replace(" ", "")
+
+
+# The ten columns of the extremal table, one (markdown header, alignment,
+# markdown cell, CSV header, CSV cell) each; a cell maps the row's value to text.
+TABLE_COLUMNS = (
+    ("n", "--:", str, "n", str),
+    ("disk mode", ":--", _disk_mode_cell, "disk_mode", _disk_mode_cell),
+    ("mu_n (disk)", "--:", "{:.3f}".format, "disk_mu_n", repr),
+    ("best union", "--:", _or_none("{:.3f}".format, "-"), "disks_best_union",
+     _or_none(repr, "")),
+    ("disks extremal", ":--", str, "disks_extremal_expr", _csv_expr),
+    ("value", "--:", "{:.2f}".format, "disks_extremal", repr),
+    ("square mode", ":--", _square_mode_cell, "square_mode", _square_mode_cell),
+    ("best union /pi^2", "--:", _int_cell, "squares_best_union_over_pi2",
+     _or_none(repr, "")),
+    ("squares extremal", ":--", str, "squares_extremal_expr", _csv_expr),
+    ("value", "--:", "{:.2f}".format, "squares_extremal", repr),
+)
+
+
+def _cells(rows, at):
+    """Each row's cells, by the cell functions at index `at` of TABLE_COLUMNS."""
+    return ([column[at](x) for column, x in zip(TABLE_COLUMNS, row)] for row in rows)
+
+
 def render_table_markdown(rows):
-    header = (
-        "| n | disk mode | mu_n (disk) | best union | disks extremal | value "
-        "| square mode | best union /pi^2 | squares extremal | value |"
-    )
-    rule = "|--:|:--|--:|--:|:--|--:|:--|--:|:--|--:|"
-    lines = [header, rule]
-    for r in rows:
-        lines.append(
-            "| {n} | {dlab} | {dval:.3f} | {dsplit} | {dexpr} | {dcls:.2f} "
-            "| {slab} | {ssplit} | {sexpr} | {scls:.2f} |".format(
-                n=r.n,
-                dlab=_disk_mode_cell(r.disk_label),
-                dval=r.disk_value,
-                dsplit="-" if r.disks_split_value is None else f"{r.disks_split_value:.3f}",
-                dexpr=r.disks_expr,
-                dcls=r.disks_class_value,
-                slab=_square_mode_cell(r.square_label),
-                ssplit=_int_cell(r.squares_split_pi2),
-                sexpr=r.squares_expr,
-                scls=r.squares_class_value,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header, *body = (f"| {' | '.join(cells)} |" for cells in (
+        [column[0] for column in TABLE_COLUMNS], *_cells(rows, 2)))
+    rule = f"|{'|'.join(column[1] for column in TABLE_COLUMNS)}|"
+    return "\n".join((header, rule, *body)) + "\n"
 
 
 def render_table_csv(rows):
-    return spectra.csv_text(
-        [
-            "n",
-            "disk_mode",
-            "disk_mu_n",
-            "disks_best_union",
-            "disks_extremal_expr",
-            "disks_extremal",
-            "square_mode",
-            "squares_best_union_over_pi2",
-            "squares_extremal_expr",
-            "squares_extremal",
-        ],
-        (
-            [
-                r.n,
-                _disk_mode_cell(r.disk_label),
-                repr(r.disk_value),
-                "" if r.disks_split_value is None else repr(r.disks_split_value),
-                r.disks_expr.replace("μ_", "mu").replace(" ", ""),
-                repr(r.disks_class_value),
-                _square_mode_cell(r.square_label),
-                "" if r.squares_split_pi2 is None else repr(r.squares_split_pi2),
-                r.squares_expr.replace("μ_", "mu").replace(" ", ""),
-                repr(r.squares_class_value),
-            ]
-            for r in rows
-        ),
-    )
+    return spectra.csv_text([column[3] for column in TABLE_COLUMNS], _cells(rows, 4))
+
+
+_FORMATS = {"md": render_table_markdown, "csv": render_table_csv}
 
 
 def cmd_table(args):
     rows = build_table_rows(check_integer("--rows", args["rows"], 1))
-    if args["format"] == "md":
-        sys.stdout.write(render_table_markdown(rows))
-    else:
-        sys.stdout.write(render_table_csv(rows))
+    sys.stdout.write(_FORMATS[args["format"]](rows))
     return 0
 
 
@@ -178,42 +136,30 @@ def cmd_certify(args):
 
 def cmd_figure(args):
     n = check_integer("--n", args["n"], 1)
-    shape_class = args["shape_class"]
-    cls = wolfkeller.disks_class() if shape_class == "disks" else wolfkeller.squares_class()
+    cls = _CLASSES[args["shape_class"]]()
     seq = wolfkeller.extremal_sequence(cls, n)
     domain = wolfkeller.unpack_geometry(seq, n)
-    annotation = f"mu_{n} = {seq.value(n):.2f} ({shape_class})"
-    svg = packing_svg(domain, annotation)
+    annotation = f"mu_{n} = {seq.value(n):.2f} ({cls.name})"
     with open(args["out"], "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.write(packing_svg(domain, annotation))
     print(f"wrote {args['out']}: {len(domain.components)} components, {annotation}")
     return 0
 
 
 def cmd_scan(args):
     K = check_integer("--max-n", args["max_n"], 1)
-    if args["dim"] == 2:
-        a = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
-        b = wolfkeller.extremal_sequence(wolfkeller.squares_class(), K)
-        names = ("disks", "squares")
-    else:
-        a = wolfkeller.extremal_sequence(wolfkeller.balls_class(), K)
-        b = wolfkeller.extremal_sequence(wolfkeller.cubes_class(), K)
-        names = ("balls", "cubes")
+    a, b = (wolfkeller.extremal_sequence(cls(), K) for cls in _SCANS[args["dim"]])
+    a_name, b_name = a.domain_class.name, b.domain_class.name
     cross = wolfkeller.crossover_scan(a, b, K)
     if not cross:
         if args["dim"] == 3:
-            print(
-                f"no crossover: for all n <= {K} a disjoint union of balls "
-                f"beats the cube"
-            )
+            print(f"no crossover: for all n <= {K} a disjoint union of {a_name} beats the cube")
         else:
-            print(f"no crossover: {names[1]} never exceed {names[0]} for n <= {K}")
+            print(f"no crossover: {b_name} never exceed {a_name} for n <= {K}")
         return 0
-    print(f"crossover indices ({names[1]} exceed {names[0]}): "
-          + ", ".join(map(str, cross)))
+    print(f"crossover indices ({b_name} exceed {a_name}): " + ", ".join(map(str, cross)))
     for n in cross:
-        print(f"  n={n}: {names[0]} {a.value(n):.2f} < {names[1]} {b.value(n):.2f}")
+        print(f"  n={n}: {a_name} {a.value(n):.2f} < {b_name} {b.value(n):.2f}")
     return 0
 
 
@@ -225,6 +171,9 @@ def cmd_construct(args):
         # below t ~ 1e-314 mu_2 lies deep among the subnormal floats, whose
         # few significant bits cannot hold it to a relative 1e-9
         raise AccuracyError(f"verified mu_2 = {mu2!r} does not match t = {t!r}")
+    if args["svg"]:  # written first, so that a failed write prints nothing
+        with open(args["svg"], "w", encoding="utf-8") as fh:
+            fh.write(packing_svg(domain, f"mu_2 = {mu2:.4f}"))
     print(f"target t = {t!r}")
     for c in domain.components:
         role = "supporting" if c.support_index is not None else "filler"
@@ -232,9 +181,6 @@ def cmd_construct(args):
     print(f"verified: mu_1 = {mu1:.10g}, mu_2 = {mu2:.10g}, mu_3 = {mu3:.10g}")
     print(f"total area = {domain.total_volume:.15f}")
     if args["svg"]:
-        svg = packing_svg(domain, f"mu_2 = {mu2:.4f}")
-        with open(args["svg"], "w", encoding="utf-8") as fh:
-            fh.write(svg)
         print(f"wrote {args['svg']}")
     return 0
 
@@ -251,6 +197,13 @@ def target(text):
     return t or 0.0
 
 
+# The choices of --class and --dim: a class, and the pair of classes a scan
+# compares, each built on demand.
+_CLASSES = {"disks": wolfkeller.disks_class, "squares": wolfkeller.squares_class}
+_SCANS = {
+    2: (wolfkeller.disks_class, wolfkeller.squares_class),
+    3: (wolfkeller.balls_class, wolfkeller.cubes_class),
+}
 _SHAPES = {
     "disk": spectra.disk,
     "square": spectra.square,
@@ -273,18 +226,18 @@ REQUIRED = object()
 COMMANDS = {
     "table": ("render the extremal table", cmd_table, (
         ("--rows", "rows", int, None, REQUIRED),
-        ("--format", "format", str, ("md", "csv"), "md"),
+        ("--format", "format", str, tuple(_FORMATS), "md"),
     )),
     "certify": ("certify a disks/squares crossover", cmd_certify, (
         ("--n", "n", int, None, REQUIRED),
     )),
     "figure": ("draw an optimal packing as SVG", cmd_figure, (
         ("--n", "n", int, None, REQUIRED),
-        ("--class", "shape_class", str, ("disks", "squares"), REQUIRED),
+        ("--class", "shape_class", str, tuple(_CLASSES), REQUIRED),
         ("--out", "out", str, None, REQUIRED),
     )),
     "scan": ("scan for class crossovers", cmd_scan, (
-        ("--dim", "dim", int, (2, 3), REQUIRED),
+        ("--dim", "dim", int, tuple(_SCANS), REQUIRED),
         ("--max-n", "max_n", int, None, REQUIRED),
     )),
     "construct": ("build a domain with prescribed mu_2", cmd_construct, (
@@ -293,7 +246,7 @@ COMMANDS = {
     )),
     "spectrum": ("print a canonical spectrum as CSV", cmd_spectrum, (
         ("--shape", "shape", str, tuple(_SHAPES), REQUIRED),
-        ("--bc", "bc", str, ("neumann", "dirichlet"), "neumann"),
+        ("--bc", "bc", str, spectra.BOUNDARY_CONDITIONS, "neumann"),
         ("--count", "count", int, None, REQUIRED),
     )),
 }

@@ -684,6 +684,48 @@ def _zeros_by_order(table):
 REACH_3000 = math.sqrt((1.3 * 4.0 * PI * 3000 + 30.0) / PI)
 
 
+def _exact_sign(kind, m, x):
+    """The sign, 1 or -1, of J'_m(x) (kind "bessel_prime") or j'_m(x)
+    ("spherical_prime") at a float x > 0, decided in integers.
+
+    Each is a positive multiple of S = sum_k u_k, u_k = (-1)^k (2k + m) q_k,
+    with q_0 = 1 and q_k = q_{k-1} y / d(k): y = x^2/4 and d(i) = i (i + m)
+    for J'_m, y = x^2/2 and d(i) = i (2m + 2i + 1) for j'_m (the ascending
+    series, DLMF 10.2.2 and 10.53.1).  With x = a/2^s, y = A/2^E exactly, and
+    Horner gives the sum of u_0 .. u_N as num/den in integers.  N starts
+    where |u_{k+1}/u_k| <= 1/2 for every k > N, so the rest is at most
+    2 |u_{N+1}|; the sign of num is that of S once |num/den| exceeds that
+    bound, and N doubles until it does."""
+    a, b = x.as_integer_ratio()  # b = 2^s
+    A = a * a
+    E = 2 * (b.bit_length() - 1) + (2 if kind == "bessel_prime" else 1)
+
+    def d(i):
+        return i * (i + m) if kind == "bessel_prime" else i * (2 * m + 2 * i + 1)
+
+    # the ratio |u_{k+1}/u_k| = y (2k + 2 + m) / ((2k + m) d(k + 1)) falls with k
+    N = 1
+    while 2 * A * (2 * N + 4 + m) > (2 * N + 2 + m) * d(N + 2) << E:
+        N += 1
+    while True:
+        num, den = (-1) ** N * (2 * N + m), 1
+        for k in range(N - 1, -1, -1):
+            den *= d(k + 1) << E
+            num = (-1) ** k * (2 * k + m) * den + A * num
+        # |num| / den > 2 |u_{N+1}|, both sides times den
+        if abs(num) * d(N + 1) << E > 2 * (2 * N + 2 + m) * A ** (N + 1):
+            return 1 if num > 0 else -1
+        N *= 2
+
+
+def _ulps_away(x, k):
+    """The floats k ulp below and above x > 0."""
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
 class TestZeroOracle:
     def test_disk_tables_match_scipy(self, disk_tables_3000):
         from scipy import special as sp
@@ -725,6 +767,55 @@ class TestZeroOracle:
                 ulps = float(abs(zero - root)) / math.ulp(float(root))
                 assert ulps <= 1.5, (idx, zero, ulps)
 
+
+    def test_exact_sign_against_mpmath(self):
+        # 60 seeded (order, x) per kind, each where 30-digit mpmath gives
+        # |f| > 1e-10, so that its sign is not in doubt
+        import mpmath as mp
+
+        rng = random.Random(16)
+        with mp.workdps(30):
+            for kind, name in (("bessel_prime", "bessel_j_prime"),
+                               ("spherical_prime", "spherical_bessel_j_prime")):
+                checked = 0
+                while checked < 60:
+                    m, x = rng.randrange(0, 60), rng.uniform(0.01, 120.0)
+                    value = _mp_evaluator(mp, name, m, mp.mpf(x))
+                    if abs(value) > 1e-10:
+                        assert _exact_sign(kind, m, x) == mp.sign(value), (kind, m, x)
+                        checked += 1
+
+    @pytest.mark.parametrize("name", ["neumann", "ball"])
+    def test_found_zeros_change_sign_exactly(self, name, disk_tables_3000, ball_table_3000):
+        # each zero as the finder returned it has f_m change sign, exactly,
+        # between its neighbouring floats: from (-1)^i below to -(-1)^i
+        # above, where i counts the zeros of order m below it, the trivial
+        # zero at x = 0 included; and f_{m+1} has the sign (-1)^i at it
+        # (interlacing).  One zero, J'_{26,1} = 28.41807483456036, is 1.008
+        # ulp below the true zero, so it changes sign only within 2 ulp.
+        # All 155 ball zeros are checked; of the 1,547 disk zeros every one
+        # below x = 30 and a sample of 300 of the rest, drawn by
+        # random.Random(16).sample from the rest in (order, rank) order
+        kind = "spherical_prime" if name == "ball" else "bessel_prime"
+        fresh = ball_table_3000 if name == "ball" else disk_tables_3000[name]
+        found = sorted(fresh.found.items())
+        assert len(found) == {"neumann": 1547, "ball": 155}[name]
+        if name == "neumann":
+            low = [item for item in found if item[1] < 30.0]
+            found = low + random.Random(16).sample([item for item in found if item[1] >= 30.0],
+                                                   300)
+        two_ulp = []
+        for idx, zero in found:
+            m = idx.order
+            i = idx.rank - 1 + (kind == "spherical_prime" and m == 0)
+            parity = (-1) ** i
+            lo, hi = _ulps_away(zero, 1)
+            if (_exact_sign(kind, m, lo), _exact_sign(kind, m, hi)) != (parity, -parity):
+                two_ulp.append(idx)
+                lo, hi = _ulps_away(zero, 2)
+                assert (_exact_sign(kind, m, lo), _exact_sign(kind, m, hi)) == (parity, -parity)
+            assert _exact_sign(kind, m + 1, zero) == parity, idx
+        assert two_ulp == ([ZeroIndex(26, 1)] if name == "neumann" else [])
 
 class TestOrder0Cells:
     """The theorem the order-0 count rests on: counting the trivial zero at

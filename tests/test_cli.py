@@ -269,6 +269,16 @@ class TestConstruct:
         assert cli.main(["construct", "--t", "0"]) == 0
         assert capsys.readouterr().out.count("disk") == 3
 
+    def test_unwritable_svg_prints_nothing(self, tmp_path, capsys):
+        # the SVG is written before the report, so a failed write leaves no
+        # success lines on stdout
+        from specpack import cli
+
+        svg = tmp_path / "missing" / "x.svg"
+        assert cli.main(["construct", "--t", "5", "--svg", str(svg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and not svg.exists()
+
     def test_out_of_range_mentions_interval(self):
         cp = run_cli("construct", "--t", "50")
         assert cp.returncode == 1

@@ -4,7 +4,6 @@ import pytest
 
 from specpack import spectra
 from specpack.bessel import ZeroIndex, ZeroTable
-from specpack.cli import TableRow
 from specpack.spectra import DomainShape, Mode, Spectrum
 from specpack.wolfkeller import (
     Connected,
@@ -39,11 +38,6 @@ RECORDS = [
     (PackedDomain, {"components": (COMPONENT,)}),
     (DirichletCheck, {"square_value": 1.0, "disks_value": 2.0,
                       "disks_exceed_square": True}),
-    (TableRow, {"n": 2, "disk_label": (1, 1), "disk_value": 3.39,
-                "disks_split_value": 6.28, "disks_expr": "mu1+mu1",
-                "disks_class_value": 6.28, "square_label": (1, 0),
-                "squares_split_pi2": 2.0, "squares_expr": "mu1+mu1",
-                "squares_class_value": 19.74}),
 ]
 
 
