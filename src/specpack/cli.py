@@ -34,15 +34,15 @@ PI = math.pi
 
 def build_table_rows(K):
     """The first K rows of the table, each a tuple of its values in the
-    order of TABLE_COLUMNS."""
-    disk_spec = spectra.disk_spectrum("neumann", K)
-    square_spec = spectra.rectangle_spectrum(1.0, 1.0, "neumann", K)
-    disks_seq = wolfkeller.extremal_sequence(wolfkeller.disks_class(), K)
-    squares_seq = wolfkeller.extremal_sequence(wolfkeller.squares_class(), K)
+    order of TABLE_COLUMNS; each class's one base spectrum gives its mode
+    labels and its recursion's base values."""
+    sides = []
+    for cls in (wolfkeller.disks_class(), wolfkeller.squares_class()):
+        spec = spectra.spectrum_of(cls.shape, K)
+        sides += spec.expanded, wolfkeller.extremal_sequence(cls, K, spec.nonzero_values())
+    disk_modes, disks_seq, square_modes, squares_seq = sides
     rows = []
-    for n, (d_val, d_label), (s_val, s_label) in zip(
-        range(1, K + 1), disk_spec.expanded, square_spec.expanded
-    ):
+    for n, (d_val, d_label), (s_val, s_label) in zip(range(1, K + 1), disk_modes, square_modes):
         s_split = squares_seq.split_value(n)  # the best split, None at n = 1
         rows.append((
             n, d_label, d_val, disks_seq.split_value(n), disks_seq.expression(n),
@@ -72,10 +72,6 @@ def _or_none(cell, blank):
     return lambda x: blank if x is None else cell(x)
 
 
-def _csv_expr(expr):
-    return expr.replace("μ_", "mu").replace(" ", "")
-
-
 # The ten columns of the extremal table, one (markdown header, alignment,
 # markdown cell, CSV header, CSV cell) each; a cell maps the row's value to text.
 TABLE_COLUMNS = (
@@ -84,12 +80,12 @@ TABLE_COLUMNS = (
     ("mu_n (disk)", "--:", "{:.3f}".format, "disk_mu_n", repr),
     ("best union", "--:", _or_none("{:.3f}".format, "-"), "disks_best_union",
      _or_none(repr, "")),
-    ("disks extremal", ":--", str, "disks_extremal_expr", _csv_expr),
+    ("disks extremal", ":--", str, "disks_extremal_expr", wolfkeller.ascii_expression),
     ("value", "--:", "{:.2f}".format, "disks_extremal", repr),
     ("square mode", ":--", _square_mode_cell, "square_mode", _square_mode_cell),
     ("best union /pi^2", "--:", _int_cell, "squares_best_union_over_pi2",
      _or_none(repr, "")),
-    ("squares extremal", ":--", str, "squares_extremal_expr", _csv_expr),
+    ("squares extremal", ":--", str, "squares_extremal_expr", wolfkeller.ascii_expression),
     ("value", "--:", "{:.2f}".format, "squares_extremal", repr),
 )
 

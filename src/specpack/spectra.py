@@ -120,10 +120,8 @@ def cube(bc="neumann"):
     return box(1.0, 1.0, 1.0, bc)
 
 
-class Mode(namedtuple("Mode", "label value multiplicity", defaults=(1,))):
-    """One eigenvalue with its quantum-number label and multiplicity."""
-
-    __slots__ = ()
+Mode = namedtuple("Mode", "label value multiplicity", defaults=(1,))
+Mode.__doc__ = "One eigenvalue with its quantum-number label and multiplicity."
 
 
 def _sort_modes(modes):

@@ -98,25 +98,15 @@ def dirichlet_disks_class():
     return DomainClass("dirichlet-disks", spectra.disk("dirichlet"))
 
 
-class Connected(namedtuple("Connected", "index tie", defaults=(False,))):
-    """Leaf: the index-th nonzero eigenvalue of the class's base shape."""
+Connected = namedtuple("Connected", "index tie", defaults=(False,))
+Connected.__doc__ = "Leaf: the index-th nonzero eigenvalue of the class's base shape."
 
-    __slots__ = ()
+Split = namedtuple("Split", "i")
+Split.__doc__ = "Union of the optimal packings for indices i and j = n - i."
 
-
-class Split(namedtuple("Split", "i")):
-    """Union of the optimal packings for indices i and j = n - i."""
-
-    __slots__ = ()
-
-
-class PackedComponent(
-    namedtuple("PackedComponent", "shape volume support_index", defaults=(None,))
-):
-    """A DomainShape scaled to the volume; support_index is the eigenvalue
-    index this component realizes."""
-
-    __slots__ = ()
+PackedComponent = namedtuple("PackedComponent", "shape volume support_index", defaults=(None,))
+PackedComponent.__doc__ = """A DomainShape scaled to the volume; support_index is the
+eigenvalue index this component realizes."""
 
 
 class PackedDomain(namedtuple("PackedDomain", "components")):
@@ -186,38 +176,36 @@ class ExtremalSequence(namedtuple(
                 stack += (i, idx - i)
         return counts
 
-    def expression(self, n, ascii_form=False):
-        """Provenance as `2*mu8+6*mu1` (ascii) or `2μ_8 + 6μ_1`.
+    def expression(self, n):
+        """Provenance as `2μ_8 + 6μ_1`; ``ascii_expression`` gives its CSV form.
 
         Split expressions unroll tie nodes through their split side (so a
         split over an index whose connected value merely ties a pure union
         reads as the union, e.g. `5μ_1` rather than `μ_4 + μ_1`); a tie at n
         itself renders both sides, e.g. `9μ_1 = μ_9`.
         """
-        text = _format_terms(self.leaf_counts(n, tie_as_split=True), ascii_form)
+        counts = self.leaf_counts(n, tie_as_split=True)
+        text = " + ".join(f"{c}μ_{idx}" if c > 1 else f"μ_{idx}"
+                          for idx, c in sorted(counts.items(), reverse=True))
         dec = self.provenance[n]
         if isinstance(dec, Connected) and dec.tie:
-            text += ("=" if ascii_form else " = ") + _format_terms({n: 1}, ascii_form)
+            text += f" = μ_{n}"
         return text
 
     def to_csv(self):
-        """CSV export: n,value,provenance (full precision)."""
+        """CSV export: n,value,provenance, each value at full precision and
+        each provenance in ASCII (`2mu8+6mu1`, a tie `9mu1=mu9`)."""
         return csv_text(
             ["n", "value", "provenance"],
-            ([n, repr(self.values[n]), self.expression(n, ascii_form=True)]
+            ([n, repr(self.values[n]), ascii_expression(self.expression(n))]
              for n in range(1, self.K + 1)),
         )
 
 
-def _format_terms(counts, ascii_form):
-    parts = []
-    for idx in sorted(counts, reverse=True):
-        c = counts[idx]
-        if ascii_form:
-            parts.append(f"{c}*mu{idx}" if c > 1 else f"mu{idx}")
-        else:
-            parts.append(f"{c}μ_{idx}" if c > 1 else f"μ_{idx}")
-    return ("+" if ascii_form else " + ").join(parts)
+def ascii_expression(text):
+    """An ``expression`` in the one ASCII form every CSV writes: `2μ_8 + 6μ_1`
+    as `2mu8+6mu1`, and `9μ_1 = μ_9` as `9mu1=mu9`."""
+    return text.replace("μ_", "mu").replace(" ", "")
 
 
 def _block_max(powers, n, a, b):
@@ -273,17 +261,20 @@ def extremal_sequence(domain_class, K, base_values=None):
     m % (2*SPLIT_BLOCK + 1) of a ring, which is read and cleared at m.
 
     Why the slack is safe.  The premise holds up to the recursion's defect
-    (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself),
-    which the tests keep below SPLIT_SLACK/1000 relative.  One bound chains
-    at most 2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
-    2*SPLIT_BLOCK more and as many in its bisect, on a g that may fall by
-    the defect per step; each step is off by that defect plus one rounding,
-    on powers of one sign (the check on the base values admits no others)
-    that stay within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near
-    the best split.  So a bound is off by under half the slack, and no
-    block that can hold the best sum, the seed's own included, is skipped
-    or left asleep.  Uncapped, a sleep could chain a/2 steps, past the
-    slack at large K.
+    (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself):
+    g may fall by that defect per step.  One bound chains at most
+    2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
+    2*SPLIT_BLOCK more and as many in its bisect, 94 in all; each step is
+    off by the defect plus one rounding, on powers of one sign (the check on
+    the base values admits no others) that stay within
+    |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near the best split.  So
+    a bound is off by under half the slack while the defect plus one ulp
+    stays below SPLIT_SLACK/(2*94), about 5e-15 relative, and no block that
+    can hold the best sum, the seed's own included, is skipped or left
+    asleep.  The tests check that bound on all five classes at K = 10,000
+    (the worst fall, cubes', is 1.06e-15) and a defect below
+    SPLIT_SLACK/1000 at K = 3000.  Uncapped, a sleep could chain a/2 steps,
+    past the slack at large K.
     """
     K = check_integer("K", K, 1)
     N = domain_class.dimension
@@ -410,10 +401,8 @@ def crossover_scan(seq_a, seq_b, K):
     return [n for n in range(1, K + 1) if _margin(sign * b[n], sign * a[n], REL_SCAN_TOL) > 0]
 
 
-class DirichletCheck(
-    namedtuple("DirichletCheck", "square_value disks_value disks_exceed_square")
-):
-    __slots__ = ()
+DirichletCheck = namedtuple("DirichletCheck", "square_value disks_value disks_exceed_square")
+DirichletCheck.__doc__ = "lambda_13 of the unit square against the minimizing disks' value."
 
 
 def dirichlet_min_check():

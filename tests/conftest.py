@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and helpers for the test suite.
 
 Zero-finding oracles: scipy's ``jnp_zeros``/``jn_zeros`` for J' and J, and a
 brute-force sign-change scan (default step 1e-4) over scipy's spherical j',
@@ -8,10 +8,19 @@ check.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special as sp
+
+
+def run_cli(*args):
+    """``python -m specpack ARGS`` in a fresh process, its output captured; a
+    hung child fails its test after two minutes."""
+    cmd = [sys.executable, "-m", "specpack", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
 
 
 def oracle_fn(kind, order):

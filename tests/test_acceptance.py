@@ -5,13 +5,11 @@ criterion (each test also prints an explicit summary line).
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import oracle_zeros
+from conftest import oracle_zeros, run_cli
 
 from specpack import bessel, constructions, spectra, wolfkeller
 from specpack.cli import build_table_rows, render_table_markdown
@@ -52,12 +50,6 @@ REFERENCE_TABLE = [
 ]
 
 CELL_TOL = 0.005
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "specpack", *args], capture_output=True, text=True
-    )
 
 
 def test_criterion_01_table_reproduction():

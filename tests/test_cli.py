@@ -14,6 +14,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,11 +73,6 @@ def construct_target(name):
         "readme": 21.2997325173,
         "mu2max": mu2_max(),
     }[name]
-
-
-def run_cli(*args):
-    cmd = [sys.executable, "-m", "specpack", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
 
 
 def declared_scripts():

@@ -55,6 +55,16 @@ def test_record_semantics(cls, fields):
     assert repr(rec) == f"{cls.__name__}({body})"
 
 
+def test_records_without_behaviour_are_the_named_tuples():
+    # the five with no method or property of their own are one class each;
+    # the six with behaviour subclass one
+    for cls in (Mode, Connected, Split, PackedComponent, DirichletCheck):
+        assert cls.__mro__ == (cls, tuple, object) and cls.__doc__, cls
+    for cls in (ZeroIndex, DomainShape, Spectrum, DomainClass, PackedDomain,
+                ExtremalSequence):
+        assert [c.__name__ for c in cls.__mro__] == [cls.__name__] * 2 + ["tuple", "object"]
+
+
 def test_defaults():
     assert DomainShape("disk") == DomainShape("disk", "neumann", ())
     assert Mode((0, 1), 1.0).multiplicity == 1

@@ -26,14 +26,13 @@ from specpack.wolfkeller import (
 PI = math.pi
 
 # sha256 of extremal_sequence(cls, 3000).to_csv(): every value at full
-# precision and every provenance expression, as the loop-based split search
-# produced them
+# precision and every provenance expression, in the table CSV's ASCII form
 CSV_3000_SHA256 = {
-    "disks": "1fc3d1ad7da020bd7587d708458f83b317227ab026cf56bb1c7d311b416cd6bb",
-    "squares": "6a61cfec495f1a9ea4a7932fc8ef5f89e7192711fd47066825110358a6a290e9",
-    "balls": "7d19ff5120753b6674da3d2d00958c6f4de4aca3089ad485f4562f93898ae197",
-    "cubes": "a8fa03e2b683ba3183d4c94685fb1e4f3bfd17bd90357729bb0af993139c2ce2",
-    "dirichlet-disks": "2ed011ee773a862bddc0ce59c341663d3bb9bdb9bf325d92268e00735cd99922",
+    "disks": "d6ffd41a4cd428ccacb040499ef612f85b694e62ae378123695f1e97e5595019",
+    "squares": "69f75fe4dc795a67c89ed2a5ac8b6a89aa8e4205a639b315f2c152d24a9c484f",
+    "balls": "a4d90c7d2ec53d03de461430eb6ce93aff872d0e1a14e93529d8b3b6068c2e54",
+    "cubes": "95f98c1f6ac797ac9938f91f8e4915573865ab28c58e3091bb3a33bb01a56697",
+    "dirichlet-disks": "3e43c6d2d4677931e111958953420c670f2c39e7115128de007eb18334f157ef",
 }
 
 # sha256 of the repr of split_value(n), one a line, for n = 1..3000: the best
@@ -67,11 +66,17 @@ def _better_worse(cls, tol):
     return small, big, -math.inf
 
 
+CLASSES = (disks_class, squares_class, balls_class, cubes_class, dirichlet_disks_class)
+
+
 @pytest.fixture(scope="module")
 def sequences_3000():
-    classes = (disks_class(), squares_class(), balls_class(), cubes_class(),
-               dirichlet_disks_class())
-    return {cls.name: extremal_sequence(cls, 3000) for cls in classes}
+    return {cls().name: extremal_sequence(cls(), 3000) for cls in CLASSES}
+
+
+@pytest.fixture(scope="module")
+def sequences_10000():
+    return {cls().name: extremal_sequence(cls(), 10_000) for cls in CLASSES}
 
 
 def _powers(seq):
@@ -80,6 +85,14 @@ def _powers(seq):
     sign = seq.domain_class.sign
     return [None] + [sign * spectra._power(seq.value(n), seq.dimension)
                      for n in range(1, seq.K + 1)]
+
+
+def _worst_g_fall(seq):
+    # the largest fall of g[m] = powers[m] - c*m, as the recursion forms it,
+    # from one m to the next, relative to |powers| at the later m
+    powers = seq.powers
+    g = [powers[m] - powers[1] * m for m in range(1, seq.K + 1)]
+    return max((g[i] - g[i + 1]) / abs(powers[i + 2]) for i in range(seq.K - 1))
 
 
 def _exhaustive_split(powers, n):
@@ -289,7 +302,7 @@ class TestSequenceValues:
         seq = extremal_sequence(cls, 2000, base_values=[1.0] * 2000)
         assert seq.decomposition(2000) == Split(1)
         assert seq.leaf_counts(2000) == {1: 2000}
-        assert seq.expression(2000, ascii_form=True) == "2000*mu1"
+        assert wolfkeller.ascii_expression(seq.expression(2000)) == "2000mu1"
 
     @pytest.mark.parametrize("cls", [disks_class, dirichlet_disks_class])
     def test_tie_margin_is_inclusive(self, cls):
@@ -364,10 +377,20 @@ class TestSplitSearch:
         # the sleeps' premise: g[m] = powers[m] - c*m, as the recursion forms
         # it, falls by no more than a defect far inside the search's slack
         for seq in sequences_3000.values():
-            powers = seq.powers
-            g = [powers[m] - powers[1] * m for m in range(1, seq.K + 1)]
-            worst = max((g[i] - g[i + 1]) / abs(powers[i + 2]) for i in range(seq.K - 1))
-            assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+            assert _worst_g_fall(seq) <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+
+    def test_g_within_the_proofs_bound_at_10000(self, sequences_10000):
+        # the bound the slack proof needs (extremal_sequence's docstring): a
+        # bound chains at most 94 steps, each off by the fall of g plus one
+        # rounding, and all of them stay under half the slack; at K = 10,000
+        # the cubes' fall, 1.06e-15, is past the K = 3000 test's
+        # SPLIT_SLACK/1000, but far inside this bound
+        B = wolfkeller.SPLIT_BLOCK
+        steps = 2 * (B - 1) + 2 * B + 2 * B
+        assert steps == 94
+        per_step = wolfkeller.SPLIT_SLACK / 2 / steps - 2**-52
+        for seq in sequences_10000.values():
+            assert _worst_g_fall(seq) < per_step, seq.domain_class.name
 
     @pytest.mark.parametrize("name, most", [
         ("disks", 6), ("squares", 6), ("balls", 6), ("cubes", 6), ("dirichlet-disks", 12),
@@ -460,15 +483,13 @@ class TestSplitSearch:
         assert (j > full) == reaches
         assert (max(partial) == best) == reaches
 
-    def test_recursion_bit_identical_at_10000(self):
+    def test_recursion_bit_identical_at_10000(self, sequences_10000):
         # sha256 over repr((values, powers, split_indices, provenance)) of the
         # five classes at K = 10,000, in this order, as the block search gave
         # them before it moved into extremal_sequence's loop: the search's bit
         # identity past the K = 3000 pins
         digest = hashlib.sha256()
-        for cls in (disks_class, squares_class, balls_class, cubes_class,
-                    dirichlet_disks_class):
-            seq = extremal_sequence(cls(), 10_000)
+        for seq in sequences_10000.values():
             digest.update(repr((seq.values, seq.powers, seq.split_indices,
                                 seq.provenance)).encode())
         assert digest.hexdigest() == (
@@ -612,26 +633,34 @@ class TestCertificates:
             with pytest.raises(ValueError, match="^candidate must be positive with a finite power"):
                 connectedness_certificate(bad, seq, n)
 
-    @pytest.mark.parametrize("name", ["disks", "squares", "dirichlet-disks"])
-    def test_agrees_with_the_recursion(self, sequences_3000, name):
-        # in 2D the power is the value, so the connected candidate is
-        # certified exactly where the recursion stored it without the tie
-        # flag, at every n <= K; at K + 1, candidates on both sides of the
-        # margin are certified exactly where they beat every split
-        seq = sequences_3000[name]
-        for n in range(1, seq.K + 1):
-            dec = seq.decomposition(n)
-            certified = isinstance(dec, Connected) and not dec.tie
-            assert connectedness_certificate(seq.connected_value(n), seq, n) == certified, n
-        n, sign, tol = seq.K + 1, seq.domain_class.sign, wolfkeller.REL_TIE_TOL
-        splits = [seq.powers[j] + seq.powers[n - j] for j in range(1, n // 2 + 1)]
-        outcomes = set()
-        for d in range(-30, 31):
-            cp = sign * max(splits) * (1 + d * 1e-13)
-            every = all(sign * cp - s > tol * max(abs(cp), abs(s)) for s in splits)
-            assert connectedness_certificate(cp, seq, n) == every, d
-            outcomes.add(every)
-        assert outcomes == {False, True}
+    @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
+    def test_agrees_with_the_recursion(self, sequences_3000, sequences_10000, name):
+        # the connected candidate is certified exactly where the recursion
+        # stored it without the tie flag, at every n <= K, at K = 3000 and
+        # K = 10,000.  In 2D the power is the value, so the certificate's
+        # margin on powers is the recursion's on values.  In 3D the recursion
+        # decides on values and the certificate on powers, whose relative
+        # gaps are about 3/2 of the values', so the two could part only at a
+        # gap within about REL_TIE_TOL of the margin, and no 3D gap lies
+        # there: the one 3D tie (cubes, n = 8) is exact and every other gap
+        # is orders of magnitude wider.  At K + 1, candidates on both sides
+        # of the margin are certified exactly where they beat every split.
+        tol = wolfkeller.REL_TIE_TOL
+        for seq in (sequences_3000[name], sequences_10000[name]):
+            for n in range(1, seq.K + 1):
+                dec = seq.decomposition(n)
+                certified = isinstance(dec, Connected) and not dec.tie
+                assert connectedness_certificate(seq.connected_value(n), seq, n) == certified, n
+            n, sign, N = seq.K + 1, seq.domain_class.sign, seq.dimension
+            splits = [seq.powers[j] + seq.powers[n - j] for j in range(1, n // 2 + 1)]
+            outcomes = set()
+            for d in range(-30, 31):
+                candidate = spectra._unpower(sign * max(splits), N) * (1 + d * 1e-13)
+                p = sign * spectra._power(candidate, N)
+                every = all(p - s > tol * max(abs(p), abs(s)) for s in splits)
+                assert connectedness_certificate(candidate, seq, n) == every, d
+                outcomes.add(every)
+            assert outcomes == {False, True}
 
 
 class TestCrossoverScan:
@@ -725,12 +754,12 @@ class TestExport:
         lines = disks_sequence.to_csv().splitlines()
         assert lines[0] == "n,value,provenance"
         assert lines[22].startswith("22,")
-        assert lines[22].endswith(",2*mu8+6*mu1")
+        assert lines[22].endswith(",2mu8+6mu1")
         assert len(lines) == disks_sequence.K + 1
 
     def test_csv_tie_rendering(self, squares_sequence):
         lines = squares_sequence.to_csv().splitlines()
-        assert lines[9].endswith(",9*mu1=mu9")
+        assert lines[9].endswith(",9mu1=mu9")
 
     def test_class_validation(self):
         # the boundary condition alone sets the objective: Neumann maximizes,
