@@ -31,17 +31,21 @@ One such pass (``_pass``) yields y = J_m or j_p, its derivative and the
 order above, and from them one formula set, the same for all three kinds,
 gives f, the function a kind tabulates (J'_m, J_m or j'_p), f', f'' and
 f''' through the Bessel ODE and its derivatives, and the same function of
-order m + 1.  That pass is the only evaluator: it serves each iterate of
-``next_zero``, the zero tables' sign checks (``evaluate``) and the public J,
-J' and j' (spherical j, which no finder needs, reads the same recurrence).
-Since every derivative of J_m and j_p is at most 1 in size, the cubic Taylor
-model from f through f''' bounds the error of its own root, which is
-accepted as soon as that bound proves the zero within a quarter ulp of it
-(proven for the computed f, whose own error is not yet bounded);
-from the zero tables' guesses most zeros take one pass (about 1.13 per zero
-for a 3000-mode disk, sign passes included).  The order-(m + 1) value of a
-zero's last pass lets the zero tables check the sign of f_{m+1} at that
-zero without a pass of its own.
+order m + 1.  That pass serves each iterate of ``next_zero``, the zero
+tables' sign checks at their zeros (``evaluate``) and the public J, J' and
+j' (spherical j, which no finder needs, reads the same recurrence).  The
+signs of the zero tables' counts at one x come from ``evaluate_orders``:
+one run of the same loop that keeps every value gives f, through the same
+formulas and bit for bit, for every order whose own pass would start at
+the same order.  Since every derivative of J_m and j_p is at most 1 in
+size, the cubic Taylor model from f through f''' bounds the error of its
+own root, which is accepted as soon as that bound proves the zero within a
+quarter ulp of it (proven for the computed f, whose own error is not yet
+bounded); from the zero tables' guesses most zeros take one pass (about
+1.06 passes per zero for a 3000-mode disk, plus one shared run for the
+signs of its counts).  The order-(m + 1) value of a zero's last pass lets
+the zero tables check the sign of f_{m+1} at that zero without a pass of
+its own.
 """
 
 import math
@@ -69,12 +73,14 @@ def _recurrence_start(x, lo):
     return max(lo + 1, int(x)) + 20 + int(10.0 * max(x, 1.0) ** (1.0 / 3.0))
 
 
-def _backward(x, lo, start, shift):
+def _backward(x, lo, start, shift, kept=None):
     # trial values v_k of the backward recurrence
     # v_{k-1} = (2k + shift)/x v_k - v_{k+1} (shift 0 for J, 1 for j), run
     # from v_start = 1e-30, v_{start+1} = 0 down to k = 1: returns v_lo,
     # v_lo+1, v_lo+2, v_0, v_1 and the sum of v_k over even k >= 2, all
     # rescaled together right after the step at which |v| exceeds _RESCALE_AT.
+    # Given a list kept, it appends v_{start-1} .. v_0, each rescaled as
+    # v_lo is by every later rescale.
     # The step at k multiplies M = max(|v_k|, |v_k+1|) by at most
     # g = (2k + shift)/x + 1 (the growth bound of a three-term recurrence,
     # Gautschi, SIAM Rev. 9, 1967), and g falls with k; so no step of the
@@ -83,8 +89,10 @@ def _backward(x, lo, start, shift):
     # the loop runs pairs of steps from an even k with no test at all; the
     # capture step at lo + 1, a step from an odd k and every step outside the
     # budget run alone with every test, and a budget is drawn anew when it is
-    # spent or after a rescale (0 when M is 0 or c/x overflows).  Each
-    # rescale thus falls on the step at which a test of every step puts it.
+    # spent or after a rescale (0 when M is 0 or c/x overflows, and in a run
+    # that keeps its values, which so runs every step alone).  Each rescale
+    # thus falls on the step at which a test of every step puts it, and a
+    # kept value is bit for bit the v_lo that a capture there would give.
     vnext = 0.0
     vcur = 1e-30
     esum = 0.0
@@ -97,7 +105,7 @@ def _backward(x, lo, start, shift):
         if budget < 2:
             m = max(abs(vcur), abs(vnext))
             budget = (int(math.log(0.5 * _RESCALE_AT / m) / math.log1p(c / x))
-                      if 0.0 < m < 0.5 * _RESCALE_AT else 0)
+                      if 0.0 < m < 0.5 * _RESCALE_AT and kept is None else 0)
         if not k & 1:
             n = min(budget, k - cap if k >= cap else k) >> 1
             budget -= 2 * n
@@ -115,6 +123,8 @@ def _backward(x, lo, start, shift):
         c -= 2.0
         if k == cap:
             va, vb, vc = vprev, vcur, vnext
+        if kept is not None:
+            kept.append(vprev)
         vnext = vcur
         vcur = vprev
         k -= 1
@@ -126,16 +136,21 @@ def _backward(x, lo, start, shift):
             va *= _RESCALE_BY
             vb *= _RESCALE_BY
             vc *= _RESCALE_BY
+            if kept is not None:
+                kept[:] = [v * _RESCALE_BY for v in kept]
             budget = 0
     return va, vb, vc, vcur, vnext, esum
 
 
-def _miller(x, lo):
+def _miller(x, lo, kept=None):
     # (J_lo, J_lo+1, J_lo+2) for x >= _SERIES_SEAM, from an even start,
-    # normalized by the sum rule J_0 + 2 sum_k J_2k = 1
+    # normalized by the sum rule J_0 + 2 sum_k J_2k = 1; given a list kept,
+    # it holds J_k for every k below the start, k = 0 first
     start = _recurrence_start(x, lo)
-    va, vb, vc, v0, _, esum = _backward(x, lo, start + (start & 1), 0.0)
+    va, vb, vc, v0, _, esum = _backward(x, lo, start + (start & 1), 0.0, kept)
     norm = v0 + 2.0 * esum
+    if kept is not None:
+        kept[::-1] = [v / norm for v in kept]
     return va / norm, vb / norm, vc / norm
 
 
@@ -200,15 +215,18 @@ def bessel_j_prime(order, x):
     return _pass(KIND_BESSEL_PRIME, order, x)[0]
 
 
-def _sph_miller(x, lo):
+def _sph_miller(x, lo, kept=None):
     # (j_lo, j_lo+1, j_lo+2), anchored on j_0 = sin x/x or on
-    # j_1 = sin x/x^2 - cos x/x, whichever is larger
-    va, vb, vc, v0, v1, _ = _backward(x, lo, _recurrence_start(x, lo), 1.0)
+    # j_1 = sin x/x^2 - cos x/x, whichever is larger; given a list kept, it
+    # holds j_k for every k below the start, k = 0 first
+    va, vb, vc, v0, v1, _ = _backward(x, lo, _recurrence_start(x, lo), 1.0, kept)
     sx = math.sin(x)
     cx = math.cos(x)
     s0 = sx / x
     s1 = sx / (x * x) - cx / x
     scale = s0 / v0 if abs(s0) >= abs(s1) else s1 / v1
+    if kept is not None:
+        kept[::-1] = [v * scale for v in kept]
     return va * scale, vb * scale, vc * scale
 
 
@@ -280,12 +298,8 @@ def _pass(kind, order, x):
         d = _series(order, x, shift, 1) if order else -_series(1, x, shift, 0)
         above = _series(order + 1, x, shift, 0)
     else:
-        a, b, c = (_sph_miller if spherical else _miller)(x, order - 1 if order else 0)
-        if order:
-            y, above = b, c
-            d = a - (order + 1.0) / x * b if spherical else 0.5 * (a - c)
-        else:
-            y, d, above = a, -b, b
+        miller = _sph_miller if spherical else _miller
+        y, d, above = _from_miller(spherical, order, x, *miller(x, order - 1 if order else 0))
     xx = x * x or math.nan
     q = order * (order + shift) / xx
     d2 = -w * d / x - (1.0 - q) * y
@@ -297,9 +311,41 @@ def _pass(kind, order, x):
     return d, d2, d3, d4, y - (order + w) / x * above
 
 
+def _from_miller(spherical, order, x, a, b, c):
+    # (y, y', y_{m+1}) of ``_pass`` from the Miller values a, b, c of the
+    # orders max(m - 1, 0) .. m + 1
+    if order:
+        return b, (a - (order + 1.0) / x * b if spherical else 0.5 * (a - c)), c
+    return a, -b, b
+
+
 def evaluate(kind, order, x):
     """The function whose zeros the kind tabulates, at x > 0."""
     return _pass(kind, order, x)[0]
+
+
+def evaluate_orders(kind, x):
+    """``evaluate(kind, m, x)`` for every order m <= max(int(x), 1), as a
+    list, bit for bit, from one backward run; an empty list below the
+    series seam, where no recurrence runs.
+
+    A pass for any of these orders starts its recurrence at the same order,
+    ``_recurrence_start(x, 0)``, so one run that keeps every value serves
+    them all (Gautschi, SIAM Rev. 9, 1967).  That run takes every step
+    alone, so at x = 125, where it serves 126 orders, it takes as long as
+    about ten passes (one core of a 2-core Xeon, Python 3.11).
+    """
+    if x < _SERIES_SEAM:
+        return []
+    spherical = kind == KIND_SPHERICAL_PRIME
+    ys = []
+    (_sph_miller if spherical else _miller)(x, 0, ys)
+    values = []
+    for m in range(max(int(x), 1) + 1):
+        lo = m - 1 if m else 0
+        y, d, _ = _from_miller(spherical, m, x, *ys[lo:lo + 3])
+        values.append(y if kind == KIND_BESSEL else d)
+    return values
 
 
 def next_zero(kind, order, lo, hi, guess, sign_lo):

@@ -42,7 +42,11 @@ f_m has the same sign at the zero when |f_m(x)| > |x - zero|, and is
 evaluated there otherwise.  A zero missing from, or extra in, the order
 below raises AccuracyError.  The count of zeros below any x then follows
 from the order below (for order 0 the multiples of pi) plus the sign of f_m
-at x, which is what ``ZeroTable.zeros_below`` answers.  From order 1 on,
+at x, which is what ``ZeroTable.zeros_below`` answers.  The orders counted
+at one x read that sign from one backward run there, which serves every
+order up to max(int(x), 1) bit for bit as its own pass would
+(``kernels.evaluate_orders``); a higher order, or an x below the series
+seam, takes a pass of its own.  From order 1 on,
 the first zero grows with the order, so the first order >= 1 with no zero
 below x has no higher order with one: ``ZeroTable.entries_below`` tabulates
 every zero below x by growing the orders up to that one.  The tables have no
@@ -161,9 +165,9 @@ def _check_query(order, x):
     # orders 0 .. order is allowed 5 passes for each of its about x/pi zeros,
     # none longer than the top order's, and x/2.4 + 2 more for its sign
     # passes at x and the sign checks that fall back to an evaluation.  A
-    # zero takes about 1.13 passes, so the 2.4 passes a zero once took, kept
-    # in x/2.4, are now a pad, to be sized anew when one work budget per
-    # command replaces this estimate
+    # zero takes about 1.06 passes, and the signs at x one shared run, so the
+    # 2.4 passes a zero once took, kept in x/2.4, are now a pad, to be sized
+    # anew when one work budget per command replaces this estimate
     kernels.check_recurrence(x, order)
     steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0)
     steps *= kernels._recurrence_start(x, order)
@@ -180,13 +184,32 @@ def _parity(crossings):
     return -1.0 if crossings & 1 else 1.0
 
 
+class _Order:
+    """What a table holds of one order: its nodes, the zeros found so far,
+    ascending, after the trivial zero at x = 0 where the order has one (node
+    i is then zero i of the interlacing); the count of its positive zeros
+    below its reach, the x below which its zeros are counted; and where its
+    reporting grid resumes."""
+
+    __slots__ = ("nodes", "count", "reach", "resume")
+
+    def __init__(self, nodes, resume):
+        self.nodes = nodes
+        self.count = 0
+        self.reach = 0.0
+        self.resume = resume
+
+
 class ZeroTable:
     """Lazily grown cache of positive zeros for one kind.
 
-    Per order the table keeps the zeros found so far and its reach: the x
-    below which every zero of the order is counted.  A count
-    below x rests on the order below (its zeros below x plus the sign of f
-    at x), so growing one order grows every lower order to the same x.
+    Per order the table keeps one record (``_Order``): the zeros found so
+    far and its reach, the x below which every zero of the order is
+    counted.  A count below x rests on the order below (its zeros below x
+    plus the sign of f at x), so growing one order grows every lower order
+    to the same x.  The signs at one x come from one backward run that
+    serves every order up to max(int(x), 1) (``kernels.evaluate_orders``),
+    and higher orders, or an x below the series seam, take a pass each.
     Each zero is checked when it is found: its residual, and the sign that
     interlacing fixes for the function of the next order there.
 
@@ -209,10 +232,9 @@ class ZeroTable:
             raise ValueError(f"unknown zero kind {kind!r}")
         self.kind = kind
         self._code = _KIND_CODE[kind]
-        self._zeros = {}  # order -> positive zeros found, ascending
-        self._count = {}  # order -> positive zeros counted below the reach
-        self._reach = {}  # order -> x below which its zeros are counted
-        self._resume = {}  # order -> where the reporting grid resumes
+        self._orders = {}  # order -> _Order
+        self._pi = [0.0]  # the multiples of pi listed so far (see _below)
+        self._at = (math.nan, [])  # the last reach x and evaluate_orders there
 
     def positive_zero(self, order, k):
         """The k-th strictly positive zero (k >= 1) for the given order.
@@ -225,11 +247,11 @@ class ZeroTable:
         """
         order = kernels.check_integer("order", order, 0)
         k = kernels.check_integer("k", k, 1)
-        while self._count.get(order, 0) < k:
-            missing = k - self._count.get(order, 0)
-            self._settle(order, max(self._reach.get(order, 0.0), order) + (missing + 1) * math.pi)
+        rec = self._record(order)
+        while rec.count < k:
+            self._settle(order, max(rec.reach, order) + (k - rec.count + 1) * math.pi)
         self._find(order, k)
-        return self._zeros[order][k - 1]
+        return rec.nodes[self._trivial(order) + k - 1]
 
     def zeros_below(self, order, x):
         """All strictly positive zeros of the given order below x, ascending."""
@@ -237,11 +259,11 @@ class ZeroTable:
         if not math.isfinite(x):
             raise ValueError(f"need a finite x, got {x}")
         self._settle(order, x)
-        n = self._count.get(order, 0)
-        if n > len(self._zeros.get(order, ())):
-            self.positive_zero(order, n)
-        zs = self._zeros.get(order, [])
-        return zs[: bisect.bisect_left(zs, x)]
+        rec = self._orders[order]
+        shift = self._trivial(order)
+        if rec.count > len(rec.nodes) - shift:
+            self.positive_zero(order, rec.count)
+        return rec.nodes[shift:bisect.bisect_left(rec.nodes, x)]
 
     def entries_below(self, x):
         """``entries`` restricted to the zeros below x, once every zero below
@@ -280,10 +302,11 @@ class ZeroTable:
     def _entries(self, x):
         # the cached zeros below x keyed by ZeroIndex, by order, then rank
         out = {}
-        for order, zs in sorted(self._zeros.items()):
-            off = rank_offset(self.kind, order)
+        for order, rec in sorted(self._orders.items()):
+            nodes = rec.nodes
+            zs = nodes[self._trivial(order):bisect.bisect_left(nodes, x)]
             # valid orders and ranks by construction: skip ZeroIndex's checks
-            for rank, z in enumerate(zs[:bisect.bisect_left(zs, x)], 1 + off):
+            for rank, z in enumerate(zs, 1 + rank_offset(self.kind, order)):
                 out[ZeroIndex._make((order, rank))] = z
         return out
 
@@ -292,69 +315,105 @@ class ZeroTable:
         # the interlacing with order 1 but is not stored
         return 1 if (order == 0 and self.kind != "bessel") else 0
 
+    def _record(self, m):
+        # the record of order m, empty until the order is first counted
+        rec = self._orders.get(m)
+        if rec is None:
+            rec = self._orders[m] = _Order([0.0] * self._trivial(m), max(m * 0.5, 0.01))
+        return rec
+
     def _settle(self, order, x):
         _check_query(order, x)
         # count every zero of orders <= order below x; find the lower orders'
         low = order
-        while low > 0 and self._reach.get(low - 1, 0.0) < x:
+        while low > 0 and self._record(low - 1).reach < x:
             low -= 1
         for m in range(low, order + 1):
             if m:
-                self._find(m - 1, self._count.get(m - 1, 0))
-            if self._reach.get(m, 0.0) < x:
+                self._find(m - 1, self._orders[m - 1].count)
+            if self._record(m).reach < x:
                 self._count_from_below(m, x)
 
-    def _count_from_below(self, m, x):
-        # the zeros of order m-1 bracket those of order m (see _bracket), one
-        # each, as ``_find`` checked the sign of f_m at every one of them, and
-        # the multiples of pi those of order 0, by the theorem in the module
-        # docstring; so with the n zeros of m-1 below x, n zeros of m lie
-        # below x if f_m(x) has the sign (-1)^n, and n - 1 otherwise, the
-        # trivial zeros of both orders counted
+    def _below(self, m, x):
+        # the nodes that bracket the zeros of order m, one zero each: those
+        # of order m - 1, and for m = 0 the multiples of pi (the zeros of
+        # sin x, by the theorem in the module docstring), listed up to the
+        # first one at or above x.  The count and the brackets both read them
         if m:
-            n = self._trivial(m - 1) + bisect.bisect_left(self._zeros.get(m - 1, []), x)
-        else:
-            n = 0  # the multiples of pi below x, 0 included
-            while self._node(-1, n) < x:
-                n += 1
-        # when the trivial zero is the only node below x (order 0 of the
-        # derivative kinds, x <= pi), it is the only zero below x too, as the
-        # next one lies above pi: no sign is read, which at x = 5e-324, where
-        # f_0(x) underflows to -0.0, would miscount
-        if n > self._trivial(m) and not kernels.evaluate(self._code, m, x) * _parity(n) > 0.0:
+            return self._orders[m - 1].nodes
+        nodes = self._pi
+        while nodes[-1] < x:
+            nodes.append(len(nodes) * math.pi)
+        return nodes
+
+    def _count_from_below(self, m, x):
+        # ``_find`` checked the sign of f_m at every zero of order m-1, so
+        # with the n nodes (see _below) below x, the trivial zeros counted,
+        # n zeros of m lie below x if f_m(x) has the sign (-1)^n, and n - 1
+        # otherwise.  When the trivial zero is the only node below x (order
+        # 0 of the derivative kinds, x <= pi), it is the only zero below x
+        # too, as the next one lies above pi: no sign is read, which at
+        # x = 5e-324, where f_0(x) underflows to -0.0, would miscount
+        n = bisect.bisect_left(self._below(m, x), x)
+        shift = self._trivial(m)
+        if n > shift and not self._value_at(m, x) * _parity(n) > 0.0:
             n -= 1
-        self._reach[m] = x
-        self._count[m] = n - self._trivial(m)
+        rec = self._orders[m]
+        rec.reach = x
+        rec.count = n - shift
+
+    def _value_at(self, m, x):
+        # f_m(x) from the one run at x that serves every order up to
+        # max(int(x), 1), kept for the next order counted at x, or else from
+        # a pass of its own
+        at, values = self._at
+        if at != x:
+            values = kernels.evaluate_orders(self._code, x)
+            self._at = x, values
+        return values[m] if m < len(values) else kernels.evaluate(self._code, m, x)
 
     def _find(self, order, k):
-        # find the counted zeros up to rank k, one bracketed refinement each
-        zs = self._zeros.setdefault(order, [])
-        while len(zs) < k:
-            j = len(zs)
-            i = self._trivial(order) + j  # its place, counting the trivial zero
-            lo, hi, guess = self._bracket(order, i)
-            zero, residual, x, f_up = kernels.next_zero(
-                self._code, order, lo, hi, guess, _parity(i)
-            )
+        # find the counted zeros up to rank k, one bracketed refinement each.
+        # Zero i (the trivial zero counted) lies between nodes i and i + 1 of
+        # the order below (see _below), and below the reach; its first guess
+        # is the asymptotic one below order 4, else the zeros of the same
+        # place in the orders m-1 .. m-4 extrapolated by a cubic
+        rec = self._orders[order]
+        nodes = rec.nodes
+        i = len(nodes)
+        shift = self._trivial(order)
+        if i >= shift + k:
+            return
+        reach = rec.reach
+        below = self._below(order, reach)
+        if order >= 4:
+            n2, n3, n4 = (self._orders[order - d].nodes for d in (2, 3, 4))
+        start = rec.resume
+        sign = _parity(i)  # of f below zero i
+        while i < shift + k:
+            lo = below[i]
+            hi = min(below[i + 1], reach) if i + 1 < len(below) else reach
+            guess = (_mcmahon(self.kind, order, i + 1) if order < 4
+                     else 4.0 * (lo + n3[i]) - 6.0 * n2[i] - n4[i])
+            zero, residual, x, f_up = kernels.next_zero(self._code, order, lo, hi, guess, sign)
             if math.isnan(zero):
                 raise AccuracyError(
-                    f"{self.kind} order {order} zero #{j + 1}: not refined "
+                    f"{self.kind} order {order} zero #{i - shift + 1}: not refined "
                     f"inside its bracket ({lo}, {hi})"
                 )
             # an order's grid starts below its first zero in every kind, and
             # resumes within 0.05 above the zero before, below the next one
             # (zeros of one order lie more than 0.05 apart)
-            start = self._resume.get(order, max(order * 0.5, 0.01))
             if not start < zero:
                 raise AccuracyError(
-                    f"{self.kind} order {order} zero #{j + 1}: the reporting "
+                    f"{self.kind} order {order} zero #{i - shift + 1}: the reporting "
                     f"grid resumes at {start!r}, past the zero {zero!r}; a "
                     f"zero below {start!r} is missing from the table"
                 )
-            zero, resume = _grid_value(zero, start)
+            zero, start = _grid_value(zero, start)
             if residual > RESIDUAL_TOL:
                 raise AccuracyError(
-                    f"{self.kind} order {order} zero #{j + 1} in ({lo}, {hi}): "
+                    f"{self.kind} order {order} zero #{i - shift + 1} in ({lo}, {hi}): "
                     f"residual {residual:.3e} exceeds {RESIDUAL_TOL}"
                 )
             # interlacing puts i zeros of order + 1 below this one, so f of
@@ -362,41 +421,16 @@ class ZeroTable:
             # has it too when |f_up| > |x - zero|, as slopes are at most 1
             if not abs(f_up) > abs(x - zero):
                 f_up = kernels.evaluate(self._code, order + 1, zero)
-            if f_up * _parity(i) < 0.0:
+            if f_up * sign < 0.0:
                 raise AccuracyError(
                     f"{self.kind} order {order + 1}: f({zero!r}) = {f_up:.3e} has the "
                     f"wrong sign for {i} zeros below it; interlacing is broken "
                     f"(a zero is missing or extra)"
                 )
-            zs.append(zero)
-            self._resume[order] = resume
-
-    def _node(self, order, i):
-        # i-th zero of the order, counting the trivial zero at 0; None if
-        # unknown.  Order -1 stands for sin x, whose zeros i pi bracket those
-        # of order 0
-        if order < 0:
-            return i * math.pi
-        shift = self._trivial(order)
-        if i < shift:
-            return 0.0
-        zs = self._zeros.get(order, [])
-        return zs[i - shift] if i - shift < len(zs) else None
-
-    def _bracket(self, m, i):
-        # (lo, hi, first guess) of the i-th zero of order m, counting the
-        # trivial zero: between the i-th and (i+1)-th zeros of order m-1
-        # (for m = 0 the multiples of pi, see _node), and below the reach of
-        # m.  The guess: below order 4 the asymptotic one, else the zeros of
-        # the same place in the orders m-1 .. m-4 extrapolated by a cubic
-        lo = self._node(m - 1, i)
-        hi = self._node(m - 1, i + 1)
-        reach = self._reach.get(m, 0.0)
-        hi = reach if hi is None else min(hi, reach)
-        if m < 4:
-            return lo, hi, _mcmahon(self.kind, m, i + 1)
-        z2, z3, z4 = (self._node(m - d, i) for d in (2, 3, 4))
-        return lo, hi, 4.0 * (lo + z3) - 6.0 * z2 - z4
+            nodes.append(zero)
+            rec.resume = start
+            i += 1
+            sign = -sign
 
 
 bessel_j = kernels.bessel_j

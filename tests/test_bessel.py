@@ -409,6 +409,27 @@ class TestBackward:
         c = 2 * _kernels_py._recurrence_start(1e-280, 2) + 1
         assert math.log1p(c / 1e-280) > math.log(0.5 * _kernels_py._RESCALE_AT / 1e-30)
 
+    @pytest.mark.parametrize("x, top, shift, rescales", [
+        (9.0, 199, 0, 1),
+        (9.0, 1500, 1, 12),
+        (0.01, 150, 1, 2),  # x < 1
+        (130.0, 0, 0, 0),  # the start of a shared run at a K = 3000 reach
+    ])
+    def test_kept_values_are_captures(self, x, top, shift, rescales):
+        # a run that keeps its values returns what the plain run does, and
+        # keeps each v_k, as rescaled by every later rescale, bit for bit as
+        # the v_lo that a run with lo = k and the same start captures
+        start = _kernels_py._recurrence_start(x, top)
+        assert _backward_per_step(x, 0, start, shift)[1] == rescales
+        kept = []
+        got = _kernels_py._backward(x, 0, start, shift, kept)
+        assert repr(got) == repr(_kernels_py._backward(x, 0, start, shift))
+        assert len(kept) == start
+        kept.reverse()
+        for lo in range(0, start - 2, 7):
+            captured = _kernels_py._backward(x, lo, start, shift)[:3]
+            assert repr(tuple(kept[lo:lo + 3])) == repr(captured), lo
+
 
 class TestZeroTables:
     def test_bad_kind_and_address_rejected(self):
@@ -522,6 +543,7 @@ class TestZeroTables:
             raise AssertionError("a kernel pass ran")
 
         monkeypatch.setattr(bessel.kernels, "evaluate", no_pass)
+        monkeypatch.setattr(bessel.kernels, "evaluate_orders", no_pass)
         monkeypatch.setattr(bessel.kernels, "next_zero", no_pass)
         with pytest.raises(ValueError, match="backward recurrence would take more than"):
             query()
@@ -541,6 +563,7 @@ class TestZeroTables:
             raise AssertionError("a kernel pass ran")
 
         monkeypatch.setattr(bessel.kernels, "evaluate", no_pass)
+        monkeypatch.setattr(bessel.kernels, "evaluate_orders", no_pass)
         monkeypatch.setattr(bessel.kernels, "next_zero", no_pass)
         with pytest.raises(ValueError, match="query too large: .* more than 1e\\+09"):
             query()
@@ -552,7 +575,7 @@ class TestZeroTables:
         # no sign: the trivial zero is the only one there
         table = ZeroTable(kind)
         assert table.zeros_below(0, x) == [] and table.entries_below(x) == {}
-        assert table._count[0] == 0
+        assert table._orders[0].count == 0
 
     def test_residuals_of_all_cached_zeros(self):
         evaluators = {
@@ -605,7 +628,7 @@ class TestZeroTables:
         assert firsts[0] > firsts[1]
 
 
-FreshTable = namedtuple("FreshTable", "table passes zeros found refined")
+FreshTable = namedtuple("FreshTable", "table passes runs zeros found refined")
 Refined = namedtuple("Refined", "order lo hi guess zero passes")
 
 
@@ -613,18 +636,21 @@ def _fresh_table(name, k):
     """A fresh zero table grown by the k-mode Neumann or Dirichlet disk
     spectrum or the Neumann ball spectrum: the table, the kernel passes
     (series/Miller passes of the finder and of its sign checks) that growing
-    it took, a snapshot of the zeros it then held (``entries()``; later
+    it took, the shared runs (``evaluate_orders``) that gave the signs of
+    its counts, a snapshot of the zeros it then held (``entries()``; later
     queries grow the table itself), the zeros as the finder returned them,
     before the reporting grid (the first argument of ``_grid_value``), keyed
-    alike, and one ``Refined`` per zero found: the (lo, hi, guess) of
-    ``_bracket`` as ``next_zero`` was given it, the zero it returned and the
+    alike, and one ``Refined`` per zero found: the (lo, hi, guess) of its
+    bracket as ``next_zero`` was given it, the zero it returned and the
     passes it took."""
     kind = {"neumann": "bessel_prime", "dirichlet": "bessel", "ball": "spherical_prime"}[name]
     table = ZeroTable(kind)
     passes = []
+    runs = []
     found = {}
     refined = []
     fn = _kernels_py._pass
+    evaluate_orders = _kernels_py.evaluate_orders
     next_zero = _kernels_py.next_zero
     grid_value = bessel._grid_value
 
@@ -642,6 +668,8 @@ def _fresh_table(name, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(bessel._TABLES, kind, table)
         mp.setattr(_kernels_py, "_pass", lambda *a: passes.append(1) or fn(*a))
+        mp.setattr(_kernels_py, "evaluate_orders",
+                   lambda *a: runs.append(1) or evaluate_orders(*a))
         mp.setattr(_kernels_py, "next_zero", counted)
         mp.setattr(bessel, "_grid_value", recorded)
         if name == "ball":
@@ -649,8 +677,8 @@ def _fresh_table(name, k):
         else:
             spectra.disk_spectrum(name, k)
     zeros = table.entries()
-    return FreshTable(table, len(passes), zeros, {idx: found[z] for idx, z in zeros.items()},
-                      refined)
+    return FreshTable(table, len(passes), len(runs), zeros,
+                      {idx: found[z] for idx, z in zeros.items()}, refined)
 
 
 @pytest.fixture(scope="module")
@@ -664,11 +692,12 @@ def ball_table_3000():
 
 
 # sha256 of repr(sorted(entries().items())) of the fresh tables that the
-# K = 3000 spectra grow, and the kernel passes that growing each one took
+# K = 3000 spectra grow, and the kernel passes that growing each one took,
+# besides the one shared run that gave the signs of its counts
 TABLES_3000 = {
-    "neumann": ("9f4af24dd5f37941c63b6464b870d3a9dccbc20f08516d8405718fd51a1740f1", 1750),
-    "dirichlet": ("9071537246b2efd0395c2fadd606e4511eddbcea20d41a2406d28b4a6e9968c4", 1738),
-    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 274),
+    "neumann": ("9f4af24dd5f37941c63b6464b870d3a9dccbc20f08516d8405718fd51a1740f1", 1643),
+    "dirichlet": ("9071537246b2efd0395c2fadd606e4511eddbcea20d41a2406d28b4a6e9968c4", 1634),
+    "ball": ("94bb0d3b437068258923ea62dc615e9e34296e4ff9334097e0d9a1245811652a", 241),
 }
 
 
@@ -861,10 +890,10 @@ class TestFinder:
     def test_passes_per_zero(self, disk_tables_3000):
         for bc in ("neumann", "dirichlet"):
             fresh = disk_tables_3000[bc]
-            # 1.13 and 1.12, the sign passes included: most zeros take the
-            # one pass whose cubic Taylor step is accepted, and the
-            # reporting grid makes no pass
-            assert fresh.passes / len(fresh.zeros) <= 1.14
+            # 1.062 and 1.056: most zeros take the one pass whose cubic
+            # Taylor step is accepted, the signs of the counts come from one
+            # shared run, and the reporting grid makes no pass
+            assert fresh.passes / len(fresh.zeros) <= 1.07
             assert len(fresh.zeros) <= 1600  # the 3000 modes use 1517 (1518) of them
 
     @pytest.mark.parametrize("name,bound", [
@@ -882,7 +911,7 @@ class TestFinder:
 
     @pytest.mark.parametrize("name", ["neumann", "dirichlet", "ball"])
     def test_guesses_inside_brackets(self, name, disk_tables_3000, ball_table_3000):
-        # every guess of _bracket lies strictly inside its bracket, so no
+        # every guess of _find lies strictly inside its bracket, so no
         # first pass falls back to the midpoint; the asymptotic guesses of
         # orders 0-3 lie within 0.25 of their zero (at most 0.0026 for J,
         # 0.138 for J' and 0.206 for j')
@@ -892,11 +921,13 @@ class TestFinder:
         assert max(abs(r.guess - r.zero) for r in fresh.refined if r.order < 4) <= 0.25
 
     def test_tables_3000_pinned(self, disk_tables_3000, ball_table_3000):
-        # every bit of every zero the K = 3000 disk and ball spectra tabulate
+        # every bit of every zero the K = 3000 disk and ball spectra tabulate,
+        # the passes that took, and the one shared run at the one reach
         tables = {**disk_tables_3000, "ball": ball_table_3000}
         for name, fresh in tables.items():
             digest = hashlib.sha256(repr(sorted(fresh.zeros.items())).encode()).hexdigest()
             assert (digest, fresh.passes) == TABLES_3000[name], name
+            assert fresh.runs == 1, name
 
     def test_zeros_below_matches_ranks(self):
         table = ZeroTable("spherical_prime")
@@ -1051,6 +1082,42 @@ class TestFinder:
                 for i, (value, r, terms) in enumerate(zip(got, ref, size, strict=True)):
                     assert abs(value - r) <= 16 * eps * terms, (order, i, value, float(r))
 
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    def test_evaluate_orders_equal_passes(self, kind):
+        # each value of the shared run is that of the order's own pass, at
+        # the series seam and just above it, below x = 1 and up to x = 400;
+        # below the seam the run is empty
+        rng = random.Random(37)
+        seam = _kernels_py._SERIES_SEAM
+        xs = [seam, math.nextafter(seam, 1.0), *(rng.uniform(seam, 1.0) for _ in range(3)),
+              *(rng.uniform(1.0, 400.0) for _ in range(4)), 399.75]
+        code = bessel._KIND_CODE[kind]
+        for x in xs:
+            values = _kernels_py.evaluate_orders(code, x)
+            assert len(values) == max(int(x), 1) + 1
+            for m, value in enumerate(values):
+                assert value == _kernels_py.evaluate(code, m, x), (x, m)
+        assert _kernels_py.evaluate_orders(code, math.nextafter(seam, 0.0)) == []
+
+    @pytest.mark.parametrize("order, x", [
+        # the run at 1.9 serves J'_1, and J'_2, past max(int(x), 1) = 1,
+        # takes a pass (J'_0 reads no sign: its one node below x is the
+        # trivial zero)
+        (2, 1.9),
+        # below the series seam the run is empty: J'_1 takes a pass
+        (1, 1e-4),
+    ])
+    def test_count_sign_past_the_shared_run_takes_a_pass(self, order, x, monkeypatch):
+        calls, runs = [], []
+        evaluate, evaluate_orders = _kernels_py.evaluate, _kernels_py.evaluate_orders
+        monkeypatch.setattr(_kernels_py, "evaluate", lambda code, m, at: (
+            calls.append((m, at)) or evaluate(code, m, at)))
+        monkeypatch.setattr(_kernels_py, "evaluate_orders", lambda code, at: (
+            runs.append(at) or evaluate_orders(code, at)))
+        assert ZeroTable("bessel_prime").zeros_below(order, x) == []
+        assert runs == [x]
+        assert [m for m, at in calls if at == x] == [order]
+
     @staticmethod
     def _grow_counting_nodes(kind, monkeypatch, orders, x):
         # zeros of each order below x in a fresh table, and per order m >= 1
@@ -1104,11 +1171,12 @@ class TestFinder:
     def test_order0_bracket_with_two_zeros_or_none_raises(self, kind, nodes, empty,
                                                           monkeypatch):
         # the multiples of pi bracket the zeros of order 0, one each; a node
-        # rule that breaks this leaves some bracket without a zero of the
-        # sign it expects below it, where no Newton step is accepted
-        node = ZeroTable._node
-        monkeypatch.setattr(ZeroTable, "_node", lambda self, order, i: (
-            nodes[i] * PI if order < 0 else node(self, order, i)))
+        # rule that breaks this, read by the count and the brackets alike,
+        # leaves some bracket without a zero of the sign it expects below
+        # it, where no Newton step is accepted
+        below = ZeroTable._below
+        monkeypatch.setattr(ZeroTable, "_below", lambda self, m, x: (
+            below(self, m, x) if m else [v * PI for v in nodes]))
         lo, hi = empty[kind]
         with pytest.raises(AccuracyError, match=re.escape(
                 f"not refined inside its bracket ({lo * PI!r}, {hi * PI!r})")):
@@ -1151,6 +1219,6 @@ class TestFinder:
         # resumes
         table = ZeroTable("bessel_prime")
         table.zeros_below(3, 30.0)
-        del table._zeros[3][2]
+        del table._orders[3].nodes[2]
         with pytest.raises(AccuracyError, match="grid resumes at .* a zero below .* is missing"):
             table.zeros_below(4, 30.0)

@@ -477,7 +477,7 @@ class TestSpectrumChecks:
         table = bessel.ZeroTable("bessel")
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
             call(table, bad)
-        assert table._zeros == table._count == {}
+        assert table._orders == {}
         plain, numpy = call(table, 3), call(table, np.int64(3))
         if isinstance(plain, wolfkeller.ExtremalSequence):
             assert type(numpy.K) is int
@@ -528,7 +528,7 @@ class TestSpectrumChecks:
         table = bessel.ZeroTable("bessel")
         with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
             call(table, low - 1)
-        assert table._zeros == table._count == {}
+        assert table._orders == {}
 
 
 class TestCsvExport:
