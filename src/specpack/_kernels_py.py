@@ -34,18 +34,19 @@ f''' through the Bessel ODE and its derivatives, and the same function of
 order m + 1.  That pass serves each iterate of ``next_zero``, the zero
 tables' sign checks at their zeros (``evaluate``) and the public J, J' and
 j' (spherical j, which no finder needs, reads the same recurrence).  The
-signs of the zero tables' counts at one x come from ``evaluate_orders``:
-one run of the same loop that keeps every value gives f, through the same
-formulas and bit for bit, for every order whose own pass would start at
-the same order.  Since every derivative of J_m and j_p is at most 1 in
-size, the cubic Taylor model from f through f''' bounds the error of its
-own root, which is accepted as soon as that bound proves the zero within a
-quarter ulp of it (proven for the computed f, whose own error is not yet
-bounded); from the zero tables' guesses most zeros take one pass (about
-1.06 passes per zero for a 3000-mode disk, plus one shared run for the
-signs of its counts).  The order-(m + 1) value of a zero's last pass lets
-the zero tables check the sign of f_{m+1} at that zero without a pass of
-its own.
+zero tables read the signs of their counts at x only where x > 1 and the
+order is below x (below that no zero lies, see ``specpack.bessel``), and
+read them from ``evaluate_orders``: one run of the same loop that keeps
+every value gives f, through the same formulas and bit for bit, for every
+order up to int(x), whose own passes all start at the same order.  Since
+every derivative of J_m and j_p is at most 1 in size, the cubic Taylor model
+from f through f''' bounds the error of its own root, which is accepted as
+soon as that bound proves the zero within a quarter ulp of it (proven for
+the computed f, whose own error is not yet bounded); from the zero tables'
+guesses most zeros take one pass (about 1.06 passes per zero for a
+3000-mode disk, plus one shared run for the signs of its counts).  The
+order-(m + 1) value of a zero's last pass lets the zero tables check the
+sign of f_{m+1} at that zero without a pass of its own.
 """
 
 import math
@@ -325,9 +326,9 @@ def evaluate(kind, order, x):
 
 
 def evaluate_orders(kind, x):
-    """``evaluate(kind, m, x)`` for every order m <= max(int(x), 1), as a
-    list, bit for bit, from one backward run; an empty list below the
-    series seam, where no recurrence runs.
+    """``evaluate(kind, m, x)`` for every order m <= int(x), as a list, bit
+    for bit, from one backward run, at x > 1: the domain of its one caller,
+    the zero tables' counts (see ``specpack.bessel``).
 
     A pass for any of these orders starts its recurrence at the same order,
     ``_recurrence_start(x, 0)``, so one run that keeps every value serves
@@ -335,13 +336,11 @@ def evaluate_orders(kind, x):
     alone, so at x = 125, where it serves 126 orders, it takes as long as
     about ten passes (one core of a 2-core Xeon, Python 3.11).
     """
-    if x < _SERIES_SEAM:
-        return []
     spherical = kind == KIND_SPHERICAL_PRIME
     ys = []
     (_sph_miller if spherical else _miller)(x, 0, ys)
     values = []
-    for m in range(max(int(x), 1) + 1):
+    for m in range(int(x) + 1):
         lo = m - 1 if m else 0
         y, d, _ = _from_miller(spherical, m, x, *ys[lo:lo + 3])
         values.append(y if kind == KIND_BESSEL else d)

@@ -42,15 +42,22 @@ f_m has the same sign at the zero when |f_m(x)| > |x - zero|, and is
 evaluated there otherwise.  A zero missing from, or extra in, the order
 below raises AccuracyError.  The count of zeros below any x then follows
 from the order below (for order 0 the multiples of pi) plus the sign of f_m
-at x, which is what ``ZeroTable.zeros_below`` answers.  The orders counted
-at one x read that sign from one backward run there, which serves every
-order up to max(int(x), 1) bit for bit as its own pass would
-(``kernels.evaluate_orders``); a higher order, or an x below the series
-seam, takes a pass of its own.  From order 1 on,
-the first zero grows with the order, so the first order >= 1 with no zero
-below x has no higher order with one: ``ZeroTable.entries_below`` tabulates
-every zero below x by growing the orders up to that one.  The tables have no
-fixed range: any x can be reached, at the cost of the zeros below it.
+at x, which is what ``ZeroTable.zeros_below`` answers.
+
+No zero of any kind and order m lies in (0, max(m, 1)].  For m >= 1, with
+f = J_m (or j_m), f and f' are positive near 0, and (x f')' = (m^2/x - x) f
+for J_m, or (x^2 f')' = (m(m+1) - x^2) f for j_m, is positive while f is on
+(0, m]: x f' (x^2 f') grows from 0, so neither f nor f' vanishes there.  For
+order 0, J_0 >= 1 - x^2/4 > 0 on (0, 1], and J'_0 = -J_1 and j'_0 = -j_1 are
+nonzero there by the case m = 1.  So a count at x <= max(m, 1) is 0 and reads
+no sign, and every other count has m < x with x > 1: the orders counted at
+one x read their signs from one backward run there, which serves every order
+up to int(x) bit for bit as its own pass would (``kernels.evaluate_orders``).
+From order 1 on, the first zero also grows with the order, so the first
+order >= 1 with no zero below x has no higher order with one, and it is at
+most floor(x) + 1: ``ZeroTable.entries_below`` tabulates every zero below x
+by growing the orders up to that one.  The tables have no fixed range: any
+x can be reached, at the cost of the zeros below it.
 
 Inside its bracket each zero is refined by ``kernels.next_zero``: a cubic
 Taylor step from each pass, with a safeguarded Newton step as the fallback.
@@ -163,11 +170,11 @@ def _check_query(order, x):
     # refuse, before any pass, a query whose passes would recur too far, or
     # whose whole work could, by an estimate from an empty table: each of the
     # orders 0 .. order is allowed 5 passes for each of its about x/pi zeros,
-    # none longer than the top order's, and x/2.4 + 2 more for its sign
-    # passes at x and the sign checks that fall back to an evaluation.  A
-    # zero takes about 1.06 passes, and the signs at x one shared run, so the
-    # 2.4 passes a zero once took, kept in x/2.4, are now a pad, to be sized
-    # anew when one work budget per command replaces this estimate
+    # none longer than the top order's, and x/2.4 + 2 more.  A zero takes
+    # about 1.06 passes, and the signs of the counts at x one shared run, so
+    # the x/2.4 + 2, once the 2.4 passes a zero took, is a pad: it covers the
+    # sign checks at found zeros that fall back to an evaluation and the
+    # shared run, until one work budget per command replaces this estimate
     kernels.check_recurrence(x, order)
     steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0)
     steps *= kernels._recurrence_start(x, order)
@@ -207,9 +214,10 @@ class ZeroTable:
     far and its reach, the x below which every zero of the order is
     counted.  A count below x rests on the order below (its zeros below x
     plus the sign of f at x), so growing one order grows every lower order
-    to the same x.  The signs at one x come from one backward run that
-    serves every order up to max(int(x), 1) (``kernels.evaluate_orders``),
-    and higher orders, or an x below the series seam, take a pass each.
+    to the same x.  A count at x <= max(order, 1) reads no sign, as no zero
+    lies there, and the signs of all other counts at one x come from one
+    backward run there (``kernels.evaluate_orders``; see the module
+    docstring).
     Each zero is checked when it is found: its residual, and the sign that
     interlacing fixes for the function of the next order there.
 
@@ -273,12 +281,9 @@ class ZeroTable:
         the highest order it could reach would be."""
         if not math.isfinite(x):
             raise ValueError(f"need a finite x, got {x}")
-        # The first zero of order m >= 1 exceeds m in every kind.  With
-        # f = J_m (or j_m), f and f' are positive near 0, and
-        # (x f')' = (m^2/x - x) f for J_m, or (x^2 f')' = (m(m+1) - x^2) f
-        # for j_m, is positive while f is on (0, m]: x f' (x^2 f') grows
-        # from 0, so neither f nor f' vanishes there.  The walk thus ends by
-        # order floor(x) + 1, whose estimate bounds every query it makes.
+        # the first zero of order m >= 1 exceeds m (see the module
+        # docstring), so the walk ends by order floor(x) + 1, whose estimate
+        # bounds every query it makes
         _check_query(int(x) + 1, x)
         order = 0
         while self.zeros_below(order, x) or not order:
@@ -347,30 +352,24 @@ class ZeroTable:
         return nodes
 
     def _count_from_below(self, m, x):
-        # ``_find`` checked the sign of f_m at every zero of order m-1, so
-        # with the n nodes (see _below) below x, the trivial zeros counted,
-        # n zeros of m lie below x if f_m(x) has the sign (-1)^n, and n - 1
-        # otherwise.  When the trivial zero is the only node below x (order
-        # 0 of the derivative kinds, x <= pi), it is the only zero below x
-        # too, as the next one lies above pi: no sign is read, which at
-        # x = 5e-324, where f_0(x) underflows to -0.0, would miscount
-        n = bisect.bisect_left(self._below(m, x), x)
-        shift = self._trivial(m)
-        if n > shift and not self._value_at(m, x) * _parity(n) > 0.0:
-            n -= 1
+        # no zero of order m lies at or below max(m, 1) (see the module
+        # docstring).  Above it, ``_find`` checked the sign of f_m at every
+        # zero of order m-1, so with the n nodes (see _below) below x, the
+        # trivial zeros counted, n zeros of m lie below x if f_m(x) has the
+        # sign (-1)^n, and n - 1 otherwise; f_m(x) comes from the one run at
+        # x, kept for the next order counted there
         rec = self._orders[m]
         rec.reach = x
-        rec.count = n - shift
-
-    def _value_at(self, m, x):
-        # f_m(x) from the one run at x that serves every order up to
-        # max(int(x), 1), kept for the next order counted at x, or else from
-        # a pass of its own
-        at, values = self._at
-        if at != x:
-            values = kernels.evaluate_orders(self._code, x)
-            self._at = x, values
-        return values[m] if m < len(values) else kernels.evaluate(self._code, m, x)
+        rec.count = 0
+        if x > max(m, 1):
+            at, values = self._at
+            if at != x:
+                values = kernels.evaluate_orders(self._code, x)
+                self._at = x, values
+            n = bisect.bisect_left(self._below(m, x), x)
+            if not values[m] * _parity(n) > 0.0:
+                n -= 1
+            rec.count = n - self._trivial(m)
 
     def _find(self, order, k):
         # find the counted zeros up to rank k, one bracketed refinement each.

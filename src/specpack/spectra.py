@@ -64,7 +64,11 @@ class DomainShape(namedtuple("DomainShape", "kind bc sides")):
                 raise ValueError("box needs three positive sides")
         else:
             raise ValueError(f"unknown shape kind {kind!r}")
-        return super().__new__(cls, kind, bc, sides)
+        shape = super().__new__(cls, kind, bc, sides)
+        # sides of 1e-200 or 1e200 multiply to 0.0 or inf
+        if not (0.0 < shape.volume < math.inf and 0.0 < shape.boundary < math.inf):
+            raise ValueError(f"{kind} needs a positive finite volume and boundary")
+        return shape
 
     @property
     def dimension(self):
@@ -181,13 +185,18 @@ class Spectrum(
         return self.nonzero(i - self.n_components + 1)
 
     def rescaled(self, volume):
-        """Same domain scaled to the given total volume."""
+        """Same domain scaled to the given total volume; ValueError where an
+        eigenvalue would leave the positive finite floats."""
         if not 0 < volume < math.inf:
             raise ValueError("volume must be positive and finite")
         factor = _unpower(self.volume / volume, self.dimension)
         modes = tuple(
             Mode(m.label, m.value * factor, m.multiplicity) for m in self.modes
         )
+        if not all(0.0 < m.value < math.inf for m in modes):
+            raise ValueError(
+                f"rescaled to volume {volume!r} an eigenvalue is not a positive finite float"
+            )
         return self._replace(volume=volume, modes=modes)
 
     def to_csv(self):
@@ -283,7 +292,17 @@ def _spectrum(shape, k, enumerate_below):
     """Spectrum of the first k modes that enumerate_below(lam) lists for shape,
     starting from a padded two-term Weyl ceiling."""
     k = check_integer("k", k, 1)
-    lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
+    try:
+        lam0 = _weyl_ceiling(shape, k) * 1.02 + _weyl_ceiling(shape, 4)
+    except (ZeroDivisionError, OverflowError):
+        lam0 = math.nan
+    # on a 1e200 x 1e-200 rectangle the first eigenvalue, about 1e-399,
+    # and so the ceiling, rounds to 0.0
+    if not 0.0 < lam0 < math.inf:
+        raise ValueError(
+            f"{shape.describe()}: the first eigenvalue ceiling for {k} modes "
+            f"is not a positive finite float"
+        )
     modes = _adaptive_modes(enumerate_below, k, lam0)
     return Spectrum(shape.bc, shape.dimension, shape.volume, 1, tuple(modes), k)
 

@@ -571,8 +571,9 @@ class TestZeroTables:
     @pytest.mark.parametrize("x", TINY_X)
     @pytest.mark.parametrize("kind", bessel.KINDS)
     def test_nothing_below_tiny_x(self, kind, x):
-        # at 5e-324 J'_0 and j'_0 underflow to -0.0; the count below pi needs
-        # no sign: the trivial zero is the only one there
+        # no zero lies at or below 1 in any order, so these counts read no
+        # sign, which at 5e-324, where J'_0 and j'_0 underflow to -0.0,
+        # would miscount
         table = ZeroTable(kind)
         assert table.zeros_below(0, x) == [] and table.entries_below(x) == {}
         assert table._orders[0].count == 0
@@ -929,6 +930,19 @@ class TestFinder:
             assert (digest, fresh.passes) == TABLES_3000[name], name
             assert fresh.runs == 1, name
 
+    def test_first_zeros_exceed_the_order(self, disk_tables_3000, ball_table_3000):
+        # the lemma behind every count that reads no sign: no zero of order m
+        # lies in (0, max(m, 1)], here for the first zero of every order in
+        # the K = 3000 tables
+        tables = {**disk_tables_3000, "ball": ball_table_3000}
+        for name, fresh in tables.items():
+            firsts = {}
+            for idx, z in fresh.zeros.items():
+                firsts[idx.order] = min(z, firsts.get(idx.order, math.inf))
+            assert sorted(firsts) == list(range(len(firsts))), name
+            for m, z in firsts.items():
+                assert z > max(m, 1), (name, m, z)
+
     def test_zeros_below_matches_ranks(self):
         table = ZeroTable("spherical_prime")
         for order in (0, 1, 5):
@@ -1084,39 +1098,44 @@ class TestFinder:
 
     @pytest.mark.parametrize("kind", bessel.KINDS)
     def test_evaluate_orders_equal_passes(self, kind):
-        # each value of the shared run is that of the order's own pass, at
-        # the series seam and just above it, below x = 1 and up to x = 400;
-        # below the seam the run is empty
+        # each value of the shared run is that of the order's own pass, on
+        # its callers' domain x > 1: just above 1, at an integer x and up to
+        # x = 400
         rng = random.Random(37)
-        seam = _kernels_py._SERIES_SEAM
-        xs = [seam, math.nextafter(seam, 1.0), *(rng.uniform(seam, 1.0) for _ in range(3)),
-              *(rng.uniform(1.0, 400.0) for _ in range(4)), 399.75]
+        xs = [math.nextafter(1.0, 2.0), 2.0, *(rng.uniform(1.0, 400.0) for _ in range(4)),
+              399.75]
         code = bessel._KIND_CODE[kind]
         for x in xs:
             values = _kernels_py.evaluate_orders(code, x)
-            assert len(values) == max(int(x), 1) + 1
+            assert len(values) == int(x) + 1
             for m, value in enumerate(values):
                 assert value == _kernels_py.evaluate(code, m, x), (x, m)
-        assert _kernels_py.evaluate_orders(code, math.nextafter(seam, 0.0)) == []
 
     @pytest.mark.parametrize("order, x", [
-        # the run at 1.9 serves J'_1, and J'_2, past max(int(x), 1) = 1,
-        # takes a pass (J'_0 reads no sign: its one node below x is the
-        # trivial zero)
+        *[(0, x) for x in TINY_X],
+        (0, 1.0), (1, 1.0), (3, 3.0), (40, 40.0),
+        # J'_1 has a zero below 1.9, and J'_2, J_2 and j'_2 none
         (2, 1.9),
-        # below the series seam the run is empty: J'_1 takes a pass
-        (1, 1e-4),
+        (40, 39.5),
     ])
-    def test_count_sign_past_the_shared_run_takes_a_pass(self, order, x, monkeypatch):
-        calls, runs = [], []
-        evaluate, evaluate_orders = _kernels_py.evaluate, _kernels_py.evaluate_orders
-        monkeypatch.setattr(_kernels_py, "evaluate", lambda code, m, at: (
-            calls.append((m, at)) or evaluate(code, m, at)))
-        monkeypatch.setattr(_kernels_py, "evaluate_orders", lambda code, at: (
-            runs.append(at) or evaluate_orders(code, at)))
-        assert ZeroTable("bessel_prime").zeros_below(order, x) == []
-        assert runs == [x]
-        assert [m for m, at in calls if at == x] == [order]
+    @pytest.mark.parametrize("kind", bessel.KINDS)
+    def test_count_at_or_below_the_order_reads_no_sign(self, kind, order, x, monkeypatch):
+        # no zero of order m lies in (0, max(m, 1)] (see the bessel module
+        # docstring): a count there is 0, with no pass and no shared run,
+        # whatever the order below holds
+        table = ZeroTable(kind)
+        if order:
+            table.zeros_below(order - 1, x)
+        table._at = (math.nan, [])
+
+        def no_sign(*args):
+            raise AssertionError("a sign was read")
+
+        monkeypatch.setattr(_kernels_py, "_pass", no_sign)
+        monkeypatch.setattr(_kernels_py, "evaluate_orders", no_sign)
+        assert table.zeros_below(order, x) == []
+        rec = table._orders[order]
+        assert (rec.count, rec.reach) == (0, x)
 
     @staticmethod
     def _grow_counting_nodes(kind, monkeypatch, orders, x):

@@ -437,6 +437,19 @@ class TestSpectrumChecks:
         with pytest.raises(ValueError, match="volume must be positive and finite"):
             disk_spectrum("neumann", 3).rescaled(volume)
 
+    @pytest.mark.parametrize("spec, volume", [
+        # the values, about 10, times 1e308 overflow to inf
+        (lambda: disk_spectrum("neumann", 3), 1e-308),
+        # the values, about 10, times 1e-600 underflow to 0.0
+        (lambda: rectangle_spectrum(1e-300, 1.0, "neumann", 3), 1e300),
+    ], ids=["inf", "zero"])
+    def test_rescaled_needs_positive_finite_eigenvalues(self, spec, volume):
+        message = "an eigenvalue is not a positive finite float"
+        with pytest.raises(ValueError, match=message):
+            spec().rescaled(volume)
+        with pytest.raises(ValueError, match=message):
+            union_spectrum([(spec(), volume)], 3)
+
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             disk_spectrum("neumann", 0)
@@ -573,6 +586,28 @@ class TestShapeValidation:
             spectra.DomainShape("ball", "dirichlet")
         with pytest.raises(ValueError, match="the ball spectrum is Neumann-only"):
             spectra.ball("dirichlet")
+
+    @pytest.mark.parametrize("build, message", [
+        # sides whose product or sum is inf or 0.0
+        (lambda: rectangle_spectrum(1e300, 1e300, "neumann", 3), "rectangle needs"),
+        (lambda: rectangle_spectrum(1e-200, 1e-200, "neumann", 3), "rectangle needs"),
+        (lambda: rectangle_spectrum(1e-200, 1e-200, "dirichlet", 3), "rectangle needs"),
+        (lambda: box_spectrum(1e-120, 1e-120, 1e-120, "neumann", 3), "box needs"),
+        (lambda: box_spectrum(1e200, 1e200, 1e200, "neumann", 3), "box needs"),
+        # a volume of 1, but a first eigenvalue of about 1e-399, which
+        # rounds to 0.0 with the ceiling
+        (lambda: rectangle_spectrum(1e200, 1e-200, "neumann", 3), "ceiling"),
+        # a volume of 5e-324, whose Weyl coefficient underflows to 0.0
+        (lambda: rectangle_spectrum(2.2e-162, 2.2e-162, "neumann", 3), "ceiling"),
+    ], ids=["huge", "tiny-neumann", "tiny-dirichlet", "tiny-box", "huge-box", "long",
+            "subnormal-volume"])
+    def test_extreme_sides_refused_before_any_walk(self, build, message, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the modes were enumerated")
+
+        monkeypatch.setattr(spectra, "_adaptive_modes", no_walk)
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_dimensions_and_volumes(self):
         assert disk().dimension == 2
