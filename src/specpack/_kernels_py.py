@@ -38,13 +38,11 @@ zero tables read the signs of their counts at x only where x > 1 and the
 order is below x (below that no zero lies, see ``specpack.bessel``), and
 read them from ``evaluate_orders``: one run of the same loop that keeps
 every value gives f, through the same formulas and bit for bit, for every
-order up to int(x), whose own passes all start at the same order.  Since
-every derivative of J_m and j_p is at most 1 in size, the cubic Taylor model
-from f through f''' bounds the error of its own root, which is accepted as
-soon as that bound proves the zero within a quarter ulp of it (proven for
-the computed f, whose own error is not yet bounded); from the zero tables'
-guesses most zeros take one pass (about 1.06 passes per zero for a
-3000-mode disk, plus one shared run for the signs of its counts).  The
+order up to int(x), whose own passes all start at the same order.
+``next_zero`` states the one rule by which a zero is accepted: a proof that
+it lies within a quarter ulp of the root of a cubic Taylor model.  From the
+zero tables' guesses most zeros take one pass (about 1.06 passes per zero
+for a 3000-mode disk, plus one shared run for the signs of its counts).  The
 order-(m + 1) value of a zero's last pass lets the zero tables check the
 sign of f_{m+1} at that zero without a pass of its own.
 """
@@ -156,13 +154,16 @@ def _miller(x, lo, kept=None):
 
 
 def check_recurrence(x, lo):
-    """Refuse a backward recurrence for orders lo .. lo + 2 at x that would
-    take more than ``MAX_RECURRENCE`` steps (ValueError)."""
-    if _recurrence_start(x, lo) > MAX_RECURRENCE:
+    """The order at which a backward recurrence for orders lo .. lo + 2 at x
+    starts, which is the number of steps it takes; ValueError if that is
+    more than ``MAX_RECURRENCE``."""
+    start = _recurrence_start(x, lo)
+    if start > MAX_RECURRENCE:
         raise ValueError(
             f"order and x too large: the backward recurrence would take more "
             f"than {MAX_RECURRENCE} steps"
         )
+    return start
 
 
 def check_integer(name, value, low):
@@ -363,8 +364,7 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
 
     and |f(x + t)| <= R = |p(t)| + t^4/24.  If d > 0 and R <= d q, f is
     monotone there and changes sign, so the zero lies within q of x + t,
-    which is accepted if it lies inside (lo, hi).  The proof holds for the
-    computed f through f''', whose own error is not yet bounded.  Otherwise the next pass
+    which is accepted if it lies inside (lo, hi).  Otherwise the next pass
     is at the Newton step x - f/f', or at the midpoint of the bracket that
     the signs of f have narrowed when that leaves it.  That step needs no
     test of its own: Newton's bound proves x - f/f' within q only where
@@ -372,9 +372,16 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
     where r^3 <= d q, and there the cubic's remainder t^4/24 is far
     smaller still.
 
-    Returns (zero, residual, x, g): the zero x + t, the bound R on |f|
-    there, the last iterate x and the kind's function of order + 1 at x,
-    from the same pass.  All four are nan if no step was accepted.
+    The test R <= d q is the one rule by which a zero is accepted.  Its
+    proof holds for the computed f through f''', whose own error is not yet
+    bounded.  It also bounds the residual: |f(x + t)| <= R <= d q < 3e-11,
+    as d <= |f'(x)| <= 1 and q <= 2^-35 at every x below 2^20, where every
+    pass of the zero tables lies: they refuse (``check_recurrence``) a
+    query whose recurrence would start above ``MAX_RECURRENCE`` = 10^6.
+
+    Returns (zero, x, g): the zero x + t, the last iterate x and the kind's
+    function of order + 1 at x, from the same pass.  All three are nan if
+    no step was accepted.
     """
     x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
@@ -389,7 +396,7 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
         small = abs(df) - s * (abs(d2f) + s * (0.5 * abs(d3f) + s / 6.0))
         bound = abs(f + t * (df + t * (0.5 * d2f + t * d3f / 6.0))) + (t * t) * (t * t) / 24.0
         if small > 0.0 and bound <= small * q and lo < x + t < hi:
-            return x + t, bound, x, up
+            return x + t, x, up
         if (f > 0.0) == (sign_lo > 0.0):
             lo = x
         else:
@@ -397,4 +404,4 @@ def next_zero(kind, order, lo, hi, guess, sign_lo):
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-    return (math.nan,) * 4
+    return (math.nan,) * 3

@@ -66,13 +66,12 @@ extrapolated in the order by a cubic; below order 4, an asymptotic expansion
 (McMahon's, DLMF 10.21.19 and 10.21.20, for J and J'; for j', one Newton
 step from McMahon's zero of J'_{p+1/2}, see ``_mcmahon``).  Where the guess
 is not inside the bracket the first pass is at the bracket's midpoint.
-A step is accepted once an error bound puts the zero within a quarter
-ulp of it, and the bound on |f| there is checked against ``RESIDUAL_TOL``.
-The table reports that zero on a grid of its own: as the midpoint of a
-bisection to width 1e-12, steered by that zero alone, from the cell of the
-0.05-step grid that holds the zero (see ``_grid_value``).  Each order's grid
-starts at max(order/2, 0.01) and resumes, for each later zero, after the
-cell of the one before.
+A zero is accepted by the one rule that ``kernels.next_zero`` states and
+proves.  The table reports that zero on a grid of its own: as the midpoint
+of a bisection to width 1e-12, steered by that zero alone, from the cell of
+the 0.05-step grid that holds the zero (see ``_grid_value``).  Each order's
+grid starts at max(order/2, 0.01) and resumes, for each later zero, after
+the cell of the one before.
 """
 
 import bisect
@@ -89,7 +88,6 @@ _KIND_CODE = {
     "spherical_prime": kernels.KIND_SPHERICAL_PRIME,
 }
 
-RESIDUAL_TOL = 1e-9
 # the reporting grid of the tabulated values (see _grid_value)
 _GRID_STEP = 0.05
 _BISECT_WIDTH = 1e-12
@@ -100,7 +98,9 @@ MAX_QUERY_STEPS = 10**9
 
 
 class AccuracyError(RuntimeError):
-    """A zero fails its residual bound, or a sign contradicts interlacing."""
+    """A zero is not refined inside its bracket (``kernels.next_zero``
+    accepts no step there), lies below where its order's reporting grid
+    resumes, or gives the next order a sign that contradicts interlacing."""
 
 
 class ZeroIndex(namedtuple("ZeroIndex", "order rank")):
@@ -175,9 +175,8 @@ def _check_query(order, x):
     # the x/2.4 + 2, once the 2.4 passes a zero took, is a pad: it covers the
     # sign checks at found zeros that fall back to an evaluation and the
     # shared run, until one work budget per command replaces this estimate
-    kernels.check_recurrence(x, order)
-    steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0)
-    steps *= kernels._recurrence_start(x, order)
+    start = kernels.check_recurrence(x, order)
+    steps = (order + 1) * (x / 2.4 + 5.0 * x / math.pi + 2.0) * start
     if steps > MAX_QUERY_STEPS:
         raise ValueError(
             f"query too large: growing orders 0 .. {order} to x = {x:g} "
@@ -218,8 +217,9 @@ class ZeroTable:
     lies there, and the signs of all other counts at one x come from one
     backward run there (``kernels.evaluate_orders``; see the module
     docstring).
-    Each zero is checked when it is found: its residual, and the sign that
-    interlacing fixes for the function of the next order there.
+    Each zero is accepted by ``kernels.next_zero``'s proof alone, and
+    checked when it is found against the sign that interlacing fixes for
+    the function of the next order there.
 
     A pass at x runs a backward recurrence of about max(order, x) steps, and
     order 0 alone has about x/pi zeros below x, each found in one or two
@@ -394,7 +394,7 @@ class ZeroTable:
             hi = min(below[i + 1], reach) if i + 1 < len(below) else reach
             guess = (_mcmahon(self.kind, order, i + 1) if order < 4
                      else 4.0 * (lo + n3[i]) - 6.0 * n2[i] - n4[i])
-            zero, residual, x, f_up = kernels.next_zero(self._code, order, lo, hi, guess, sign)
+            zero, x, f_up = kernels.next_zero(self._code, order, lo, hi, guess, sign)
             if math.isnan(zero):
                 raise AccuracyError(
                     f"{self.kind} order {order} zero #{i - shift + 1}: not refined "
@@ -410,11 +410,6 @@ class ZeroTable:
                     f"zero below {start!r} is missing from the table"
                 )
             zero, start = _grid_value(zero, start)
-            if residual > RESIDUAL_TOL:
-                raise AccuracyError(
-                    f"{self.kind} order {order} zero #{i - shift + 1} in ({lo}, {hi}): "
-                    f"residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-                )
             # interlacing puts i zeros of order + 1 below this one, so f of
             # order + 1 has the sign (-1)^i here; f_up, at the last iterate x,
             # has it too when |f_up| > |x - zero|, as slopes are at most 1

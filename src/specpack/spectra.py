@@ -339,10 +339,19 @@ def ball_spectrum(bc, k):
     return _spectrum(shape, k, walk)
 
 
-def _lattice_walk(shape):
-    """enumerate_below for a rectangle or box with sides s_i: the modes
-    pi^2 * sum (c_i / s_i)^2 <= lam over integers c_i >= 0 (Neumann, less the
-    constant mode) or c_i >= 1 (Dirichlet)."""
+def _lattice_walk(shape, k):
+    """enumerate_below for the first k modes of a rectangle or box with
+    sides s_i: the modes pi^2 * sum (c_i / s_i)^2 <= lam over integers
+    0 <= c_i <= k (Neumann, less the constant mode) or 1 <= c_i <= k
+    (Dirichlet).
+
+    The cap is exact: the exact values strictly increase along an axis
+    line, so a mode with c_i > k lies above the k + 1 (Neumann) or k
+    (Dirichlet) modes of its line with c_i <= k, at most one of them the
+    constant mode, and is not among the first k; nor is any extension of a
+    prefix past the cap.  It keeps a needle's walk short: the first
+    ceiling of the 1e-105 x 1e-105 x 1 box would run its unit axis to about
+    1e53 values."""
     lo = 0 if shape.bc == "neumann" else 1
 
     def below(lam):
@@ -352,7 +361,7 @@ def _lattice_walk(shape):
         for s in shape.sides:
             grown = []
             for label, q, rem in prefixes:
-                for c in range(lo, int(s * math.sqrt(rem) / PI) + 1):
+                for c in range(lo, min(int(s * math.sqrt(rem) / PI) + 1, k + 1)):
                     # the range's end may round up past the last c that
                     # fits, and the next axis would take sqrt(left < 0)
                     left = rem - (PI * c / s) ** 2
@@ -370,13 +379,13 @@ def _lattice_walk(shape):
 def rectangle_spectrum(a, b, bc, k):
     """First k nonzero eigenvalues of an a-by-b rectangle."""
     shape = rectangle(a, b, bc)
-    return _spectrum(shape, k, _lattice_walk(shape))
+    return _spectrum(shape, k, _lattice_walk(shape, k))
 
 
 def box_spectrum(a1, a2, a3, bc, k):
     """First k nonzero eigenvalues of an a1-by-a2-by-a3 box."""
     shape = box(a1, a2, a3, bc)
-    return _spectrum(shape, k, _lattice_walk(shape))
+    return _spectrum(shape, k, _lattice_walk(shape, k))
 
 
 def spectrum_of(shape, k):

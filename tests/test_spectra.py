@@ -1,9 +1,14 @@
 """Spectrum generators: values, multiplicities, completeness, unions."""
 
+import ast
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +120,7 @@ class TestRectangleSpectrum:
         side = shape.sides[0]
         end = int(side * math.sqrt(lam) / PI)
         assert lam - (PI * end / side) ** 2 < 0
-        labels = {m.label for m in spectra._lattice_walk(shape)(lam)}
+        labels = {m.label for m in spectra._lattice_walk(shape, 100)(lam)}
         exact = {
             c for c in itertools.product(range(10), repeat=len(shape.sides))
             if any(c) and Fraction(PI) ** 2 * sum(
@@ -261,7 +266,7 @@ class TestCeiling:
         # key (value, -label) orders them, on the 3133 modes of the first
         # ceiling of a 3000-mode cube, in a shuffled order
         lam = spectra._weyl_ceiling(cube(), 3000) * 1.02 + spectra._weyl_ceiling(cube(), 4)
-        modes = spectra._lattice_walk(cube())(lam)
+        modes = spectra._lattice_walk(cube(), 3000)(lam)
         assert len(modes) == 3133
         np.random.default_rng(22).shuffle(modes)
         key = sorted(modes, key=lambda m: (m.value, tuple(-c for c in m.label)))
@@ -608,6 +613,40 @@ class TestShapeValidation:
         monkeypatch.setattr(spectra, "_adaptive_modes", no_walk)
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_thin_shapes_end_at_once(self):
+        # a needle along either end axis, and a thin Dirichlet rectangle and
+        # box: their first ceilings would let the lattice walk run an axis to
+        # about 1e53 values or more, which the cap of k + 1 values per axis
+        # cuts to a few.  In a child process, so that a walk that loses its
+        # cap fails in 30 s instead of holding the suite
+        code = (
+            "import time; from specpack.spectra import box_spectrum as b, "
+            "rectangle_spectrum as r\n"
+            "out = []\n"
+            "for f, args in ((b, (1e-105, 1e-105, 1, 'neumann', 3)), "
+            "(b, (1, 1e-105, 1e-105, 'neumann', 3)), "
+            "(r, (1e-150, 1.0, 'dirichlet', 3)), "
+            "(b, (1e-105, 1e-105, 1, 'dirichlet', 3))):\n"
+            "    t = time.perf_counter(); modes = f(*args).modes\n"
+            "    out.append((time.perf_counter() - t, "
+            "[(m.value, m.label) for m in modes]))\n"
+            "print(repr(out))"
+        )
+        src = str(Path(specpack.__file__).parents[1])
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=30)
+        assert cp.returncode == 0, cp.stderr
+        runs = ast.literal_eval(cp.stdout)
+        assert all(seconds < 1.0 for seconds, _ in runs), runs
+        needle = [9.869604401089358, 39.47841760435743, 88.82643960980423]
+        assert runs[0][1] == [(v, (0, 0, c)) for c, v in enumerate(needle, 1)]
+        assert runs[1][1] == [(v, (c, 0, 0)) for c, v in enumerate(needle, 1)]
+        for (_, modes), head, value in ((runs[2], (1,), PI**2 * 1e300),
+                                        (runs[3], (1, 1), 2 * PI**2 * 1e210)):
+            values, labels = zip(*modes)
+            assert len(set(values)) == 1 and values[0] == pytest.approx(value, rel=1e-15)
+            assert sorted(labels) == [head + (c,) for c in (1, 2, 3)]
 
     def test_dimensions_and_volumes(self):
         assert disk().dimension == 2
