@@ -9,19 +9,23 @@ scaled disjoint unions, the extremal n-th nonzero eigenvalue satisfies
 where conn[n] is the best connected candidate (the n-th nonzero eigenvalue of
 a base shape) and N is the dimension.  The boundary condition sets the
 objective: Neumann classes maximize, and the Dirichlet mirror minimizes with
-the same additive combination.  The recursion stores sign * best[n]^(N/2),
-with ``DomainClass.sign`` -1.0 to minimize: negation is exact in floating
-point, so the split search and the margin rule only maximize, bit for bit.
+the same additive combination.  The recursion works in signed powers,
+sign * best[n]^(N/2), with ``DomainClass.sign`` -1.0 to minimize: negation
+is exact in floating point, so the split search and the margin rule only
+maximize, bit for bit.  It stores the power it decided on, the connected
+candidate's or the split's float sum itself, and best[n] is that power's
+eigenvalue.
 
-The recursion also yields the optimal packing: a split at n into (i, n-i)
-gives the two sides volumes (best[i]/best[n])^(N/2) and
-(best[n-i]/best[n])^(N/2), which telescope down to the Connected leaves.
+The recursion also yields the optimal packing: a leaf at index i in the
+union at n has the volume best[i]^(N/2) / best[n]^(N/2), the ratio of the
+stored powers, and the Connected leaves telescope down from n.
 
 Every decision the layer makes goes through one margin rule, ``_margin``:
-on signed values it is 1 when new exceeds old by more than a relative
-tolerance of max(|new|, |old|), -1 when old exceeds new so, else 0.  At
-each n one call at REL_TIE_TOL keeps the connected candidate (1), the best
-split (-1), or stores Connected with the tie flag set (0).  Among equal
+on signed powers or values it is 1 when new exceeds old by more than a
+relative tolerance of max(|new|, |old|), -1 when old exceeds new so,
+else 0.  At each n one call at REL_TIE_TOL, on the connected candidate's
+power against the best split sum, keeps the connected candidate (1), the
+best split (-1), or stores Connected with the tie flag set (0).  Among equal
 splits the smallest left index wins (equal as float sums, see
 ``extremal_sequence``).  The same rule at REL_TIE_TOL decides
 ``connectedness_certificate`` and at REL_SCAN_TOL decides ``crossover_scan``.
@@ -123,7 +127,9 @@ class ExtremalSequence(namedtuple(
     "ExtremalSequence", "domain_class K values powers connected split_indices provenance"
 )):
     """best[n] for n = 1..K in one domain class, with provenance: tuples
-    indexed by n (None at 0), powers[n] = sign * best[n]^(N/2)."""
+    indexed by n (None at 0).  powers[n] is the signed power the recursion
+    summed and stored, sign * conn[n]^(N/2) or a split's float sum, and
+    values[n] its eigenvalue."""
 
     __slots__ = ()
 
@@ -260,21 +266,29 @@ def extremal_sequence(domain_class, K, base_values=None):
     to 2*SPLIT_BLOCK steps, so the blocks awake at m wait in slot
     m % (2*SPLIT_BLOCK + 1) of a ring, which is read and cleared at m.
 
-    Why the slack is safe.  The premise holds up to the recursion's defect
-    (3D stores _power(_unpower(s)), a few ulps off s; 2D stores s itself):
-    g may fall by that defect per step.  One bound chains at most
-    2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
-    2*SPLIT_BLOCK more and as many in its bisect, 94 in all; each step is
-    off by the defect plus one rounding, on powers of one sign (the check on
-    the base values admits no others) that stay within
-    |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near the best split.  So
-    a bound is off by under half the slack while the defect plus one ulp
-    stays below SPLIT_SLACK/(2*94), about 5e-15 relative, and no block that
+    Why the slack is safe.  The premise is exact, in 2D and 3D alike: the
+    stored power at m is the float maximum of its split sums or a larger
+    connected power, so no split sum exceeds it.  g can then fall only by
+    roundings: from m to m + 1, one in the sum (1, m) and two in forming
+    each g (c*m and the difference), each at most u*max(|powers[m + 1]|,
+    |c|*(m + 1)) with u = 2**-53.  When maximizing, g >= 0 (up to these
+    roundings) puts c*(m + 1) under powers[m + 1], so a step falls by at
+    most 5u*|powers[m + 1]|, at every K.  When minimizing, |c|*(m + 1) is
+    the larger; for the Dirichlet disks it is at most 1.45*|powers[m + 1]|,
+    since lambda_1 = 18.17 and Pólya's bound gives best[m + 1] >=
+    4*pi*(m + 1).  Other minimizing base values carry no such bound
+    (ROADMAP item 24).  One bound chains at most 2*(SPLIT_BLOCK - 1) steps
+    (the partial block's fewer), a sleep 2*SPLIT_BLOCK more and as many in
+    its bisect, 94 in all; each step is off by the fall of g plus one
+    rounding, on powers of one sign (the check on the base values admits no
+    others) that stay within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is
+    near the best split.  So a bound is off by under half the slack while
+    the fall plus one ulp stays below SPLIT_SLACK/(2*94), about 5.1e-15
+    relative, over six times the 5*1.45u = 8.0e-16 above, and no block that
     can hold the best sum, the seed's own included, is skipped or left
-    asleep.  The tests check that bound on all five classes at K = 10,000
-    (the worst fall, cubes', is 1.06e-15) and a defect below
-    SPLIT_SLACK/1000 at K = 3000.  Uncapped, a sleep could chain a/2 steps,
-    past the slack at large K.
+    asleep.  The tests check each step's fall against its bound in all five
+    classes at K = 3000 and 10,000.  Uncapped, a sleep could chain a/2
+    steps, past the slack at large K.
     """
     K = check_integer("K", K, 1)
     N = domain_class.dimension
@@ -334,20 +348,19 @@ def extremal_sequence(domain_class, K, base_values=None):
                 s = _block_max(powers, n, full + 1, h)
                 if s > best:
                     best, best_i = s, _first(powers, n, full + 1, s)
-        split_v = _unpower(sign * best, N)
         split_indices[n] = best_i
-        cv = conn[n]
-        margin = _margin(sign * cv, sign * split_v, REL_TIE_TOL)
-        if margin > 0:
-            values[n] = cv
-            provenance[n] = Connected(n)
-        elif margin < 0:
-            values[n] = split_v
+        pc = sign * _power(conn[n], N)
+        margin = _margin(pc, best, REL_TIE_TOL)
+        if margin < 0:
             provenance[n] = splits.get(best_i) or splits.setdefault(best_i, Split(best_i))
         else:
-            values[n] = cv if sign * cv >= sign * split_v else split_v
-            provenance[n] = Connected(n, tie=True)
-        powers[n] = sign * _power(values[n], N)
+            provenance[n] = Connected(n, tie=margin == 0)
+        # the larger power as it was formed (the connected one if equal), and
+        # its eigenvalue
+        if pc >= best:
+            powers[n], values[n] = pc, conn[n]
+        else:
+            powers[n], values[n] = best, _unpower(sign * best, N)
         g.append(powers[n] - c * n)
 
     return ExtremalSequence(domain_class, K, tuple(values), tuple(powers), tuple(conn),
@@ -355,21 +368,21 @@ def extremal_sequence(domain_class, K, base_values=None):
 
 
 def unpack_geometry(seq, n):
-    """Unroll the provenance at n into scaled components of total volume 1."""
-    N = seq.dimension
-    vn = seq.value(n)
-    shape = seq.domain_class.shape
+    """Unroll the provenance at n into scaled components of total volume 1:
+    a leaf at idx takes the volume powers[idx] / powers[n]."""
+    counts = seq.leaf_counts(n)  # checks n
+    powers, shape = seq.powers, seq.domain_class.shape
     components = []
-    for idx, count in seq.leaf_counts(n).items():
-        ratio = seq.value(idx) / vn
-        components.extend([PackedComponent(shape, _power(ratio, N), idx)] * count)
+    for idx, count in counts.items():
+        components.extend([PackedComponent(shape, powers[idx] / powers[n], idx)] * count)
     components.sort(key=lambda c: (-c.volume, -c.support_index))
     return PackedDomain(tuple(components))
 
 
 def connectedness_certificate(candidate_value, seq, n):
     """True iff candidate_value beats every split, so the class optimum at n
-    must be connected: ``_margin`` is 1 at REL_TIE_TOL, on the powered values.
+    must be connected: ``_margin`` is 1 at REL_TIE_TOL on signed powers, the
+    recursion's own rule and space.
 
     Only the best split is tested, the plain maximum over every split of the
     sequence's stored signed powers: the margin test is monotone in the

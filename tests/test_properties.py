@@ -92,19 +92,29 @@ wide_spectra = st.one_of(
 def test_best_split_equals_exhaustive(base):
     # the recursion's stored split, its sum and its index, against a sum over
     # every j, bit for bit, at every n, on the signed powers it stores
-    # (negative when minimizing), for every (dimension, objective) key
+    # (negative when minimizing), for every (dimension, objective) key; and
+    # the storage rule: the connected candidate's signed power where it is
+    # decided Connected and not below the split, else the split's float sum
     for key in sorted(CLASSES):
         seq = run(key, base)
         sign = seq.domain_class.sign
         powers = seq.powers
-        assert powers[1:] == tuple(sign * _power(seq.value(n), key[0])
-                                   for n in range(1, len(base) + 1))
+        assert powers[1] == sign * _power(base[0], key[0])
         for n in range(2, len(base) + 1):
             h = n // 2
             sums = list(map(operator.add, powers[1:h + 1], powers[n - 1:n - h - 1:-1]))
             best = max(sums)
             j = seq.split_indices[n]
             assert (powers[j] + powers[n - j], j) == (best, sums.index(best) + 1)
+            pc = sign * _power(base[n - 1], key[0])
+            dec = seq.decomposition(n)
+            if isinstance(dec, Split):
+                assert best > pc and powers[n] == best
+            elif dec.tie:
+                assert powers[n] == max(pc, best)
+            else:
+                assert pc > best and powers[n] == pc
+            assert seq.value(n) == (base[n - 1] if powers[n] == pc else seq.split_value(n))
 
 
 def late_spectrum(k, scale, exponent, p, factor, plateau, rounded):
@@ -144,13 +154,13 @@ def test_long_recursion_splits_equal_exhaustive(base):
 
 
 def all_splits_certificate(candidate_value, seq, n):
-    # reference: the candidate must clear every split j | n-j, 1 <= j <= n/2
-    maximize = seq.domain_class.shape.bc == "neumann"
-    cp = _power(candidate_value, seq.dimension)
+    # reference: the candidate's signed power must clear every split
+    # j | n-j, 1 <= j <= n/2, of the stored signed powers
+    powers = seq.powers
+    cp = seq.domain_class.sign * _power(candidate_value, seq.dimension)
     for j in range(1, n // 2 + 1):
-        s = _power(seq.value(j), seq.dimension) + _power(seq.value(n - j), seq.dimension)
-        margin = REL_TIE_TOL * max(abs(cp), abs(s))
-        if not (cp - s if maximize else s - cp) > margin:
+        s = powers[j] + powers[n - j]
+        if not cp - s > REL_TIE_TOL * max(abs(cp), abs(s)):
             return False
     return True
 

@@ -30,8 +30,8 @@ PI = math.pi
 CSV_3000_SHA256 = {
     "disks": "d6ffd41a4cd428ccacb040499ef612f85b694e62ae378123695f1e97e5595019",
     "squares": "69f75fe4dc795a67c89ed2a5ac8b6a89aa8e4205a639b315f2c152d24a9c484f",
-    "balls": "a4d90c7d2ec53d03de461430eb6ce93aff872d0e1a14e93529d8b3b6068c2e54",
-    "cubes": "95f98c1f6ac797ac9938f91f8e4915573865ab28c58e3091bb3a33bb01a56697",
+    "balls": "9db8f6b6ba8b602c811b2abb323af506c63cb065fac17a8e70bfff953f2276b5",
+    "cubes": "786bc3dd77ca26fed98fd3dd730c1136efacc9dfb83fdcd8d7b2eac6f004d961",
     "dirichlet-disks": "3e43c6d2d4677931e111958953420c670f2c39e7115128de007eb18334f157ef",
 }
 
@@ -40,9 +40,24 @@ CSV_3000_SHA256 = {
 SPLIT_3000_SHA256 = {
     "disks": "36cfca66d86d32973036b85e427db722a5deb9e88042a6b24749bfb3bb0fd9e7",
     "squares": "c3f9531fe1bd8d3fc0a9cfa6b865f6f90d6a4fdaeb84c11648b89e73352194ca",
-    "balls": "5c03a275b03a7245d0acd25def52485c4fd91bb1b36d185ce44b19154e9e15a3",
-    "cubes": "8a0562c2fa87b97f86a9006ad20dde12caee3c8bd984be591204b546837ad81c",
+    "balls": "fe8836e204903342b14c756b36e5b2eea194e230b114cd5d1f798f8f728fa641",
+    "cubes": "91699e48927c0f12302889e2262a06bb9a1159a7c8343c9639f06851bdd56daa",
     "dirichlet-disks": "de43d349c780c1c411d24e632047d64de61bac261395e32ea10dbb53d86de5a8",
+}
+
+# the decisions no rounding change may move, per K: the tie nodes (their
+# count per class with any, and sha256 over the repr of a dict of each
+# class's sorted tie indices, in CLASSES order) and each class's count of
+# connected leaves without the tie flag
+TIES = {
+    3000: ({"squares": 106, "cubes": 1},
+           "f93189afaa56c9f4bc2fb02fffeb9212dfa8963d2faee9230e2f6cc47f10ebe1"),
+    10_000: ({"squares": 237, "cubes": 1},
+             "8238725910d4787b63957c5f75c22e608acb51bb2b34c08cb63d4e1868f1582f"),
+}
+CONNECTED_LEAVES = {
+    3000: {"disks": 214, "squares": 193, "balls": 46, "cubes": 161, "dirichlet-disks": 632},
+    10_000: {"disks": 653, "squares": 553, "balls": 82, "cubes": 371, "dirichlet-disks": 1848},
 }
 
 
@@ -79,20 +94,14 @@ def sequences_10000():
     return {cls().name: extremal_sequence(cls(), 10_000) for cls in CLASSES}
 
 
-def _powers(seq):
-    # the powers the recursion stores: the sign times _power of every value,
-    # recomputed
-    sign = seq.domain_class.sign
-    return [None] + [sign * spectra._power(seq.value(n), seq.dimension)
-                     for n in range(1, seq.K + 1)]
-
-
-def _worst_g_fall(seq):
-    # the largest fall of g[m] = powers[m] - c*m, as the recursion forms it,
-    # from one m to the next, relative to |powers| at the later m
-    powers = seq.powers
-    g = [powers[m] - powers[1] * m for m in range(1, seq.K + 1)]
-    return max((g[i] - g[i + 1]) / abs(powers[i + 2]) for i in range(seq.K - 1))
+def _g_falls(seq):
+    # per step m -> m + 1: the fall of g[m] = powers[m] - c*m, as the
+    # recursion forms it, and the bound extremal_sequence's docstring proves
+    # for it, 5u*max(|powers[m + 1]|, |c|*(m + 1)) with u = 2**-53
+    powers, c = seq.powers, seq.powers[1]
+    g = [None] + [powers[m] - c * m for m in range(1, seq.K + 1)]
+    return [(g[m] - g[m + 1], 5 * 2.0**-53 * max(abs(powers[m + 1]), abs(c) * (m + 1)))
+            for m in range(1, seq.K)]
 
 
 def _exhaustive_split(powers, n):
@@ -353,44 +362,49 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("name", sorted(CSV_3000_SHA256))
     def test_equals_exhaustive_through_3000(self, sequences_3000, name):
-        # the stored split, its index and its sum, at every n; the Dirichlet
-        # disks minimize: their signed powers are negative
+        # the stored split, its index and its sum, at every n, and the stored
+        # power: the larger of the connected candidate's power and that sum,
+        # as formed; the Dirichlet disks minimize: their signed powers are
+        # negative
         seq = sequences_3000[name]
-        powers = _powers(seq)
-        assert tuple(powers) == seq.powers
+        powers, sign, N = seq.powers, seq.domain_class.sign, seq.dimension
         for n in range(2, seq.K + 1):
             j = seq.split_indices[n]
-            assert (powers[j] + powers[n - j], j) == _exhaustive_split(powers, n)
+            best = powers[j] + powers[n - j]
+            assert (best, j) == _exhaustive_split(powers, n)
+            assert powers[n] == max(sign * spectra._power(seq.connected[n], N), best)
 
-    def test_superadditivity_defect_below_slack(self, sequences_3000):
-        # the bound's premise: a stored power dominates every split sum at its
-        # own index, up to a defect far inside the search's slack
-        for seq in sequences_3000.values():
-            powers = _powers(seq)
-            worst = max(
-                (_exhaustive_split(powers, m)[0] - powers[m]) / abs(powers[m])
-                for m in range(2, seq.K + 1)
-            )
-            assert worst <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+    def test_superadditivity_defect_below_slack(self, sequences_3000, sequences_10000):
+        # the bound's premise, exact: no split sum exceeds the stored power at
+        # its own index, with no tolerance, since the stored power is the
+        # float maximum of those sums or a larger connected power
+        for seq in (*sequences_3000.values(), *sequences_10000.values()):
+            powers = seq.powers
+            assert all(wolfkeller._block_max(powers, m, 1, m // 2) <= powers[m]
+                       for m in range(2, seq.K + 1)), (seq.domain_class.name, seq.K)
 
     def test_g_nondecreasing_within_slack(self, sequences_3000):
         # the sleeps' premise: g[m] = powers[m] - c*m, as the recursion forms
-        # it, falls by no more than a defect far inside the search's slack
+        # it, falls per step by no more than the roundings
+        # extremal_sequence's docstring counts; the worst fall is 2.96e-16
+        # relative to |powers[m + 1]| (the Dirichlet disks)
         for seq in sequences_3000.values():
-            assert _worst_g_fall(seq) <= wolfkeller.SPLIT_SLACK / 1000, seq.domain_class.name
+            assert all(fall <= bound for fall, bound in _g_falls(seq)), seq.domain_class.name
 
     def test_g_within_the_proofs_bound_at_10000(self, sequences_10000):
         # the bound the slack proof needs (extremal_sequence's docstring): a
         # bound chains at most 94 steps, each off by the fall of g plus one
-        # rounding, and all of them stay under half the slack; at K = 10,000
-        # the cubes' fall, 1.06e-15, is past the K = 3000 test's
-        # SPLIT_SLACK/1000, but far inside this bound
+        # rounding, and all of them stay under half the slack; each fall is
+        # within its proved bound, and the bound, relative to
+        # |powers[m + 1]|, is far inside that need in all five classes
         B = wolfkeller.SPLIT_BLOCK
         steps = 2 * (B - 1) + 2 * B + 2 * B
         assert steps == 94
         per_step = wolfkeller.SPLIT_SLACK / 2 / steps - 2**-52
         for seq in sequences_10000.values():
-            assert _worst_g_fall(seq) < per_step, seq.domain_class.name
+            powers = seq.powers
+            for m, (fall, bound) in enumerate(_g_falls(seq), 1):
+                assert fall <= bound < per_step * abs(powers[m + 1]), (seq.domain_class.name, m)
 
     @pytest.mark.parametrize("name, most", [
         ("disks", 6), ("squares", 6), ("balls", 6), ("cubes", 6), ("dirichlet-disks", 12),
@@ -449,7 +463,7 @@ class TestSplitSearch:
         full = h - h % wolfkeller.SPLIT_BLOCK
         for name in ("disks", "dirichlet-disks"):
             seq = sequences_3000[name]
-            powers = _powers(seq)
+            powers = seq.powers
             summed = schedules_3000[name][2][n]
             j = seq.split_indices[n]
             assert (powers[j] + powers[n - j], j) == _exhaustive_split(powers, n)
@@ -463,7 +477,7 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("name, n, reaches", [
         ("disks", 2015, False), ("dirichlet-disks", 2999, False),
-        ("balls", 50, True), ("cubes", 87, True),
+        ("balls", 51, True), ("cubes", 46, True),
     ])
     def test_partial_block_summed_when_its_bound_reaches(
             self, sequences_3000, schedules_3000, name, n, reaches):
@@ -471,7 +485,7 @@ class TestSplitSearch:
         # balls and cubes n it holds the best j itself
         seq = sequences_3000[name]
         summed = schedules_3000[name][2][n]
-        powers = _powers(seq)
+        powers = seq.powers
         h = n // 2
         full = h - h % wolfkeller.SPLIT_BLOCK
         j = seq.split_indices[n]
@@ -485,15 +499,35 @@ class TestSplitSearch:
 
     def test_recursion_bit_identical_at_10000(self, sequences_10000):
         # sha256 over repr((values, powers, split_indices, provenance)) of the
-        # five classes at K = 10,000, in this order, as the block search gave
-        # them before it moved into extremal_sequence's loop: the search's bit
-        # identity past the K = 3000 pins
+        # five classes at K = 10,000, in this order, as the recursion gives
+        # them storing the powers it sums: its bit identity past the
+        # K = 3000 pins
         digest = hashlib.sha256()
         for seq in sequences_10000.values():
             digest.update(repr((seq.values, seq.powers, seq.split_indices,
                                 seq.provenance)).encode())
         assert digest.hexdigest() == (
-            "d338b485a3c1bcf46070b98eb3efe4f01ba34509cc2f3adc4e971f706a23f009")
+            "077dde083549f0cbdb8856ceffc052c5fab96886f53e73740b0894411a938b1a")
+
+    @pytest.mark.parametrize("K", sorted(TIES))
+    def test_decisions_pinned(self, sequences_3000, sequences_10000, K):
+        # the tie nodes and the connected leaves without the tie flag, which
+        # the float roundings of a sum order must not move: every tie is an
+        # exact lattice tie (the squares, and eight cubes of side 1/2 against
+        # mu_8 = 4 pi^2), and every other decision's gap is orders of
+        # magnitude past REL_TIE_TOL (at K = 10,000 the smallest is 9.3e-8,
+        # the Dirichlet disks' at n = 8063)
+        seqs = (sequences_3000 if K == 3000 else sequences_10000).values()
+        ties = {seq.domain_class.name: tuple(
+            n for n, dec in enumerate(seq.provenance) if isinstance(dec, Connected) and dec.tie)
+            for seq in seqs}
+        counts, digest = TIES[K]
+        assert {name: len(t) for name, t in ties.items() if t} == counts
+        assert ties["cubes"] == (8,)
+        assert hashlib.sha256(repr(ties).encode()).hexdigest() == digest
+        assert {seq.domain_class.name: sum(isinstance(dec, Connected) and not dec.tie
+                                           for dec in seq.provenance)
+                for seq in seqs} == CONNECTED_LEAVES[K]
 
 
 class TestPolyaBound:
@@ -637,14 +671,10 @@ class TestCertificates:
     def test_agrees_with_the_recursion(self, sequences_3000, sequences_10000, name):
         # the connected candidate is certified exactly where the recursion
         # stored it without the tie flag, at every n <= K, at K = 3000 and
-        # K = 10,000.  In 2D the power is the value, so the certificate's
-        # margin on powers is the recursion's on values.  In 3D the recursion
-        # decides on values and the certificate on powers, whose relative
-        # gaps are about 3/2 of the values', so the two could part only at a
-        # gap within about REL_TIE_TOL of the margin, and no 3D gap lies
-        # there: the one 3D tie (cubes, n = 8) is exact and every other gap
-        # is orders of magnitude wider.  At K + 1, candidates on both sides
-        # of the margin are certified exactly where they beat every split.
+        # K = 10,000: both apply one margin rule to the candidate's signed
+        # power against the best split sum of the stored powers, in 2D and
+        # 3D alike.  At K + 1, candidates on both sides of the margin are
+        # certified exactly where they beat every split.
         tol = wolfkeller.REL_TIE_TOL
         for seq in (sequences_3000[name], sequences_10000[name]):
             for n in range(1, seq.K + 1):
