@@ -4,7 +4,10 @@ Scalar Bessel J, its derivative, spherical Bessel j and its derivative, and
 the per-zero refinement ``next_zero``, a cubic Taylor step with a
 safeguarded Newton fallback that the zero tables call once for each zero
 inside a bracket they derived from interlacing; where a zero is reported is
-the tables' decision.  The four evaluators are the public ones
+the tables' decision.  The internal functions take a kind, the name of the
+function they evaluate: "bessel", "bessel_prime", "spherical" or
+"spherical_prime" (J, J', j or j'), the zero tables' own kind names for the
+three they tabulate.  The four evaluators are the public ones
 (``specpack.bessel_j`` and the rest are these functions), so they check
 their input here: an integer order >= 0 and a finite x, x >= 0 for J and
 J', x > 0 for j and j', and no more than ``MAX_RECURRENCE`` steps of
@@ -28,12 +31,12 @@ Evaluation strategy, one rule for all four evaluators and every order:
     bounds these errors yet (ROADMAP item 6).
 
 One such pass (``_pass``) yields y = J_m or j_p, its derivative and the
-order above, and from them one formula set, the same for all three kinds,
-gives f, the function a kind tabulates (J'_m, J_m or j'_p), f', f'' and
-f''' through the Bessel ODE and its derivatives, and the same function of
-order m + 1.  That pass serves each iterate of ``next_zero``, the zero
-tables' sign checks at their zeros (``evaluate``) and the public J, J' and
-j' (spherical j, which no finder needs, reads the same recurrence).  The
+order above, and from them one formula set, the same for all four kinds,
+gives f, the kind's function (J_m, J'_m, j_p or j'_p), f', f'' and f'''
+through the Bessel ODE and its derivatives, and the same function of order
+m + 1.  That pass serves each iterate of ``next_zero``, the zero tables'
+sign checks at their zeros (``evaluate``) and every public evaluator, which
+is its input check followed by one pass of its kind.  The
 zero tables read the signs of their counts at x only where x > 1 and the
 order is below x (below that no zero lies, see ``specpack.bessel``), and
 read them from ``evaluate_orders``: one run of the same loop that keeps
@@ -52,9 +55,10 @@ import operator
 
 BACKEND = "python"
 
-KIND_BESSEL_PRIME = 0
-KIND_BESSEL = 1
-KIND_SPHERICAL_PRIME = 2
+# each kind, J, J', j and j' by name, as (spherical, derivative): whether it
+# is j rather than J, and the derivative rather than the function
+_KINDS = {"bessel": (False, False), "bessel_prime": (False, True),
+          "spherical": (True, False), "spherical_prime": (True, True)}
 
 # below it every evaluator sums its ascending series: the recurrence's c/x
 # overflows there
@@ -202,7 +206,7 @@ def bessel_j(order, x):
     order = _check(order, x, True)
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    return _pass(KIND_BESSEL, order, x)[0]
+    return _pass("bessel", order, x)[0]
 
 
 def bessel_j_prime(order, x):
@@ -214,7 +218,7 @@ def bessel_j_prime(order, x):
     order = _check(order, x, True)
     if x == 0.0:
         return 0.5 if order == 1 else 0.0
-    return _pass(KIND_BESSEL_PRIME, order, x)[0]
+    return _pass("bessel_prime", order, x)[0]
 
 
 def _sph_miller(x, lo, kept=None):
@@ -263,9 +267,7 @@ def spherical_j(order, x):
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
     order = _check(order, x, False)
-    if x < _SERIES_SEAM:
-        return _series(order, x, 1, 0)
-    return _sph_miller(x, max(order - 1, 0))[min(order, 1)]
+    return _pass("spherical", order, x)[0]
 
 
 def spherical_j_prime(order, x):
@@ -275,13 +277,13 @@ def spherical_j_prime(order, x):
     input that needs more than ``MAX_RECURRENCE`` (10^6) raises ValueError.
     """
     order = _check(order, x, False)
-    return _pass(KIND_SPHERICAL_PRIME, order, x)[0]
+    return _pass("spherical_prime", order, x)[0]
 
 
 def _pass(kind, order, x):
-    # (f, f', f'', f''', g) at x > 0: f is the function the kind tabulates at
-    # order m and g the same function of order m + 1.  One formula set serves
-    # all three kinds.  With y = J_m (w = 1, shift 0) or j_m (w = 2, shift 1)
+    # (f, f', f'', f''', g) at x > 0: f is the kind's function (J, J', j or
+    # j') at order m and g the same function of order m + 1.  One formula set
+    # serves all four kinds.  With y = J_m (w = 1, shift 0) or j_m (w = 2, shift 1)
     # and q = m(m + shift)/x^2, one Miller pass over the orders
     # max(m - 1, 0) .. m + 1 gives y, y_{m+1} and y' = (J_{m-1} - J_{m+1})/2
     # or j_{m-1} - (m + 1)/x j_m (y'_0 = -y_1 in both), and below the series
@@ -292,7 +294,7 @@ def _pass(kind, order, x):
     # give the rest, and y'_{m+1} = y_m - (m + w)/x y_{m+1}.  x * x
     # underflows to 0 below x = 1.6e-162, far below every zero: the ODE's
     # terms are nan there, and f (the sign passes') stays exact
-    spherical = kind == KIND_SPHERICAL_PRIME
+    spherical, derivative = _KINDS[kind]
     w = 2.0 if spherical else 1.0
     shift = w - 1.0
     if x < _SERIES_SEAM:
@@ -306,7 +308,7 @@ def _pass(kind, order, x):
     q = order * (order + shift) / xx
     d2 = -w * d / x - (1.0 - q) * y
     d3 = w * d / xx - w * d2 / x - 2.0 * q / x * y - (1.0 - q) * d
-    if kind == KIND_BESSEL:
+    if not derivative:
         return y, d, d2, d3, above
     d4 = (2.0 * w / xx * (d2 - d / x) - w * d3 / x - 4.0 * q / x * d + 6.0 * q / xx * y
           - (1.0 - q) * d2)
@@ -322,7 +324,7 @@ def _from_miller(spherical, order, x, a, b, c):
 
 
 def evaluate(kind, order, x):
-    """The function whose zeros the kind tabulates, at x > 0."""
+    """The kind's function of the given order at x > 0, its input unchecked."""
     return _pass(kind, order, x)[0]
 
 
@@ -337,14 +339,14 @@ def evaluate_orders(kind, x):
     alone, so at x = 125, where it serves 126 orders, it takes as long as
     about ten passes (one core of a 2-core Xeon, Python 3.11).
     """
-    spherical = kind == KIND_SPHERICAL_PRIME
+    spherical, derivative = _KINDS[kind]
     ys = []
     (_sph_miller if spherical else _miller)(x, 0, ys)
     values = []
     for m in range(int(x) + 1):
         lo = m - 1 if m else 0
         y, d, _ = _from_miller(spherical, m, x, *ys[lo:lo + 3])
-        values.append(y if kind == KIND_BESSEL else d)
+        values.append(d if derivative else y)
     return values
 
 

@@ -82,11 +82,10 @@ from .backend import kernels
 
 KINDS = ("bessel_prime", "bessel", "spherical_prime")
 
-_KIND_CODE = {
-    "bessel_prime": kernels.KIND_BESSEL_PRIME,
-    "bessel": kernels.KIND_BESSEL,
-    "spherical_prime": kernels.KIND_SPHERICAL_PRIME,
-}
+# The kernels take the kind's name itself.  Only the benchmark's tracer reads
+# this identity map, to tag each ``kernels.next_zero`` span with its kind;
+# ROADMAP item 1(b) deletes it with the tracer's lookup.
+_KIND_CODE = dict(zip(KINDS, KINDS))
 
 # the reporting grid of the tabulated values (see _grid_value)
 _GRID_STEP = 0.05
@@ -239,7 +238,6 @@ class ZeroTable:
         if kind not in KINDS:
             raise ValueError(f"unknown zero kind {kind!r}")
         self.kind = kind
-        self._code = _KIND_CODE[kind]
         self._orders = {}  # order -> _Order
         self._pi = [0.0]  # the multiples of pi listed so far (see _below)
         self._at = (math.nan, [])  # the last reach x and evaluate_orders there
@@ -364,7 +362,7 @@ class ZeroTable:
         if x > max(m, 1):
             at, values = self._at
             if at != x:
-                values = kernels.evaluate_orders(self._code, x)
+                values = kernels.evaluate_orders(self.kind, x)
                 self._at = x, values
             n = bisect.bisect_left(self._below(m, x), x)
             if not values[m] * _parity(n) > 0.0:
@@ -394,7 +392,7 @@ class ZeroTable:
             hi = min(below[i + 1], reach) if i + 1 < len(below) else reach
             guess = (_mcmahon(self.kind, order, i + 1) if order < 4
                      else 4.0 * (lo + n3[i]) - 6.0 * n2[i] - n4[i])
-            zero, x, f_up = kernels.next_zero(self._code, order, lo, hi, guess, sign)
+            zero, x, f_up = kernels.next_zero(self.kind, order, lo, hi, guess, sign)
             if math.isnan(zero):
                 raise AccuracyError(
                     f"{self.kind} order {order} zero #{i - shift + 1}: not refined "
@@ -414,7 +412,7 @@ class ZeroTable:
             # order + 1 has the sign (-1)^i here; f_up, at the last iterate x,
             # has it too when |f_up| > |x - zero|, as slopes are at most 1
             if not abs(f_up) > abs(x - zero):
-                f_up = kernels.evaluate(self._code, order + 1, zero)
+                f_up = kernels.evaluate(self.kind, order + 1, zero)
             if f_up * sign < 0.0:
                 raise AccuracyError(
                     f"{self.kind} order {order + 1}: f({zero!r}) = {f_up:.3e} has the "

@@ -250,11 +250,12 @@ def extremal_sequence(domain_class, K, base_values=None):
     block is summed.  Otherwise the tops of the whole blocks of SPLIT_BLOCK
     indices awake at n are formed, and the best sum of the block with the
     best top (the smallest start among equal tops) is the seed.  Every awake
-    block whose top, widened by SPLIT_SLACK relative to |seed| +
-    SPLIT_BLOCK*|c|, reaches the threshold seed + (SPLIT_BLOCK - 1)*c is
-    summed, the seed's own block once, and so is the last partial block
-    full + 1 <= j <= h if its top reaches seed + (h - full - 1)*c.  The
-    larger sum wins, and the smaller j among equal sums.
+    block whose top, widened by the slack, SPLIT_SLACK relative to
+    S = |seed| + (SPLIT_BLOCK + n)*|c|, reaches the threshold
+    seed + (SPLIT_BLOCK - 1)*c is summed, the seed's own block once, and so
+    is the last partial block full + 1 <= j <= h if its top reaches
+    seed + (h - full - 1)*c.  The larger sum wins, and the smaller j among
+    equal sums.
 
     The sleeps.  Each awake block wakes again at n + 1 if it reaches the
     threshold; if it misses by M, at n + d for the first d at which
@@ -271,24 +272,22 @@ def extremal_sequence(domain_class, K, base_values=None):
     connected power, so no split sum exceeds it.  g can then fall only by
     roundings: from m to m + 1, one in the sum (1, m) and two in forming
     each g (c*m and the difference), each at most u*max(|powers[m + 1]|,
-    |c|*(m + 1)) with u = 2**-53.  When maximizing, g >= 0 (up to these
-    roundings) puts c*(m + 1) under powers[m + 1], so a step falls by at
-    most 5u*|powers[m + 1]|, at every K.  When minimizing, |c|*(m + 1) is
-    the larger; for the Dirichlet disks it is at most 1.45*|powers[m + 1]|,
-    since lambda_1 = 18.17 and Pólya's bound gives best[m + 1] >=
-    4*pi*(m + 1).  Other minimizing base values carry no such bound
-    (ROADMAP item 24).  One bound chains at most 2*(SPLIT_BLOCK - 1) steps
-    (the partial block's fewer), a sleep 2*SPLIT_BLOCK more and as many in
-    its bisect, 94 in all; each step is off by the fall of g plus one
-    rounding, on powers of one sign (the check on the base values admits no
-    others) that stay within |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is
-    near the best split.  So a bound is off by under half the slack while
-    the fall plus one ulp stays below SPLIT_SLACK/(2*94), about 5.1e-15
-    relative, over six times the 5*1.45u = 8.0e-16 above, and no block that
-    can hold the best sum, the seed's own included, is skipped or left
-    asleep.  The tests check each step's fall against its bound in all five
-    classes at K = 3000 and 10,000.  Uncapped, a sleep could chain a/2
-    steps, past the slack at large K.
+    |c|*(m + 1)) with u = 2**-53.  One bound chains at most
+    2*(SPLIT_BLOCK - 1) steps (the partial block's fewer), a sleep
+    2*SPLIT_BLOCK more and as many in its bisect, 94 in all, each off by the
+    fall of g plus one rounding.  Every step a bound at n chains ends at an
+    index m + 1 <= n, so |c|*(m + 1) <= n*|c|; and its powers are of one sign
+    (the check on the base values admits no others) and stay within
+    |seed| + 3*SPLIT_BLOCK*|c| wherever a bound is near the best split, with
+    3*SPLIT_BLOCK <= SPLIT_BLOCK + n as n >= 2*SPLIT_BLOCK there.  So each
+    step falls by at most 5u*S, for any positive base values and at every
+    K, and with its rounding it stays below SPLIT_SLACK/(2*94)*S, about
+    46u*S: a bound is off by under half the slack, and no block that can
+    hold the best sum, the seed's own included, is skipped or left asleep.
+    The tests check each step's fall against that allowance in all five
+    classes at K = 3000 and 10,000, and on minimizing base values where
+    |c|*(m + 1) outgrows |powers[m + 1]| 1500-fold.  Uncapped, a sleep
+    could chain a/2 steps, past the slack at large K.
     """
     K = check_integer("K", K, 1)
     N = domain_class.dimension
@@ -311,7 +310,7 @@ def extremal_sequence(domain_class, K, base_values=None):
     provenance[1] = Connected(1)
     g = [0.0, 0.0]  # g[m] = powers[m] - c*m for the known m
     B, B2, R = SPLIT_BLOCK, 2 * SPLIT_BLOCK, 2 * SPLIT_BLOCK + 1
-    lead, width = (B - 1) * c, B * abs(c)  # the threshold's and the slack's terms in c
+    lead = (B - 1) * c  # the threshold's term in c
     ring = [[] for _ in range(R)]  # slot m % R: the whole blocks awake at m
     splits = {}  # one Split record per left index
 
@@ -331,7 +330,7 @@ def extremal_sequence(domain_class, K, base_values=None):
                 a for a, t in zip(awake, tops) if t == top)
             best = seed = _block_max(powers, n, seed_a, seed_a + B - 1)
             best_i = _first(powers, n, seed_a, seed)
-            slack = SPLIT_SLACK * (abs(seed) + width)
+            slack = SPLIT_SLACK * (abs(seed) + (B + n) * abs(c))
             threshold = seed + lead - slack
             woken = ring[(n + 1) % R]
             for a, top in zip(awake, tops):

@@ -663,9 +663,9 @@ def _fresh_table(name, k):
         found[value] = zero
         return value, resume
 
-    def counted(code, order, lo, hi, guess, sign_lo):
+    def counted(name, order, lo, hi, guess, sign_lo):
         before = len(passes)
-        result = next_zero(code, order, lo, hi, guess, sign_lo)
+        result = next_zero(name, order, lo, hi, guess, sign_lo)
         refined.append(Refined(order, lo, hi, guess, result[0], len(passes) - before))
         return result
 
@@ -995,7 +995,7 @@ class TestFinder:
         monkeypatch.setattr(
             _kernels_py, "_pass", lambda *a: passes.append(1) or (1.0, 0.0, 0.0, 0.0, 0.0)
         )
-        found = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 2.0, 3.0, 2.4, 1.0)
+        found = _kernels_py.next_zero("bessel", 0, 2.0, 3.0, 2.4, 1.0)
         assert len(found) == 3 and all(math.isnan(v) for v in found)
         assert len(passes) == _kernels_py._MAX_STEPS
 
@@ -1019,7 +1019,7 @@ class TestFinder:
             return x - 3.5, 1.0, 0.0, 0.0, 0.0
 
         monkeypatch.setattr(_kernels_py, "_pass", line)
-        kind = _kernels_py.KIND_BESSEL
+        kind = "bessel"
         zero, x, _ = _kernels_py.next_zero(kind, 0, 3.0, 3.6, 3.4999, -1.0)
         assert (zero, x, passes) == (3.5, 3.4999, [3.4999])
         passes.clear()
@@ -1040,7 +1040,7 @@ class TestFinder:
             return x - 3.5, 1.0, 0.0, 0.0, 0.0
 
         monkeypatch.setattr(_kernels_py, "_pass", line)
-        zero, x, _ = _kernels_py.next_zero(_kernels_py.KIND_BESSEL, 0, 3.0, 4.0, guess, -1.0)
+        zero, x, _ = _kernels_py.next_zero("bessel", 0, 3.0, 4.0, guess, -1.0)
         assert (zero, x, passes) == (3.5, 3.5, [3.5])
 
     @pytest.mark.parametrize("kind,order,x", [
@@ -1056,7 +1056,7 @@ class TestFinder:
 
         name = {"bessel_prime": "bessel_j_prime", "bessel": "bessel_j",
                 "spherical_prime": "spherical_bessel_j_prime"}[kind]
-        got = _kernels_py._pass(bessel._KIND_CODE[kind], order, x)
+        got = _kernels_py._pass(kind, order, x)
         with mp.workdps(30):
             ref = [mp.diff(lambda t: _mp_evaluator(mp, name, order, t), x, n) for n in range(4)]
             ref.append(_mp_evaluator(mp, name, order + 1, mp.mpf(x)))
@@ -1080,7 +1080,7 @@ class TestFinder:
                     else mp.besselj(m, t))
 
         for order in (0, 1, 3, 40):
-            got = _kernels_py._pass(bessel._KIND_CODE[kind], order, x)
+            got = _kernels_py._pass(kind, order, x)
             with mp.workdps(30):
                 t = mp.mpf(x)
                 ys = [mp.diff(lambda s: y(order, s), t, n) for n in range(5)]
@@ -1107,12 +1107,11 @@ class TestFinder:
         rng = random.Random(37)
         xs = [math.nextafter(1.0, 2.0), 2.0, *(rng.uniform(1.0, 400.0) for _ in range(4)),
               399.75]
-        code = bessel._KIND_CODE[kind]
         for x in xs:
-            values = _kernels_py.evaluate_orders(code, x)
+            values = _kernels_py.evaluate_orders(kind, x)
             assert len(values) == int(x) + 1
             for m, value in enumerate(values):
-                assert value == _kernels_py.evaluate(code, m, x), (x, m)
+                assert value == _kernels_py.evaluate(kind, m, x), (x, m)
 
     @pytest.mark.parametrize("order, x", [
         *[(0, x) for x in TINY_X],
@@ -1147,9 +1146,9 @@ class TestFinder:
         calls = []
         evaluate = _kernels_py.evaluate
 
-        def counted(kind_code, order, at):
+        def counted(name, order, at):
             calls.append((order, at))
-            return evaluate(kind_code, order, at)
+            return evaluate(name, order, at)
 
         monkeypatch.setattr(_kernels_py, "evaluate", counted)
         table = ZeroTable(kind)
@@ -1214,8 +1213,8 @@ class TestFinder:
         for m in (2, 0):
             orders = []
 
-            def flipped(code, order, *args):
-                *found, f_up = next_zero(code, order, *args)
+            def flipped(name, order, *args):
+                *found, f_up = next_zero(name, order, *args)
                 orders.append(order)
                 if order == m and orders.count(m) == 3:
                     f_up = -math.copysign(1.0, f_up)

@@ -96,11 +96,19 @@ def sequences_10000():
 
 def _g_falls(seq):
     # per step m -> m + 1: the fall of g[m] = powers[m] - c*m, as the
-    # recursion forms it, and the bound extremal_sequence's docstring proves
-    # for it, 5u*max(|powers[m + 1]|, |c|*(m + 1)) with u = 2**-53
+    # recursion forms it; the bound extremal_sequence's docstring proves for
+    # it, 5u*max(|powers[m + 1]|, |c|*(m + 1)) with u = 2**-53; and the
+    # allowance its slack proof needs, SPLIT_SLACK/(2*94) less one ulp of
+    # the slack's scale |seed| + (SPLIT_BLOCK + n)*|c| at the first n that
+    # chains the step, n = m + 1, with |powers[m + 1]| for |seed|
+    B = wolfkeller.SPLIT_BLOCK
+    steps = 2 * (B - 1) + 2 * B + 2 * B
+    assert steps == 94
+    per_step = wolfkeller.SPLIT_SLACK / 2 / steps - 2**-52
     powers, c = seq.powers, seq.powers[1]
     g = [None] + [powers[m] - c * m for m in range(1, seq.K + 1)]
-    return [(g[m] - g[m + 1], 5 * 2.0**-53 * max(abs(powers[m + 1]), abs(c) * (m + 1)))
+    return [(g[m] - g[m + 1], 5 * 2.0**-53 * max(abs(powers[m + 1]), abs(c) * (m + 1)),
+             per_step * (abs(powers[m + 1]) + (B + m + 1) * abs(c)))
             for m in range(1, seq.K)]
 
 
@@ -121,7 +129,7 @@ def _seed(powers, n):
     a = 1 + B * tops.index(max(tops))
     seed = max(powers[i] + powers[n - i] for i in range(a, a + B))
     c = powers[1]
-    return seed, c, wolfkeller.SPLIT_SLACK * (abs(seed) + B * abs(c))
+    return seed, c, wolfkeller.SPLIT_SLACK * (abs(seed) + (B + n) * abs(c))
 
 
 def _partial_reaches(powers, n):
@@ -386,25 +394,39 @@ class TestSplitSearch:
     def test_g_nondecreasing_within_slack(self, sequences_3000):
         # the sleeps' premise: g[m] = powers[m] - c*m, as the recursion forms
         # it, falls per step by no more than the roundings
-        # extremal_sequence's docstring counts; the worst fall is 2.96e-16
-        # relative to |powers[m + 1]| (the Dirichlet disks)
+        # extremal_sequence's docstring counts, and by less than the slack
+        # proof allows; the worst fall is 2.96e-16 relative to
+        # |powers[m + 1]| (the Dirichlet disks)
         for seq in sequences_3000.values():
-            assert all(fall <= bound for fall, bound in _g_falls(seq)), seq.domain_class.name
+            assert all(fall <= bound < allowed for fall, bound, allowed in _g_falls(seq)), \
+                seq.domain_class.name
 
     def test_g_within_the_proofs_bound_at_10000(self, sequences_10000):
         # the bound the slack proof needs (extremal_sequence's docstring): a
         # bound chains at most 94 steps, each off by the fall of g plus one
         # rounding, and all of them stay under half the slack; each fall is
-        # within its proved bound, and the bound, relative to
-        # |powers[m + 1]|, is far inside that need in all five classes
-        B = wolfkeller.SPLIT_BLOCK
-        steps = 2 * (B - 1) + 2 * B + 2 * B
-        assert steps == 94
-        per_step = wolfkeller.SPLIT_SLACK / 2 / steps - 2**-52
+        # within its proved bound, and the bound within the allowance, in
+        # all five classes
         for seq in sequences_10000.values():
-            powers = seq.powers
-            for m, (fall, bound) in enumerate(_g_falls(seq), 1):
-                assert fall <= bound < per_step * abs(powers[m + 1]), (seq.domain_class.name, m)
+            for m, (fall, bound, allowed) in enumerate(_g_falls(seq), 1):
+                assert fall <= bound < allowed, (seq.domain_class.name, m)
+
+    def test_slack_covers_minimizing_base_values(self):
+        # minimizing base values 1000*sqrt(3) + i*1e-3 (i < 3000), then forty
+        # of 1e9: at m = 3000 the rounding of c*m, about 5.2e6, makes g fall
+        # by 2419u*|powers[m + 1]| (powers[m + 1] about -3467), more than a
+        # slack scaled by |seed| + 3*SPLIT_BLOCK*|c| allows; the slack's
+        # (SPLIT_BLOCK + n)*|c| covers every fall, and every split index is
+        # the exhaustive scan's
+        base = [1000 * math.sqrt(3) + i * 1e-3 for i in range(3000)] + [1e9] * 40
+        seq = extremal_sequence(dirichlet_disks_class(), len(base), base_values=base)
+        powers = seq.powers
+        falls = _g_falls(seq)
+        assert falls[2999][0] > 2400 * 2.0**-53 * abs(powers[3001])
+        assert all(fall <= bound < allowed for fall, bound, allowed in falls)
+        for n in range(2, seq.K + 1):
+            j = seq.split_indices[n]
+            assert (powers[j] + powers[n - j], j) == _exhaustive_split(powers, n), n
 
     @pytest.mark.parametrize("name, most", [
         ("disks", 6), ("squares", 6), ("balls", 6), ("cubes", 6), ("dirichlet-disks", 12),
